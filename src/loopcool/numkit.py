@@ -4,7 +4,7 @@ Matrices are plain numpy complex128 arrays.  The routines here wrap LAPACK
 (via numpy/scipy) behind the error contracts the rest of the package relies
 on: explicit singularity thresholds, an eigenvalue result with a convergence
 flag, a capped Kronecker product, and a fixed-step RK4 integrator for the
-differential Lyapunov flow.
+differential Lyapunov flow (a small-N oracle, see `kernels`).
 """
 
 from dataclasses import dataclass
@@ -102,7 +102,9 @@ def integrate_linear_ode(a, rhs_const, x0, t_end, dt=None):
     """X(t_end) of dX/dt = a X + X a^T + rhs_const, fixed-step RK4.
 
     For a Hurwitz drift this converges to the Lyapunov steady state as
-    t_end grows.  Raises BlowUp on divergence.
+    t_end grows.  The steps are taken by powering the n^2 x n^2 RK4 step map,
+    at n^6 cost, so this is for small drifts: DimensionOverflow is raised when
+    n^2 exceeds KRON_CAP.  Raises BlowUp on divergence.
     """
     a = as_cmatrix(a)
     rhs_const = as_cmatrix(rhs_const)

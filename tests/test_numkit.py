@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,52 @@ def test_integrate_blowup():
     a = np.eye(2)
     with pytest.raises(BlowUp):
         numkit.integrate_linear_ode(a, np.eye(2), np.eye(2), 60.0, 0.01)
+
+
+def test_integrate_blowup_long_time_no_overflow():
+    # 1e8 steps: the powered step map must trip the limit before it overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUp):
+            numkit.integrate_linear_ode(np.eye(2), np.eye(2), np.eye(2), 1e6, 0.01)
+
+
+def test_integrate_lift_cap():
+    a = -np.eye(70)
+    with pytest.raises(DimensionOverflow):
+        numkit.integrate_linear_ode(a, np.eye(70), np.zeros((70, 70)), 1.0, 0.01)
+
+
+def _rk4_per_step(a, q, x, n_steps, dt):
+    """Reference: classical RK4 on dX/dt = A X + X A^T + Q, one step at a time."""
+    at = a.T
+    for _ in range(n_steps):
+        k1 = a @ x + x @ at + q
+        y = x + (0.5 * dt) * k1
+        k2 = a @ y + y @ at + q
+        y = x + (0.5 * dt) * k2
+        k3 = a @ y + y @ at + q
+        y = x + dt * k3
+        k4 = a @ y + y @ at + q
+        x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return x
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 2, 7, 1000])
+def test_integrate_matches_per_step_rk4(n_steps):
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) - 4 * np.eye(6)
+    assert np.linalg.eigvals(a).real.max() < 0
+    q = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    x0 = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    dt = 0.01
+    ref = _rk4_per_step(a, q, x0, n_steps, dt)
+    x = numkit.integrate_linear_ode(a, q, x0, n_steps * dt, dt)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    if n_steps == 0:
+        assert np.array_equal(x, x0)
+        # t_end below half a step also rounds to no step
+        assert np.array_equal(numkit.integrate_linear_ode(a, q, x0, 0.4 * dt, dt), x0)
 
 
 def test_determinism():
