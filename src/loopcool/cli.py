@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import datetime
+import functools
 import json
 import math
 import os
@@ -59,21 +60,34 @@ def _approx(om_rwa, mech_full):
                           mechanical="full" if mech_full else "rwa")
 
 
-def _spec_options(fn):
-    fn = click.option("--config", type=click.Path(), default=None,
-                      help="INI config file (see README for the grammar).")(fn)
-    fn = click.option("--preset", default=None,
-                      help="Named parameter preset (fig2, fig3, fig4, ...).")(fn)
-    fn = click.option("--om-rwa/--om-full", "om_rwa", default=False,
-                      help="Drop/keep cavity-mechanics counter-rotating terms.")(fn)
-    fn = click.option("--mech-rwa/--mech-full", "mech_rwa", default=True,
-                      help="Drop/keep phonon-exchange counter-rotating terms.")(fn)
-    return fn
-
-
 def _fail_config(exc):
     click.echo("config error: %s" % exc, err=True)
     sys.exit(EXIT_CONFIG)
+
+
+def _spec_options(fn):
+    """Add the spec and approximation options; call fn(spec, approx, **rest).
+
+    A ConfigError from loading the spec or from fn itself exits with
+    EXIT_CONFIG.
+    """
+    @functools.wraps(fn)
+    def command(config, preset, om_rwa, mech_rwa, **kwargs):
+        try:
+            spec = _load_spec(config, preset)
+            return fn(spec, _approx(om_rwa, not mech_rwa), **kwargs)
+        except ConfigError as exc:
+            _fail_config(exc)
+
+    command = click.option("--config", type=click.Path(), default=None,
+                           help="INI config file (see README for the grammar).")(command)
+    command = click.option("--preset", default=None,
+                           help="Named parameter preset (fig2, fig3, fig4, ...).")(command)
+    command = click.option("--om-rwa/--om-full", "om_rwa", default=False,
+                           help="Drop/keep cavity-mechanics counter-rotating terms.")(command)
+    command = click.option("--mech-rwa/--mech-full", "mech_rwa", default=True,
+                           help="Drop/keep phonon-exchange counter-rotating terms.")(command)
+    return command
 
 
 @click.group()
@@ -84,13 +98,8 @@ def main():
 
 @main.command()
 @_spec_options
-def cool(config, preset, om_rwa, mech_rwa):
+def cool(spec, approx):
     """Steady-state phonon occupations for a single parameter point."""
-    try:
-        spec = _load_spec(config, preset)
-    except ConfigError as exc:
-        _fail_config(exc)
-    approx = _approx(om_rwa, not mech_rwa)
     drift = build_drift(spec, approx)
     report = steadystate.cool_or_flag(drift)
     payload = {
@@ -116,13 +125,8 @@ def cool(config, preset, om_rwa, mech_rwa):
 
 @main.command()
 @_spec_options
-def stability(config, preset, om_rwa, mech_rwa):
+def stability(spec, approx):
     """Stability verdict (spectral abscissa of the drift matrix)."""
-    try:
-        spec = _load_spec(config, preset)
-    except ConfigError as exc:
-        _fail_config(exc)
-    approx = _approx(om_rwa, not mech_rwa)
     drift = build_drift(spec, approx)
     stable, abscissa = steadystate.stability_check(drift)
     _emit_json({"stable": stable, "spectral_abscissa": abscissa,
@@ -205,18 +209,13 @@ def _write_metadata(fh, spec, approx):
 @click.option("--out", type=click.Path(), required=True, help="Output CSV path.")
 @click.option("--workers", type=int, default=1, show_default=True,
               help="Parallel worker processes.")
-def sweep(config, preset, om_rwa, mech_rwa, axes, out, workers):
+def sweep(spec, approx, axes, out, workers):
     """1-D or 2-D parameter sweep of the steady-state occupations (CSV)."""
-    try:
-        spec = _load_spec(config, preset)
-        if len(axes) > 2:
-            raise ConfigError("at most two --axis options")
-        parsed = [parse_axis(a) for a in axes]
-        for path, grid in parsed:  # validate paths before launching workers
-            set_param(spec, path, float(grid[0]))
-    except ConfigError as exc:
-        _fail_config(exc)
-    approx = _approx(om_rwa, not mech_rwa)
+    if len(axes) > 2:
+        raise ConfigError("at most two --axis options")
+    parsed = [parse_axis(a) for a in axes]
+    for path, grid in parsed:  # validate paths before launching workers
+        set_param(spec, path, float(grid[0]))
 
     if len(parsed) == 1:
         points = [((v,), [(parsed[0][0], float(v))]) for v in parsed[0][1]]
@@ -260,17 +259,12 @@ def sweep(config, preset, om_rwa, mech_rwa, axes, out, workers):
 @click.option("--omega-max", type=float, default=1.1, show_default=True)
 @click.option("--points", type=int, default=801, show_default=True)
 @click.option("--out", type=click.Path(), required=True, help="Output CSV path.")
-def spectrum(config, preset, om_rwa, mech_rwa, omega_min, omega_max, points, out):
+def spectrum(spec, approx, omega_min, omega_max, points, out):
     """Probe-frequency scan of transmittances and relative scattering rates."""
-    try:
-        spec = _load_spec(config, preset)
-        if points < 2:
-            raise ConfigError("need at least 2 frequency points")
-        if spec.n_mech != 2:
-            raise ConfigError("spectrum scan is defined for n_mech = 2")
-    except ConfigError as exc:
-        _fail_config(exc)
-    approx = _approx(om_rwa, not mech_rwa)
+    if points < 2:
+        raise ConfigError("need at least 2 frequency points")
+    if spec.n_mech != 2:
+        raise ConfigError("spectrum scan is defined for n_mech = 2")
     drift = build_drift(spec, approx)
     coop = spectra.Cooperativities.from_spec(spec)
     lam_res = spectra.lambda_analytic(coop, spec.theta[0])
@@ -290,13 +284,8 @@ def spectrum(config, preset, om_rwa, mech_rwa, omega_min, omega_max, points, out
 
 @main.command("modes")
 @_spec_options
-def modes_cmd(config, preset, om_rwa, mech_rwa):
+def modes_cmd(spec, approx):
     """Mode-structure report: bright/dark, hybrid transform, normal modes."""
-    try:
-        spec = _load_spec(config, preset)
-    except ConfigError as exc:
-        _fail_config(exc)
-    approx = _approx(om_rwa, not mech_rwa)
     payload = {"spec": spec_to_dict(spec), "provenance": _provenance(approx)}
     if spec.n_mech == 2:
         if spec.eta[0] == 0.0:
@@ -352,15 +341,10 @@ def lambda_cmd(eta, theta):
 
 @main.command("limits")
 @_spec_options
-def limits_cmd(config, preset, om_rwa, mech_rwa):
+def limits_cmd(spec, approx):
     """Adiabatic-elimination effective model and analytic cooling limits."""
-    try:
-        spec = _load_spec(config, preset)
-        if spec.n_mech != 2:
-            raise ConfigError("cooling limits are defined for n_mech = 2")
-    except ConfigError as exc:
-        _fail_config(exc)
-    approx = _approx(om_rwa, not mech_rwa)
+    if spec.n_mech != 2:
+        raise ConfigError("cooling limits are defined for n_mech = 2")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         eff = limits.effective_model(spec)

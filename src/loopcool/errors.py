@@ -10,14 +10,7 @@ class SingularMatrix(LoopcoolError):
 
 
 class NoConvergence(LoopcoolError):
-    """An iterative routine ran out of iterations.
-
-    Carries partial results in `partial` when available.
-    """
-
-    def __init__(self, msg, partial=None):
-        super().__init__(msg)
-        self.partial = partial
+    """An iterative routine ran out of iterations."""
 
 
 class DimensionOverflow(LoopcoolError):

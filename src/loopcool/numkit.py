@@ -2,15 +2,13 @@
 
 Matrices are plain numpy complex128 arrays.  The routines here wrap LAPACK
 (via numpy/scipy) behind the error contracts the rest of the package relies
-on: explicit singularity thresholds, an eigenvalue result with a convergence
-flag, a capped Kronecker product, and a fixed-step RK4 integrator for the
+on: explicit singularity thresholds, eigenvalues that raise NoConvergence on
+failure, a capped Kronecker product, and a fixed-step RK4 integrator for the
 differential Lyapunov flow (a small-N oracle, see `kernels`).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from . import kernels
 from .errors import DimensionOverflow, NoConvergence, ShapeMismatch, SingularMatrix
@@ -39,13 +37,6 @@ def norm_inf(a):
     return float(np.abs(a).max())
 
 
-@dataclass
-class EigenResult:
-    values: np.ndarray
-    convergence_flag: bool
-    iterations: int  # 0: backend does not report an iteration count
-
-
 def solve_linear(a, b):
     """Solve a @ x = b for square a.
 
@@ -59,12 +50,14 @@ def solve_linear(a, b):
         raise ShapeMismatch("coefficient matrix must be square")
     if b.shape[0] != n:
         raise ShapeMismatch("rhs rows %d != matrix dim %d" % (b.shape[0], n))
-    lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    # LAPACK directly: scipy's lu_factor warns on an exactly zero pivot, which
+    # the threshold below turns into SingularMatrix anyway
+    lu, piv, _ = lapack.zgetrf(a)
     scale = norm_inf(a)
     pivots = np.abs(np.diag(lu))
     if scale == 0.0 or pivots.min() <= PIVOT_RTOL * scale:
         raise SingularMatrix("pivot below %g * ||a||_inf" % PIVOT_RTOL)
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    return lapack.zgetrs(lu, piv, b)[0]
 
 
 def eigenvalues(a):
@@ -73,11 +66,9 @@ def eigenvalues(a):
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch("matrix must be square")
     try:
-        vals = np.linalg.eigvals(a)
+        return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence("eigenvalue iteration failed: %s" % exc,
-                            partial=EigenResult(np.empty(0, complex), False, 0))
-    return EigenResult(values=vals, convergence_flag=True, iterations=0)
+        raise NoConvergence("eigenvalue iteration failed: %s" % exc)
 
 
 def kron(a, b, cap=KRON_CAP):

@@ -156,7 +156,7 @@ def test_drift_linearity_in_couplings():
 def test_drift_decoupled_eigenvalues():
     spec = two_mode(eta=0.0, theta=0.0, g=0.0)
     d = build_drift(spec)
-    vals = numkit.eigenvalues(d.a).values
+    vals = numkit.eigenvalues(d.a)
     expect = [-(0.2 + 1j), -(0.2 - 1j),
               -(1e-5 + 1j), -(1e-5 + 1j), -(1e-5 - 1j), -(1e-5 - 1j)]
     got = sorted(vals, key=lambda z: (round(z.real, 9), z.imag))

@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from loopcool import get_preset, kernels
+from loopcool import get_preset, kernels, numkit
 from loopcool.errors import ShapeMismatch, Unstable
-from loopcool.model import FULL, CouplingApprox, DriftModel, build_drift
+from loopcool.model import FULL, RWA, CouplingApprox, DriftModel, build_drift
+from loopcool.presets import PRESETS, _chain
 from loopcool.steadystate import (cool, cool_or_flag, lyapunov_residual,
                                   lyapunov_solve, phonon_numbers,
                                   stability_check)
@@ -115,3 +117,60 @@ def test_cool_or_flag_nan_record():
 def test_phonon_numbers_shape_check():
     with pytest.raises(ShapeMismatch):
         phonon_numbers(np.eye(4), 2)
+
+
+def _kron_lu_lyapunov(drift):
+    """Reference: (I x A + A x I) vec V = -vec Q by a dense LU of the n^2 lift."""
+    a = drift.a
+    eye = np.eye(a.shape[0])
+    op = numkit.kron(eye, a) + numkit.kron(a, eye)
+    return numkit.solve_linear(op, -drift.q.reshape(-1)).reshape(a.shape)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+@pytest.mark.parametrize("om", [RWA, FULL])
+@pytest.mark.parametrize("mech", [RWA, FULL])
+def test_lyapunov_matches_kronecker_reference(name, om, mech):
+    d = build_drift(get_preset(name), CouplingApprox(om, mech))
+    _, abscissa = stability_check(d)
+    ref = _kron_lu_lyapunov(d)
+    rel = np.abs(lyapunov_solve(d) - ref).max() / np.abs(ref).max()
+    if name == "fig2_eta0":
+        # the dark mode decays only at gamma: an ill-conditioned system
+        assert rel <= 1e-10
+    else:
+        assert abscissa < -1e-3
+        assert rel <= 1e-12
+
+
+def test_one_margin_for_every_verdict():
+    d = build_drift(get_preset("fig2"))
+    _, abscissa = stability_check(d)
+    shifted = dataclasses.replace(d, a=d.a - (abscissa + 1e-11) * np.eye(d.a.shape[0]))
+    stable, abscissa = stability_check(shifted)
+    assert abscissa == pytest.approx(-1e-11, abs=1e-14)
+    assert not stable
+    rep = cool_or_flag(shifted)
+    assert not rep.stable and rep.spectral_abscissa == abscissa
+    with pytest.raises(Unstable):
+        lyapunov_solve(shifted)
+
+
+def test_cool_runs_one_eigensolve(monkeypatch):
+    calls = []
+    eigenvalues = numkit.eigenvalues
+
+    def counted(a):
+        calls.append(a)
+        return eigenvalues(a)
+
+    monkeypatch.setattr(numkit, "eigenvalues", counted)
+    rep = cool(build_drift(get_preset("fig2")))
+    assert rep.stable and len(calls) == 1
+
+
+def test_lyapunov_chain_beyond_kron_cap():
+    d = build_drift(_chain(32, 0.05, 0.05, math.pi / 2))
+    assert d.a.shape[0] ** 2 > numkit.KRON_CAP
+    v = lyapunov_solve(d)
+    assert lyapunov_residual(d, v) <= 1e-10 * numkit.norm_inf(d.q)
