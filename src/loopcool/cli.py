@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__, limits, modes, spectra, steadystate
 from .config import parse_spec, spec_to_dict
-from .errors import ConfigError, DomainError, LoopcoolError, Unstable
+from .errors import ConfigError, DomainError, InvalidSpec, LoopcoolError
 from .model import CouplingApprox, build_drift, to_linearized
 from .presets import get_preset
 
@@ -164,10 +164,12 @@ def set_param(spec, path, value):
         if idx is not None:
             raise ConfigError("%s is scalar; drop the index" % path)
         new = value
-    if on_drive:
-        drive = type(spec.drive)(**{**spec.drive.__dict__, name: new})
-        return spec.with_(drive=drive)
-    return spec.with_(**{name: new})
+    try:
+        if on_drive:
+            return spec.with_(drive=type(spec.drive)(**{**spec.drive.__dict__, name: new}))
+        return spec.with_(**{name: new})
+    except InvalidSpec as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def parse_axis(raw):

@@ -18,7 +18,7 @@ steady-state solver.
 import numpy as np
 
 from . import numkit
-from .errors import BlowUp, DimensionOverflow
+from .errors import BlowUp, DimensionOverflow, ShapeMismatch
 
 _BLOWUP_LIMIT = 1e12
 
@@ -33,16 +33,21 @@ def _check(m):
 def rk4_lyapunov_flow(a, q, x0, t_end, dt):
     """Integrate dX/dt = A X + X A^T + Q from X(0)=x0 to t_end with step dt.
 
-    Takes round(t_end / dt) RK4 steps (x0 is returned unchanged for none).
-    Raises DimensionOverflow when the n^2 x n^2 lift would exceed
+    Takes round(t_end / dt) RK4 steps (a copy of x0 is returned for none).
+    Raises ShapeMismatch unless a, q and x0 are finite matrices of one square
+    shape and dt > 0, DimensionOverflow when the n^2 x n^2 lift would exceed
     numkit.KRON_CAP, and BlowUp if any entry magnitude of the step map, its
     powers or the state exceeds 1e12, which signals an unstable drift.
     """
-    a = np.asarray(a, dtype=np.complex128)
+    a, q, x0 = numkit.as_cmatrix(a), numkit.as_cmatrix(q), numkit.as_cmatrix(x0)
+    if a.shape[0] != a.shape[1] or q.shape != a.shape or x0.shape != a.shape:
+        raise ShapeMismatch("a must be square, and q and x0 of its shape")
+    if not dt > 0:
+        raise ShapeMismatch("dt must be positive")
     n = a.shape[0]
     if n * n > numkit.KRON_CAP:
         raise DimensionOverflow("RK4 lift %dx%d exceeds cap %d" % (n * n, n * n, numkit.KRON_CAP))
-    x = np.array(x0, dtype=np.complex128).reshape(n * n)
+    x = x0.reshape(n * n).copy()
     n_steps = int(round(t_end / dt))
     if n_steps <= 0:
         return x.reshape(n, n)
@@ -56,7 +61,7 @@ def rk4_lyapunov_flow(a, q, x0, t_end, dt):
     s = eye + hl @ s / 3.0
     s = eye + hl @ s / 2.0
     p = _check(eye + hl @ s)
-    r = _check(dt * (s @ np.asarray(q, dtype=np.complex128).reshape(n * n)))
+    r = _check(dt * (s @ q.reshape(n * n)))
 
     # (P, r) applied twice is (P^2, P r + r); powers of one map commute, so
     # the bits of n_steps can be multiplied in lowest first

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .model import mechanical_matrix
 
 
 class ValidityWarning(UserWarning):
@@ -46,7 +47,7 @@ class EffectiveTwoMode:
     omega_opt_res: tuple = (0.0, 0.0)
 
 
-def _lorentzian_pieces(spec):
+def _lorentzian_pieces(spec, hop):
     g1, g2 = spec.drive.g_lin
     k = spec.kappa
     d = spec.drive.delta
@@ -57,17 +58,33 @@ def _lorentzian_pieces(spec):
     omega_opt = tuple(
         g * g * (d + w) / (k * k + (d + w) ** 2) + g * g * (d - w) / (k * k + (d - w) ** 2)
         for g, w in ((g1, w1), (g2, w2)))
-    eta = spec.eta[0]
-    th = spec.theta[0]
 
-    def xi(w_other, phase):
+    def xi(w_other, h):
         lor = (g1 * g2 * (k + 1j * (d + w_other)) / (k * k + (d + w_other) ** 2)
                - g1 * g2 * (k - 1j * (d - w_other)) / (k * k + (d - w_other) ** 2))
-        return lor - 1j * eta * cmath.exp(phase)
+        return lor - 1j * h
 
-    xi1 = xi(w2, 1j * th)
-    xi2 = xi(w1, -1j * th)
+    xi1 = xi(w2, hop)
+    xi2 = xi(w1, hop.conjugate())
     return gamma_opt, omega_opt, xi1, xi2
+
+
+def _transfer_rates(spec, gamma_opt, xi1, xi2, n_opt):
+    """Gamma_eff, the transfer rates chi_1, chi_2, chi_+, chi_- and n_chi1, n_chi2.
+
+    effective_model passes the exact-Lorentzian xi, cooling_limit_simplified
+    the resonant ones.
+    """
+    gamma_eff = (spec.gamma[0] + gamma_opt[0], spec.gamma[1] + gamma_opt[1])
+    gg = gamma_eff[0] + gamma_eff[1]
+    chi1 = abs(xi1) ** 2 / gg
+    chi2 = abs(xi2) ** 2 / gg
+    re_part = (xi1 * xi2 / gg).real
+    chi_plus = -math.sqrt(chi1 * chi2) - re_part
+    chi_minus = math.sqrt(chi1 * chi2) - re_part
+    n_chi1 = 2.0 * (spec.gamma[1] * spec.nbar[1] + gamma_opt[1] * n_opt) / (gg + 2.0 * chi_plus)
+    n_chi2 = 2.0 * (spec.gamma[0] * spec.nbar[0] + gamma_opt[0] * n_opt) / (gg + 2.0 * chi_plus)
+    return gamma_eff, chi1, chi2, chi_plus, chi_minus, n_chi1, n_chi2
 
 
 def effective_model(spec):
@@ -78,22 +95,14 @@ def effective_model(spec):
     k = spec.kappa
     d = spec.drive.delta
     w1, w2 = spec.omega_m
-    eta = spec.eta[0]
-    th = spec.theta[0]
+    hop = complex(mechanical_matrix(spec)[0, 1])
 
-    gamma_opt, omega_opt, xi1, xi2 = _lorentzian_pieces(spec)
-    gamma_eff = (spec.gamma[0] + gamma_opt[0], spec.gamma[1] + gamma_opt[1])
+    gamma_opt, omega_opt, xi1, xi2 = _lorentzian_pieces(spec, hop)
     omega_eff = (w1 - omega_opt[0], w2 - omega_opt[1])
-
-    gg = gamma_eff[0] + gamma_eff[1]
-    chi1 = abs(xi1) ** 2 / gg
-    chi2 = abs(xi2) ** 2 / gg
-    re_part = (xi1 * xi2 / gg).real
-    chi_plus = -math.sqrt(chi1 * chi2) - re_part
-    chi_minus = math.sqrt(chi1 * chi2) - re_part
     n_opt = 4.0 * k * k / (w1 + w2 + 2.0 * d) ** 2
-    n_chi1 = 2.0 * (spec.gamma[1] * spec.nbar[1] + gamma_opt[1] * n_opt) / (gg + 2.0 * chi_plus)
-    n_chi2 = 2.0 * (spec.gamma[0] * spec.nbar[0] + gamma_opt[0] * n_opt) / (gg + 2.0 * chi_plus)
+    gamma_eff, chi1, chi2, chi_plus, chi_minus, n_chi1, n_chi2 = _transfer_rates(
+        spec, gamma_opt, xi1, xi2, n_opt)
+    gg = gamma_eff[0] + gamma_eff[1]
 
     u = cmath.sqrt(4.0 * xi1 * xi2
                    + (gamma_eff[0] - gamma_eff[1] + 1j * (omega_eff[0] - omega_eff[1])) ** 2)
@@ -101,8 +110,8 @@ def effective_model(spec):
     lam1 = trace_half - 0.5 * u
     lam2 = trace_half + 0.5 * u
 
-    xi1_res = -(g1 * g2 / k + 1j * (eta * cmath.exp(1j * th) - g1 * g2 / (2.0 * w2)))
-    xi2_res = -(g1 * g2 / k + 1j * (eta * cmath.exp(-1j * th) - g1 * g2 / (2.0 * w1)))
+    xi1_res = -(g1 * g2 / k + 1j * (hop - g1 * g2 / (2.0 * w2)))
+    xi2_res = -(g1 * g2 / k + 1j * (hop.conjugate() - g1 * g2 / (2.0 * w1)))
     gamma_opt_res = (g1 * g1 / k, g2 * g2 / k)
     omega_opt_res = (g1 * g1 / (2.0 * w1), g2 * g2 / (2.0 * w2))
 
@@ -127,16 +136,9 @@ def cooling_limit_simplified(eff, spec):
     """Transfer-rate limit formula, built on the resonant approximations."""
     _warn_regime(spec)
     gamma_opt = eff.gamma_opt_res
-    gamma_eff = (spec.gamma[0] + gamma_opt[0], spec.gamma[1] + gamma_opt[1])
-    gg = gamma_eff[0] + gamma_eff[1]
-    chi1 = abs(eff.xi1_res) ** 2 / gg
-    chi2 = abs(eff.xi2_res) ** 2 / gg
-    re_part = (eff.xi1_res * eff.xi2_res / gg).real
-    chi_plus = -math.sqrt(chi1 * chi2) - re_part
-    chi_minus = math.sqrt(chi1 * chi2) - re_part
     n_opt = eff.n_opt
-    n_chi1 = 2.0 * (spec.gamma[1] * spec.nbar[1] + gamma_opt[1] * n_opt) / (gg + 2.0 * chi_plus)
-    n_chi2 = 2.0 * (spec.gamma[0] * spec.nbar[0] + gamma_opt[0] * n_opt) / (gg + 2.0 * chi_plus)
+    gamma_eff, chi1, chi2, chi_plus, chi_minus, n_chi1, n_chi2 = _transfer_rates(
+        spec, gamma_opt, eff.xi1_res, eff.xi2_res, n_opt)
 
     out = []
     for l in (0, 1):

@@ -134,6 +134,25 @@ class DriftModel:
 
 ORDERING = "u = [da, db_1..db_N, da^+, db_1^+..db_N^+]"
 
+
+def mechanical_matrix(spec):
+    """Hermitian N x N phonon matrix H of the chain.
+
+    H_jj = omega_j and H_{j,j+1} = eta_j e^{i theta_j}: the hopping term
+    eta_j (e^{i theta_j} b_j^+ b_{j+1} + h.c.) of the loop.  This is the one
+    place the loop-phase convention is written; the drift, the classical
+    fixed point, the normal modes and the adiabatic limits all take their
+    hops from it.
+    """
+    n = spec.n_mech
+    h = np.zeros((n, n), complex)
+    h.flat[::n + 1] = spec.omega_m
+    hops = np.exp(1j * np.array(spec.theta)) * spec.eta
+    h.flat[1::n + 1] = hops
+    h.flat[n::n + 1] = hops.conj()
+    return h
+
+
 #: damping factor of the Picard iteration for the classical fixed point
 _PICARD_DAMPING = 0.5
 _PICARD_TOL = 1e-12
@@ -149,25 +168,19 @@ def linearize(spec):
     """
     if not isinstance(spec.drive, Physical):
         raise InvalidSpec("linearize needs a Physical drive")
-    n = spec.n_mech
     g = np.array(spec.drive.g_single)
     om_drive = complex(spec.drive.omega_drive_amp)
     kappa = spec.kappa
+    hops = mechanical_matrix(spec)
+    np.fill_diagonal(hops, 0.0)
+    resp = -1j / (np.array(spec.gamma) + 1j * np.array(spec.omega_m))
     alpha = 0.0 + 0.0j
-    beta = np.zeros(n, complex)
+    beta = np.zeros(spec.n_mech, complex)
     delta = spec.drive.delta_c
     for it in range(1, _PICARD_CAP + 1):
         delta_new = spec.drive.delta_c + float(np.sum(2.0 * g * beta.real))
         alpha_new = -1j * np.conj(om_drive) / (kappa + 1j * delta_new)
-        beta_new = np.empty(n, complex)
-        p = abs(alpha_new) ** 2
-        for j in range(n):
-            rhs = g[j] * p
-            if j > 0:
-                rhs += spec.eta[j - 1] * np.exp(-1j * spec.theta[j - 1]) * beta[j - 1]
-            if j < n - 1:
-                rhs += spec.eta[j] * np.exp(1j * spec.theta[j]) * beta[j + 1]
-            beta_new[j] = -1j * rhs / (spec.gamma[j] + 1j * spec.omega_m[j])
+        beta_new = resp * (g * abs(alpha_new) ** 2 + hops @ beta)
         change = (abs(delta_new - delta) + abs(alpha_new - alpha)
                   + float(np.abs(beta_new - beta).sum()))
         scale = 1.0 + abs(alpha) + abs(delta) + float(np.abs(beta).sum())
@@ -203,29 +216,25 @@ def build_drift(spec, approx=CouplingApprox()):
     """Drift, raw-correlation, and symmetrized noise matrices for the spec."""
     if isinstance(spec.drive, Physical):
         spec = to_linearized(spec)
-    n = spec.n_mech
-    dim = n + 1
-    delta = spec.drive.delta
-    big_g = spec.drive.g_lin
-    x = np.zeros((dim, dim), complex)  # annihilation block
-    y = np.zeros((dim, dim), complex)  # cross block to daggered operators
-    x[0, 0] = -(spec.kappa + 1j * delta)
-    for j in range(n):
-        x[0, 1 + j] = -1j * big_g[j]
-        x[1 + j, 0] = -1j * np.conj(big_g[j])
-        x[1 + j, 1 + j] = -(spec.gamma[j] + 1j * spec.omega_m[j])
-        if approx.optomechanical == FULL:
-            y[0, 1 + j] = -1j * big_g[j]
-            y[1 + j, 0] = -1j * big_g[j]
-    for j in range(n - 1):
-        hop = spec.eta[j] * np.exp(1j * spec.theta[j])
-        x[1 + j, 2 + j] = -1j * hop
-        x[2 + j, 1 + j] = -1j * np.conj(hop)
-        if approx.mechanical == FULL:
-            # counter-rotating part of eta (e^{i th} b_j^+ + e^{-i th} b_j)(b_{j+1} + b_{j+1}^+)
-            y[1 + j, 2 + j] = -1j * hop
-            y[2 + j, 1 + j] = -1j * hop
-    a = np.block([[x, y], [np.conj(y), np.conj(x)]])
+    dim = spec.n_mech + 1
+    h = mechanical_matrix(spec)
+    g = -1j * np.array(spec.drive.g_lin)
+    a = np.zeros((2 * dim, 2 * dim), complex)
+    x = a[:dim, :dim]  # annihilation block
+    y = a[:dim, dim:]  # cross block to daggered operators
+    x[0, 0] = -(spec.kappa + 1j * spec.drive.delta)
+    x[0, 1:] = x[1:, 0] = g  # G_j is real (Linearized stores floats)
+    mech = -1j * h
+    mech.flat[::dim] -= spec.gamma  # -i H - diag(gamma)
+    x[1:, 1:] = mech
+    if approx.optomechanical == FULL:
+        y[0, 1:] = y[1:, 0] = g
+    if approx.mechanical == FULL:
+        # counter-rotating part of eta (e^{i th} b_j^+ + e^{-i th} b_j)(b_{j+1} + b_{j+1}^+)
+        up = np.triu(h, 1)
+        y[1:, 1:] = -1j * (up + up.T)
+    np.conjugate(y, out=a[dim:, :dim])
+    np.conjugate(x, out=a[dim:, dim:])
     c, q = build_noise(spec)
     return DriftModel(a=a, q=q, c=c, ordering=ORDERING, approx=approx, spec=spec)
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numkit
 from .errors import DomainError
+from .model import mechanical_matrix
 
 #: a mode counts as dark when |coupling| <= DARK_TOL * max coupling strength
 DARK_TOL = 1e-10
@@ -124,19 +124,6 @@ def hybrid_transform(spec):
         g_tilde_plus=g_plus, g_tilde_minus=g_minus, darkness=darkness)
 
 
-def _mechanical_block(spec):
-    """Hermitian N x N mechanical coupling matrix (frequencies + dressed hops)."""
-    n = spec.n_mech
-    hmat = np.zeros((n, n), complex)
-    for j in range(n):
-        hmat[j, j] = spec.omega_m[j]
-    for j in range(n - 1):
-        hop = spec.eta[j] * cmath.exp(1j * spec.theta[j])
-        hmat[j, j + 1] = hop
-        hmat[j + 1, j] = np.conj(hop)
-    return hmat
-
-
 def normal_modes(spec):
     """Normal modes of the mechanical chain and their cavity couplings.
 
@@ -152,8 +139,7 @@ def normal_modes(spec):
     if not uniform:
         warnings.warn("nonuniform spec: no closed normal-mode form, "
                       "falling back to numerical diagonalization")
-        hmat = _mechanical_block(spec)
-        vals, vecs = np.linalg.eigh(hmat)
+        vals, vecs = np.linalg.eigh(mechanical_matrix(spec))
         coupling = vecs.conj().T @ np.array(g, complex)
         gmax = max(abs(x) for x in g) or 1.0
         return NormalModeAnalysis(

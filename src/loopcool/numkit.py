@@ -3,14 +3,13 @@
 Matrices are plain numpy complex128 arrays.  The routines here wrap LAPACK
 (via numpy/scipy) behind the error contracts the rest of the package relies
 on: explicit singularity thresholds, eigenvalues that raise NoConvergence on
-failure, a capped Kronecker product, and a fixed-step RK4 integrator for the
-differential Lyapunov flow (a small-N oracle, see `kernels`).
+failure, and a capped Kronecker product.  KRON_CAP also caps the lift of the
+RK4 time-domain oracle, `kernels.rk4_lyapunov_flow`.
 """
 
 import numpy as np
 from scipy.linalg import lapack
 
-from . import kernels
 from .errors import DimensionOverflow, NoConvergence, ShapeMismatch, SingularMatrix
 
 #: hard cap on the dimension of Kronecker-lifted systems
@@ -80,30 +79,3 @@ def kron(a, b, cap=KRON_CAP):
     if max(rows, cols) > cap:
         raise DimensionOverflow("kron result %dx%d exceeds cap %d" % (rows, cols, cap))
     return np.kron(a, b)
-
-
-def default_dt(a):
-    """Step size heuristic for the RK4 Lyapunov flow: 0.01 / scale(a)."""
-    a = np.asarray(a)
-    scale = max(norm_inf(a) * a.shape[0] ** 0.5, 1e-12)
-    return 0.01 / scale
-
-
-def integrate_linear_ode(a, rhs_const, x0, t_end, dt=None):
-    """X(t_end) of dX/dt = a X + X a^T + rhs_const, fixed-step RK4.
-
-    For a Hurwitz drift this converges to the Lyapunov steady state as
-    t_end grows.  The steps are taken by powering the n^2 x n^2 RK4 step map,
-    at n^6 cost, so this is for small drifts: DimensionOverflow is raised when
-    n^2 exceeds KRON_CAP.  Raises BlowUp on divergence.
-    """
-    a = as_cmatrix(a)
-    rhs_const = as_cmatrix(rhs_const)
-    x0 = as_cmatrix(x0)
-    if rhs_const.shape != a.shape or x0.shape != a.shape:
-        raise ShapeMismatch("x0 and rhs_const must match the drift's shape")
-    if dt is None:
-        dt = default_dt(a)
-    if dt <= 0:
-        raise ShapeMismatch("dt must be positive")
-    return kernels.rk4_lyapunov_flow(a, rhs_const, x0, t_end, dt)

@@ -28,13 +28,18 @@ def _chain(n, g, eta, theta1, kappa=0.2, delta=1.0):
         drive=Linearized(delta=delta, g_lin=(g,) * n))
 
 
+def _base():
+    """The two-mode base point: G = 0.1, eta = 0.05, theta = pi/2."""
+    return _two_mode(0.1, 0.05, HALF_PI)
+
+
 PRESETS = {
-    # two-mode cooling landscape (G = 0.1, eta = 0.05, theta = pi/2)
-    "fig2": lambda: _two_mode(0.1, 0.05, HALF_PI),
+    # two-mode cooling landscape
+    "fig2": _base,
     # same parameters with the exchange channel off (dark-mode ceiling)
     "fig2_eta0": lambda: _two_mode(0.1, 0.0, 0.0),
     # nonreciprocity scan point (Pi = 1 by construction)
-    "fig3": lambda: _two_mode(0.1, 0.05, HALF_PI),
+    "fig3": _base,
     # cooling-limit comparison (weaker drive, G = 0.05)
     "fig4": lambda: _two_mode(0.05, 0.05, HALF_PI),
     # kappa-sweep comparison of exact vs adiabatic limits (G = 0.08)
@@ -43,8 +48,8 @@ PRESETS = {
     "figS10": lambda: _chain(3, 0.1, 0.1, HALF_PI),
     # four-resonator chain
     "figS11": lambda: _chain(4, 0.1, 0.1, HALF_PI),
-    # rotating-wave-validity comparison base point
-    "figS13": lambda: _two_mode(0.1, 0.05, HALF_PI),
+    # rotating-wave-validity comparison
+    "figS13": _base,
 }
 
 

@@ -96,9 +96,7 @@ def lambda_numeric(drift, omega, coop):
     output metadata).  Off the validity domain |Lambda| may slightly
     exceed 1.
     """
-    u = scattering_matrix(drift, omega)
-    t = transmittances(u, drift.spec.n_mech)
-    return (t - t.T) / t_max(coop)
+    return scan_point(drift, omega, coop).lambda_rel
 
 
 def scan_point(drift, omega, coop=None):

@@ -15,10 +15,9 @@ from loopcool import get_preset, kernels
 from loopcool.cli import main as cli_main
 from loopcool.limits import cooling_limit_simplified, effective_model
 from loopcool.model import (FULL, RWA, CouplingApprox, Linearized, SystemSpec,
-                            build_drift)
-from loopcool.modes import (_cardano_roots, _mechanical_block,
-                            hybrid_transform, lambda_eigensystem, LambdaSystem,
-                            normal_modes)
+                            build_drift, mechanical_matrix)
+from loopcool.modes import (_cardano_roots, hybrid_transform, lambda_eigensystem,
+                            LambdaSystem, normal_modes)
 from loopcool.spectra import (Cooperativities, lambda_analytic, lambda_numeric)
 from loopcool.steadystate import (cool, lyapunov_solve, phonon_numbers,
                                   stability_check)
@@ -169,7 +168,7 @@ def test_acceptance_8_collective_mode_structure():
         for th in (0.0, math.pi / 2):
             spec = chain_spec(n, 0.1, th)
             nm = normal_modes(spec)
-            vals = np.linalg.eigvalsh(_mechanical_block(spec))
+            vals = np.linalg.eigvalsh(mechanical_matrix(spec))
             ok = ok and bool(np.allclose(np.sort(nm.omega_k), np.sort(vals),
                                          atol=1e-10, rtol=0.0))
             power = float(np.sum(np.abs(nm.coupling_k) ** 2))

@@ -208,6 +208,28 @@ def test_sweep_bad_axis_no_partial_file(runner, tmp_path):
     assert not out.exists()
 
 
+def test_set_param_invalid_value_is_config_error():
+    with pytest.raises(ConfigError, match="kappa must be > 0"):
+        set_param(get_preset("fig2"), "kappa", -1.0)
+
+
+@pytest.mark.parametrize("axis, message", [
+    ("kappa=-1:1:5", "kappa must be > 0"),
+    ("kappa=1:-1:5", "kappa must be > 0"),
+    ("eta[0]=-0.1:0.1:3", "phonon-exchange strengths must be >= 0"),
+], ids=["kappa-invalid-first", "kappa-invalid-later", "eta-invalid-first"])
+def test_sweep_invalid_value_is_config_error(runner, tmp_path, axis, message):
+    # an invalid value at the first grid point or further in: same exit
+    out = tmp_path / "sweep.csv"
+    res = runner.invoke(main, ["sweep", "--preset", "fig2", "--axis", axis,
+                               "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "config error: %s" % message in res.output
+    assert "Traceback" not in res.output
+    assert not out.exists()
+
+
 # --- spectrum -----------------------------------------------------------
 
 def test_spectrum_reciprocal_at_zero_phase(runner, tmp_path):

@@ -5,7 +5,10 @@ from loopcool import numkit
 from loopcool.errors import InvalidSpec
 from loopcool.model import (FULL, RWA, CouplingApprox, Linearized, Physical,
                             SystemSpec, build_drift, build_noise, linearize,
-                            to_linearized)
+                            mechanical_matrix, to_linearized)
+from loopcool.presets import PRESETS
+
+APPROXES = [CouplingApprox(om, mech) for om in (FULL, RWA) for mech in (FULL, RWA)]
 
 
 def two_mode(eta=0.05, theta=np.pi / 2, g=0.1, kappa=0.2, delta=1.0,
@@ -86,6 +89,34 @@ def test_linearize_fixed_point_self_consistent():
     assert delta == pytest.approx(st.delta_eff, rel=1e-12)
 
 
+def physical_chain(n, theta):
+    """Nonuniform physical-drive chain, N = 2 or 3, whose hops shift beta by ~5%."""
+    return SystemSpec(n_mech=n, omega_m=(1.0, 1.03, 0.98)[:n], kappa=0.2,
+                      gamma=(1e-5,) * n, nbar=(1e3,) * n,
+                      eta=(0.05, 0.04)[:n - 1], theta=(theta, 2.1)[:n - 1],
+                      drive=Physical(delta_c=1.0, omega_drive_amp=1e3,
+                                     g_single=(1e-4, 0.7e-4, 1.2e-4)[:n]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("theta", [0.4, np.pi / 2, 2.5, 4.0])
+def test_linearize_beta_phase_convention(n, theta):
+    # (gamma_j + i w_j) beta_j = -i (g_j |alpha|^2 + sum_{k != j} H_jk beta_k)
+    # with H_{j,j+1} = eta_j e^{i theta_j} written out here, not taken from
+    # the model.  The Picard iteration stops at 1e-12 of the amplitude scale
+    # (measured residual <= 1.1e-12); a flipped hop phase misses by >= 4e-2.
+    spec = physical_chain(n, theta)
+    st = linearize(spec)
+    beta = np.array(st.beta)
+    hops = np.zeros((n, n), complex)
+    for j in range(n - 1):
+        hops[j, j + 1] = spec.eta[j] * np.exp(1j * spec.theta[j])
+        hops[j + 1, j] = spec.eta[j] * np.exp(-1j * spec.theta[j])
+    lhs = (np.array(spec.gamma) + 1j * np.array(spec.omega_m)) * beta
+    rhs = -1j * (np.array(spec.drive.g_single) * abs(st.alpha) ** 2 + hops @ beta)
+    assert np.abs(lhs - rhs).max() <= 1e-11 * np.abs(rhs).max()
+
+
 def test_to_linearized_real_couplings():
     spec = physical_spec(amp=1e3 * np.exp(0.7j))
     lin = to_linearized(spec)
@@ -94,6 +125,73 @@ def test_to_linearized_real_couplings():
 
 
 # --- drift construction -------------------------------------------------
+
+def test_mechanical_matrix_convention():
+    spec = SystemSpec(n_mech=3, omega_m=(1.0, 1.1, 0.9), kappa=0.2,
+                      gamma=(1e-5,) * 3, nbar=(1e3,) * 3,
+                      eta=(0.05, 0.03), theta=(0.4, 2.5),
+                      drive=Linearized(delta=1.0, g_lin=(0.1,) * 3))
+    h = mechanical_matrix(spec)
+    want = np.array([[1.0, 0.05 * np.exp(0.4j), 0.0],
+                     [0.05 * np.exp(-0.4j), 1.1, 0.03 * np.exp(2.5j)],
+                     [0.0, 0.03 * np.exp(-2.5j), 0.9]])
+    assert np.allclose(h, want, rtol=0.0, atol=1e-15)
+
+
+def _build_drift_per_entry(spec, approx):
+    """Reference: the drift built entry by entry, with the hops written out."""
+    n = spec.n_mech
+    dim = n + 1
+    big_g = spec.drive.g_lin
+    x = np.zeros((dim, dim), complex)
+    y = np.zeros((dim, dim), complex)
+    x[0, 0] = -(spec.kappa + 1j * spec.drive.delta)
+    for j in range(n):
+        x[0, 1 + j] = -1j * big_g[j]
+        x[1 + j, 0] = -1j * np.conj(big_g[j])
+        x[1 + j, 1 + j] = -(spec.gamma[j] + 1j * spec.omega_m[j])
+        if approx.optomechanical == FULL:
+            y[0, 1 + j] = -1j * big_g[j]
+            y[1 + j, 0] = -1j * big_g[j]
+    for j in range(n - 1):
+        hop = spec.eta[j] * np.exp(1j * spec.theta[j])
+        x[1 + j, 2 + j] = -1j * hop
+        x[2 + j, 1 + j] = -1j * np.conj(hop)
+        if approx.mechanical == FULL:
+            y[1 + j, 2 + j] = -1j * hop
+            y[2 + j, 1 + j] = -1j * hop
+    return np.block([[x, y], [np.conj(y), np.conj(x)]])
+
+
+def _random_chain(rng):
+    n = int(rng.integers(1, 9))
+    # a third of the phases sit on the real axis (0 or pi), the rest anywhere
+    theta = np.where(rng.random(n - 1) < 1 / 3, rng.choice([0.0, np.pi], n - 1),
+                     rng.uniform(0.0, 2 * np.pi, n - 1))
+    eta = rng.uniform(0.0, 0.1, n - 1) * rng.integers(0, 2, n - 1)
+    return SystemSpec(n_mech=n, omega_m=rng.uniform(0.9, 1.1, n),
+                      kappa=rng.uniform(0.05, 0.5), gamma=rng.uniform(1e-6, 1e-4, n),
+                      nbar=rng.uniform(0.0, 1e3, n), eta=eta, theta=theta,
+                      drive=Linearized(delta=rng.uniform(0.5, 1.5),
+                                       g_lin=rng.uniform(0.0, 0.1, n)))
+
+
+@pytest.mark.parametrize("approx", APPROXES, ids=lambda a: "%s-%s" % (
+    a.optomechanical, a.mechanical))
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_drift_matches_per_entry_reference_presets(preset, approx):
+    spec = PRESETS[preset]()
+    assert np.array_equal(build_drift(spec, approx).a, _build_drift_per_entry(spec, approx))
+
+
+def test_drift_matches_per_entry_reference_random_chains():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        spec = _random_chain(rng)
+        for approx in APPROXES:
+            assert np.array_equal(build_drift(spec, approx).a,
+                                  _build_drift_per_entry(spec, approx))
+
 
 def test_drift_conjugate_block_structure():
     d = build_drift(two_mode(), CouplingApprox(FULL, FULL))

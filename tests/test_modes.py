@@ -6,10 +6,9 @@ import pytest
 
 from loopcool import get_preset
 from loopcool.errors import DomainError
-from loopcool.model import Linearized, SystemSpec
-from loopcool.modes import (LambdaSystem, _cardano_roots, _mechanical_block,
-                            bright_dark, hybrid_transform, lambda_eigensystem,
-                            normal_modes)
+from loopcool.model import Linearized, SystemSpec, mechanical_matrix
+from loopcool.modes import (LambdaSystem, _cardano_roots, bright_dark,
+                            hybrid_transform, lambda_eigensystem, normal_modes)
 
 
 def chain(n, g=0.1, eta=0.1, theta1=math.pi / 2, omega=None, gs=None):
@@ -117,7 +116,7 @@ def test_normal_modes_match_block_eigenvalues():
         spec = chain(n, theta1=th)
         nm = normal_modes(spec)
         assert nm.closed_form
-        vals = np.linalg.eigvalsh(_mechanical_block(spec))
+        vals = np.linalg.eigvalsh(mechanical_matrix(spec))
         assert np.allclose(np.sort(nm.omega_k), np.sort(vals), atol=1e-10)
 
 
@@ -155,10 +154,23 @@ def test_normal_modes_nonuniform_fallback():
     with pytest.warns(UserWarning, match="nonuniform"):
         nm = normal_modes(spec)
     assert not nm.closed_form
-    vals = np.linalg.eigvalsh(_mechanical_block(spec))
+    vals = np.linalg.eigvalsh(mechanical_matrix(spec))
     assert np.allclose(np.sort(nm.omega_k), np.sort(vals), atol=1e-10)
     # unitary transform preserves total coupling power
     assert np.sum(np.abs(nm.coupling_k) ** 2) == pytest.approx(3 * 0.1 ** 2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("theta", [0.4, 2.5])
+def test_normal_modes_fallback_couplings_from_mechanical_matrix(n, theta):
+    # the fallback's mode couplings are eigh(H) eigenvectors^dagger . g
+    spec = chain(n, theta1=theta, omega=(1.0, 1.05, 0.95)[:n], gs=(0.1, 0.08, 0.12)[:n])
+    with pytest.warns(UserWarning, match="nonuniform"):
+        nm = normal_modes(spec)
+    vals, vecs = np.linalg.eigh(mechanical_matrix(spec))
+    assert np.allclose(nm.omega_k, vals, rtol=0.0, atol=1e-14)
+    assert np.allclose(nm.coupling_k, vecs.conj().T @ np.array(spec.drive.g_lin),
+                       rtol=0.0, atol=1e-14)
 
 
 def test_single_mode_trivial():

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from loopcool import numkit
+from loopcool import kernels, numkit
 from loopcool.errors import BlowUp, DimensionOverflow, ShapeMismatch, SingularMatrix
 
 
@@ -107,21 +107,21 @@ def test_kron_cap():
 def test_integrate_scalar_fixed_point():
     # x' = -2x + 2 -> x(inf) = 1
     a = -np.eye(1)
-    x = numkit.integrate_linear_ode(a, 2 * np.eye(1), np.zeros((1, 1)), 50.0, 0.01)
+    x = kernels.rk4_lyapunov_flow(a, 2 * np.eye(1), np.zeros((1, 1)), 50.0, 0.01)
     assert x[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_integrate_decay():
     a = -np.eye(3)
     x0 = np.ones((3, 3), complex)
-    x = numkit.integrate_linear_ode(a, np.zeros((3, 3)), x0, 40.0, 0.01)
+    x = kernels.rk4_lyapunov_flow(a, np.zeros((3, 3)), x0, 40.0, 0.01)
     assert np.abs(x).max() < 1e-12
 
 
 def test_integrate_blowup():
     a = np.eye(2)
     with pytest.raises(BlowUp):
-        numkit.integrate_linear_ode(a, np.eye(2), np.eye(2), 60.0, 0.01)
+        kernels.rk4_lyapunov_flow(a, np.eye(2), np.eye(2), 60.0, 0.01)
 
 
 def test_integrate_blowup_long_time_no_overflow():
@@ -129,13 +129,26 @@ def test_integrate_blowup_long_time_no_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BlowUp):
-            numkit.integrate_linear_ode(np.eye(2), np.eye(2), np.eye(2), 1e6, 0.01)
+            kernels.rk4_lyapunov_flow(np.eye(2), np.eye(2), np.eye(2), 1e6, 0.01)
 
 
 def test_integrate_lift_cap():
     a = -np.eye(70)
     with pytest.raises(DimensionOverflow):
-        numkit.integrate_linear_ode(a, np.eye(70), np.zeros((70, 70)), 1.0, 0.01)
+        kernels.rk4_lyapunov_flow(a, np.eye(70), np.zeros((70, 70)), 1.0, 0.01)
+
+
+def test_integrate_input_checks():
+    a, q, x0 = -np.eye(3), np.eye(3), np.zeros((3, 3))
+    bad = [(a, np.eye(2), x0, 0.01), (a, q, np.zeros((3, 2)), 0.01),
+           (np.ones((3, 2)), np.ones((3, 2)), np.zeros((3, 2)), 0.01),
+           (a, np.diag([1.0, np.nan, 1.0]), x0, 0.01),
+           (np.diag([-1.0, -np.inf, -1.0]), q, x0, 0.01),
+           (a, q, np.full((3, 3), np.inf), 0.01),
+           (a, q, x0, 0.0), (a, q, x0, -0.01)]
+    for a_, q_, x0_, dt in bad:
+        with pytest.raises(ShapeMismatch):
+            kernels.rk4_lyapunov_flow(a_, q_, x0_, 1.0, dt)
 
 
 def _rk4_per_step(a, q, x, n_steps, dt):
@@ -162,18 +175,18 @@ def test_integrate_matches_per_step_rk4(n_steps):
     x0 = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     dt = 0.01
     ref = _rk4_per_step(a, q, x0, n_steps, dt)
-    x = numkit.integrate_linear_ode(a, q, x0, n_steps * dt, dt)
+    x = kernels.rk4_lyapunov_flow(a, q, x0, n_steps * dt, dt)
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
     if n_steps == 0:
         assert np.array_equal(x, x0)
         # t_end below half a step also rounds to no step
-        assert np.array_equal(numkit.integrate_linear_ode(a, q, x0, 0.4 * dt, dt), x0)
+        assert np.array_equal(kernels.rk4_lyapunov_flow(a, q, x0, 0.4 * dt, dt), x0)
 
 
 def test_determinism():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)) - 2 * np.eye(5)
     q = np.eye(5, dtype=complex)
-    x1 = numkit.integrate_linear_ode(a, q, np.zeros((5, 5)), 5.0, 0.01)
-    x2 = numkit.integrate_linear_ode(a, q, np.zeros((5, 5)), 5.0, 0.01)
+    x1 = kernels.rk4_lyapunov_flow(a, q, np.zeros((5, 5)), 5.0, 0.01)
+    x2 = kernels.rk4_lyapunov_flow(a, q, np.zeros((5, 5)), 5.0, 0.01)
     assert np.array_equal(x1, x2)
