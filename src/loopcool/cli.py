@@ -1,11 +1,12 @@
 """Command-line interface: single-point reports, sweeps, and spectrum scans."""
 
 import concurrent.futures
+import dataclasses
 import datetime
 import functools
+import itertools
 import json
 import math
-import os
 import re
 import sys
 import warnings
@@ -19,6 +20,7 @@ from .errors import ConfigError, DomainError, InvalidSpec, LoopcoolError
 from .model import CouplingApprox, build_drift, to_linearized
 from .presets import get_preset
 
+EXIT_ERROR = 1
 EXIT_CONFIG = 2
 EXIT_UNSTABLE = 3
 
@@ -48,11 +50,7 @@ def _emit_json(payload):
 def _load_spec(config, preset):
     if (config is None) == (preset is None):
         raise ConfigError("provide exactly one of --config or --preset")
-    if config is not None:
-        spec = parse_spec(config)
-    else:
-        spec = get_preset(preset)
-    return to_linearized(spec)
+    return to_linearized(parse_spec(config) if config is not None else get_preset(preset))
 
 
 def _approx(om_rwa, mech_full):
@@ -60,24 +58,31 @@ def _approx(om_rwa, mech_full):
                           mechanical="full" if mech_full else "rwa")
 
 
-def _fail_config(exc):
-    click.echo("config error: %s" % exc, err=True)
-    sys.exit(EXIT_CONFIG)
+def _reports_errors(fn):
+    """Report a LoopcoolError from a command as one line on stderr and an exit code.
+
+    Config, spec and domain errors exit EXIT_CONFIG; any other package error is
+    a numerical failure and exits EXIT_ERROR.  No other code turns one into output.
+    """
+    @functools.wraps(fn)
+    def command(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (ConfigError, InvalidSpec, DomainError) as exc:
+            click.echo("config error: %s" % exc, err=True)
+            sys.exit(EXIT_CONFIG)
+        except LoopcoolError as exc:
+            click.echo("error: %s: %s" % (type(exc).__name__, exc), err=True)
+            sys.exit(EXIT_ERROR)
+    return command
 
 
 def _spec_options(fn):
-    """Add the spec and approximation options; call fn(spec, approx, **rest).
-
-    A ConfigError from loading the spec or from fn itself exits with
-    EXIT_CONFIG.
-    """
+    """Add spec and approximation options; run fn(spec, approx, **rest) under _reports_errors."""
+    @_reports_errors
     @functools.wraps(fn)
     def command(config, preset, om_rwa, mech_rwa, **kwargs):
-        try:
-            spec = _load_spec(config, preset)
-            return fn(spec, _approx(om_rwa, not mech_rwa), **kwargs)
-        except ConfigError as exc:
-            _fail_config(exc)
+        return fn(_load_spec(config, preset), _approx(om_rwa, not mech_rwa), **kwargs)
 
     command = click.option("--config", type=click.Path(), default=None,
                            help="INI config file (see README for the grammar).")(command)
@@ -183,6 +188,8 @@ def parse_axis(raw):
         points = int(m.group(4))
     except ValueError:
         raise ConfigError("bad axis numbers in %r" % raw)
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError("axis bounds must be finite in %r" % raw)
     if points < 2:
         raise ConfigError("axis needs at least 2 points")
     return path, np.linspace(start, stop, points)
@@ -190,18 +197,21 @@ def parse_axis(raw):
 
 def _sweep_eval(task):
     """One grid point; module-level so process pools can pickle it."""
-    spec, approx, overrides = task
-    for path, value in overrides:
-        spec = set_param(spec, path, value)
-    drift = build_drift(spec, approx)
-    report = steadystate.cool_or_flag(drift)
-    return report
+    spec, approx, paths, values = task
+    for path, value in zip(paths, values):
+        spec = set_param(spec, path, float(value))
+    return steadystate.cool_or_flag(build_drift(spec, approx))
 
 
-def _write_metadata(fh, spec, approx):
+def _write_csv(out, spec, approx, header, rows):
+    """Write header and rows (lists of cells) under '# '-commented JSON metadata."""
     meta = {"spec": spec_to_dict(spec), "provenance": _provenance(approx)}
-    for line in json.dumps(meta, indent=2, sort_keys=True).splitlines():
-        fh.write("# %s\n" % line)
+    with open(out, "w") as fh:
+        for line in json.dumps(meta, indent=2, sort_keys=True).splitlines():
+            fh.write("# %s\n" % line)
+        for row in [header] + rows:
+            fh.write(",".join(row) + "\n")
+    click.echo("wrote %d rows to %s" % (len(rows), out))
 
 
 @main.command()
@@ -216,43 +226,31 @@ def sweep(spec, approx, axes, out, workers):
     if len(axes) > 2:
         raise ConfigError("at most two --axis options")
     parsed = [parse_axis(a) for a in axes]
-    for path, grid in parsed:  # validate paths before launching workers
-        set_param(spec, path, float(grid[0]))
+    for path, grid in parsed:  # spec rules are per field: no grid point can fail them later
+        for v in grid:
+            set_param(spec, path, float(v))
+    paths = [p for p, _ in parsed]
+    points = list(itertools.product(*(grid for _, grid in parsed)))
+    tasks = [(spec, approx, paths, vals) for vals in points]
 
-    if len(parsed) == 1:
-        points = [((v,), [(parsed[0][0], float(v))]) for v in parsed[0][1]]
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(_sweep_eval, tasks, chunksize=8))
     else:
-        points = [((v1, v2), [(parsed[0][0], float(v1)), (parsed[1][0], float(v2))])
-                  for v1 in parsed[0][1] for v2 in parsed[1][1]]
-    tasks = [(spec, approx, overrides) for _, overrides in points]
+        reports = [_sweep_eval(t) for t in tasks]
 
-    try:
-        if workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(_sweep_eval, tasks, chunksize=8))
+    n = spec.n_mech
+    rows = []
+    for vals, rep in zip(points, reports):
+        row = [_fmt(v) for v in vals]
+        if rep.stable:
+            row += [_fmt(x) for x in rep.n_f] + [_fmt(rep.n_cav)]
         else:
-            reports = [_sweep_eval(t) for t in tasks]
-
-        axis_names = [p for p, _ in parsed]
-        n = spec.n_mech
-        cols = axis_names + ["n_f_%d" % (j + 1) for j in range(n)] + \
-            ["n_cav", "stable", "spectral_abscissa"]
-        with open(out, "w") as fh:
-            _write_metadata(fh, spec, approx)
-            fh.write(",".join(cols) + "\n")
-            for (vals, _), rep in zip(points, reports):
-                row = [_fmt(v) for v in vals]
-                if rep.stable:
-                    row += [_fmt(x) for x in rep.n_f] + [_fmt(rep.n_cav)]
-                else:
-                    row += [""] * (n + 1)  # unstable: empty observable cells
-                row += ["true" if rep.stable else "false", _fmt(rep.spectral_abscissa)]
-                fh.write(",".join(row) + "\n")
-    except LoopcoolError as exc:
-        if os.path.exists(out):
-            os.remove(out)  # never leave partial output behind
-        _fail_config(exc)
-    click.echo("wrote %d rows to %s" % (len(points), out))
+            row += [""] * (n + 1)  # unstable: empty observable cells
+        rows.append(row + ["true" if rep.stable else "false", _fmt(rep.spectral_abscissa)])
+    header = paths + ["n_f_%d" % (j + 1) for j in range(n)] + \
+        ["n_cav", "stable", "spectral_abscissa"]
+    _write_csv(out, spec, approx, header, rows)
 
 
 @main.command()
@@ -265,23 +263,21 @@ def spectrum(spec, approx, omega_min, omega_max, points, out):
     """Probe-frequency scan of transmittances and relative scattering rates."""
     if points < 2:
         raise ConfigError("need at least 2 frequency points")
+    if not (math.isfinite(omega_min) and math.isfinite(omega_max)):
+        raise ConfigError("frequency bounds must be finite")
     if spec.n_mech != 2:
         raise ConfigError("spectrum scan is defined for n_mech = 2")
     drift = build_drift(spec, approx)
     coop = spectra.Cooperativities.from_spec(spec)
     lam_res = spectra.lambda_analytic(coop, spec.theta[0])
-    labels = ["a", "b1", "b2"]
-    tcols = ["T_%s%s" % (v, w) for v in labels for w in labels]
-    with open(out, "w") as fh:
-        _write_metadata(fh, spec, approx)
-        fh.write(",".join(["omega"] + tcols +
-                          ["Lambda_b2b1", "Lambda_b1b2", "Lambda_analytic_resonant"]) + "\n")
-        for w in np.linspace(omega_min, omega_max, points):
-            pt = spectra.scan_point(drift, float(w), coop)
-            row = [_fmt(w)] + [_fmt(x) for x in pt.t.reshape(-1)]
-            row += [_fmt(pt.lambda_rel[2, 1]), _fmt(pt.lambda_rel[1, 2]), _fmt(lam_res)]
-            fh.write(",".join(row) + "\n")
-    click.echo("wrote %d rows to %s" % (points, out))
+    tcols = ["T_%s%s" % vw for vw in itertools.product(["a", "b1", "b2"], repeat=2)]
+    rows = []
+    for w in np.linspace(omega_min, omega_max, points):
+        pt = spectra.scan_point(drift, float(w), coop)
+        cells = [w, *pt.t.reshape(-1), pt.lambda_rel[2, 1], pt.lambda_rel[1, 2], lam_res]
+        rows.append([_fmt(x) for x in cells])
+    header = ["omega"] + tcols + ["Lambda_b2b1", "Lambda_b1b2", "Lambda_analytic_resonant"]
+    _write_csv(out, spec, approx, header, rows)
 
 
 @main.command("modes")
@@ -291,36 +287,22 @@ def modes_cmd(spec, approx):
     payload = {"spec": spec_to_dict(spec), "provenance": _provenance(approx)}
     if spec.n_mech == 2:
         if spec.eta[0] == 0.0:
-            bd = modes.bright_dark(spec)
-            payload["bright_dark"] = {
-                "omega_plus": bd.omega_plus, "omega_minus": bd.omega_minus,
-                "zeta": bd.zeta, "g_plus": bd.g_plus,
-                "weights": list(bd.weights),
-                "dark_mode_exists": bd.dark_mode_exists,
-            }
+            payload["bright_dark"] = dataclasses.asdict(modes.bright_dark(spec))
         else:
             hy = modes.hybrid_transform(spec)
-            payload["hybrid"] = {
-                "omega_tilde_plus": hy.omega_tilde_plus,
-                "omega_tilde_minus": hy.omega_tilde_minus,
-                "f": hy.f, "h": hy.h,
-                "g_tilde_plus": [hy.g_tilde_plus.real, hy.g_tilde_plus.imag],
-                "g_tilde_minus": [hy.g_tilde_minus.real, hy.g_tilde_minus.imag],
-                "darkness": hy.darkness,
-            }
+            payload["hybrid"] = {**dataclasses.asdict(hy),  # complex couplings as [re, im]
+                                 "g_tilde_plus": [hy.g_tilde_plus.real, hy.g_tilde_plus.imag],
+                                 "g_tilde_minus": [hy.g_tilde_minus.real, hy.g_tilde_minus.imag]}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        try:
-            nm = modes.normal_modes(spec)
-            payload["normal_modes"] = {
-                "omega_k": [float(x) for x in nm.omega_k],
-                "coupling_abs": [abs(c) for c in nm.coupling_k],
-                "dark_count": int(nm.dark_flags.sum()),
-                "predicted_uncooled": nm.predicted_uncooled,
-                "closed_form": nm.closed_form,
-            }
-        except DomainError:
-            pass
+        nm = modes.normal_modes(spec)
+    payload["normal_modes"] = {
+        "omega_k": [float(x) for x in nm.omega_k],
+        "coupling_abs": [abs(c) for c in nm.coupling_k],
+        "dark_count": int(nm.dark_flags.sum()),
+        "predicted_uncooled": nm.predicted_uncooled,
+        "closed_form": nm.closed_form,
+    }
     _emit_json(payload)
 
 
@@ -328,8 +310,11 @@ def modes_cmd(spec, approx):
 @click.option("--eta", type=float, required=True,
               help="Ratio of the lower-level coupling to the transition amplitude.")
 @click.option("--theta", type=float, required=True, help="Loop phase (radians).")
+@_reports_errors
 def lambda_cmd(eta, theta):
     """Eigensystem of the loop-coupled Lambda three-level configuration."""
+    if not (math.isfinite(eta) and math.isfinite(theta)):
+        raise ConfigError("--eta and --theta must be finite")
     sys_ = modes.LambdaSystem(omega1=1.0, omega2=1.0, omega_b=eta, theta=theta)
     eig = modes.lambda_eigensystem(sys_)
     _emit_json({

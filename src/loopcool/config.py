@@ -63,7 +63,7 @@ def parse_spec(path):
     where = "%s [drive]" % path
     kind = dr.get("type", "linearized").strip().lower()
     if kind == "linearized":
-        drive = Linearized(
+        drive_type, drive_kw = Linearized, dict(
             delta=_float(_get(dr, "delta", where), where + " delta"),
             g_lin=_floats(_get(dr, "g_lin", where), where + " g_lin"))
     elif kind == "physical":
@@ -73,7 +73,7 @@ def parse_spec(path):
         except ValueError:
             raise ConfigError("%s: omega_amp must be a (complex) number, got %r"
                               % (where, raw))
-        drive = Physical(
+        drive_type, drive_kw = Physical, dict(
             delta_c=_float(_get(dr, "delta_c", where), where + " delta_c"),
             omega_drive_amp=amp,
             g_single=_floats(_get(dr, "g_single", where), where + " g_single"))
@@ -81,7 +81,7 @@ def parse_spec(path):
         raise ConfigError("%s: type must be 'linearized' or 'physical', got %r"
                           % (where, kind))
     try:
-        return SystemSpec(drive=drive, **kwargs)
+        return SystemSpec(drive=drive_type(**drive_kw), **kwargs)
     except InvalidSpec as exc:
         raise ConfigError("%s: %s" % (path, exc))
 

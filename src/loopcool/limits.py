@@ -160,6 +160,8 @@ def cooling_limit_full(eff, spec):
     Uses the reduction valid for Gamma_1 ~ Gamma_2; warns when the effective
     decays differ by more than 20%.
     """
+    if eff.xi1 == 0 or eff.xi2 == 0:
+        raise DomainError("full cooling limit undefined when xi1 or xi2 = 0")
     _warn_regime(spec)
     g1m, g2m = eff.gamma_eff
     if abs(g1m - g2m) > 0.2 * max(g1m, g2m):

@@ -9,6 +9,7 @@ fluctuation ordering everywhere is
 so the drift matrix has the conjugate block structure A = [[X, Y], [Y*, X*]].
 """
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -20,6 +21,14 @@ TWO_PI = 2.0 * math.pi
 
 FULL = "full"
 RWA = "rwa"
+
+
+def _require_finite(owner, *names):
+    """Raise InvalidSpec unless every number in the named fields is finite."""
+    for name in names:
+        value = getattr(owner, name)
+        if not all(map(cmath.isfinite, value if isinstance(value, tuple) else (value,))):
+            raise InvalidSpec("%s must be finite" % name)
 
 
 @dataclass(frozen=True)
@@ -51,6 +60,7 @@ class Linearized:
 
     def __post_init__(self):
         object.__setattr__(self, "g_lin", tuple(float(g) for g in self.g_lin))
+        _require_finite(self, "delta", "g_lin")
 
 
 @dataclass(frozen=True)
@@ -63,6 +73,7 @@ class Physical:
 
     def __post_init__(self):
         object.__setattr__(self, "g_single", tuple(float(g) for g in self.g_single))
+        _require_finite(self, "delta_c", "omega_drive_amp", "g_single")
 
 
 @dataclass(frozen=True)
@@ -100,6 +111,7 @@ class SystemSpec:
             raise InvalidSpec("thermal occupations must be >= 0")
         if any(e < 0 for e in self.eta):
             raise InvalidSpec("phonon-exchange strengths must be >= 0")
+        _require_finite(self, "omega_m", "kappa", "gamma", "nbar", "eta", "theta")
         if isinstance(self.drive, Linearized):
             if len(self.drive.g_lin) != n:
                 raise InvalidSpec("drive.g_lin must have n_mech entries")

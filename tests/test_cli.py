@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from loopcool.cli import main, parse_axis, set_param
-from loopcool.errors import ConfigError
+from loopcool.errors import ConfigError, NoConvergence, NoFixedPoint
 from loopcool.presets import get_preset
 
 
@@ -309,3 +309,145 @@ def test_limits_command(runner):
     s1, s2 = payload["simplified"]
     f1, f2 = payload["full"]
     assert abs(f1 - s1) / s1 < 0.05 and abs(f2 - s2) / s2 < 0.05
+
+
+# --- error boundary: one line and one exit code per package error ---------
+
+ZERO_COUPLING = dict(eta="0.0", theta="0.0", drive_lines=(
+    "type = linearized", "delta = 1.0", "g_lin = 0.1, 0.0"))
+
+
+def assert_one_line(res, code, prefix):
+    assert res.exit_code == code, res.output
+    assert isinstance(res.exception, SystemExit)
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), res.stderr
+    assert "Traceback" not in res.output
+
+
+def test_sweep_invalid_value_keeps_existing_file(runner, tmp_path):
+    out = tmp_path / "keep.csv"
+    out.write_text("precious\n")
+    res = runner.invoke(main, ["sweep", "--preset", "fig2",
+                               "--axis", "kappa=1:-1:5", "--out", str(out)])
+    assert_one_line(res, 2, "config error: kappa must be > 0")
+    assert out.read_text() == "precious\n"
+
+
+def test_sweep_validates_every_axis_value_before_running(runner, tmp_path, monkeypatch):
+    def fail(drift):
+        raise AssertionError("a grid point ran before the axis check")
+
+    monkeypatch.setattr("loopcool.steadystate.cool_or_flag", fail)
+    res = runner.invoke(main, ["sweep", "--preset", "fig2", "--axis", "drive.delta=0.9:1.1:3",
+                               "--axis", "kappa=1:-1:5", "--out", str(tmp_path / "s.csv")])
+    assert_one_line(res, 2, "config error: kappa must be > 0")
+
+
+def test_sweep_numerical_failure_is_not_config_error(runner, tmp_path, monkeypatch):
+    def fail(drift):
+        raise NoConvergence("eigenvalue iteration failed")
+
+    monkeypatch.setattr("loopcool.steadystate.cool_or_flag", fail)
+    out = tmp_path / "keep.csv"
+    out.write_text("precious\n")
+    res = runner.invoke(main, ["sweep", "--preset", "fig2",
+                               "--axis", "kappa=0.1:0.3:4", "--out", str(out)])
+    assert_one_line(res, 1, "error: NoConvergence: eigenvalue iteration failed")
+    assert "config error" not in res.output
+    assert out.read_text() == "precious\n"
+
+
+def test_cool_no_fixed_point_is_one_line(runner, tmp_path, monkeypatch):
+    def fail(spec):
+        raise NoFixedPoint("classical amplitudes diverged")
+
+    monkeypatch.setattr("loopcool.model.linearize", fail)
+    cfg = write_config(tmp_path / "phys.ini", drive_lines=(
+        "type = physical", "delta_c = 1.0", "omega_amp = 1000.0",
+        "g_single = 1e-4, 1e-4"))
+    res = runner.invoke(main, ["cool", "--config", cfg])
+    assert_one_line(res, 1, "error: NoFixedPoint: classical amplitudes diverged")
+    assert res.stdout == ""
+
+
+def test_spectrum_zero_coupling_is_domain_error(runner, tmp_path):
+    cfg = write_config(tmp_path / "zero.ini", **ZERO_COUPLING)
+    out = tmp_path / "spec.csv"
+    res = runner.invoke(main, ["spectrum", "--config", cfg, "--points", "5",
+                               "--out", str(out)])
+    assert_one_line(res, 2, "config error: pi_ratio undefined when C1*C2 = 0")
+    assert not out.exists()
+
+
+def test_modes_without_any_coupling_is_domain_error(runner, tmp_path):
+    cfg = write_config(tmp_path / "dark.ini", eta="0.0", theta="0.0", drive_lines=(
+        "type = linearized", "delta = 1.0", "g_lin = 0.0, 0.0"))
+    res = runner.invoke(main, ["modes", "--config", cfg])
+    assert_one_line(res, 2, "config error: needs at least one nonzero optomechanical coupling")
+
+
+def test_limits_zero_xi_is_domain_error(runner, tmp_path):
+    cfg = write_config(tmp_path / "zero.ini", **ZERO_COUPLING)
+    res = runner.invoke(main, ["limits", "--config", cfg])
+    assert_one_line(res, 2, "config error: full cooling limit undefined when xi1 or xi2 = 0")
+    res = runner.invoke(main, ["cool", "--config", cfg])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["stable"]
+
+
+# --- non-finite input is rejected at the edge ------------------------------
+
+@pytest.mark.parametrize("command", ["cool", "stability", "spectrum", "sweep", "modes",
+                                     "limits"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_config_is_config_error(runner, tmp_path, command, value):
+    cfg = tmp_path / "bad.ini"
+    write_config(cfg)
+    cfg.write_text(cfg.read_text().replace("kappa = 0.2", "kappa = " + value))
+    out = tmp_path / "out.csv"
+    args = {"spectrum": ["--out", str(out)],
+            "sweep": ["--axis", "drive.delta=0.9:1.1:3", "--out", str(out)]}
+    res = runner.invoke(main, [command, "--config", str(cfg)] + args.get(command, []))
+    assert_one_line(res, 2, "config error: %s: kappa must be finite" % cfg)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["delta = nan", "g_lin = 0.1, inf"])
+def test_non_finite_drive_is_config_error(runner, tmp_path, line):
+    key = line.split(" =")[0]
+    drive = [line if d.startswith(key + " =") else d
+             for d in ("type = linearized", "delta = 1.0", "g_lin = 0.1, 0.1")]
+    cfg = write_config(tmp_path / "bad.ini", drive_lines=drive)
+    res = runner.invoke(main, ["cool", "--config", cfg])
+    assert_one_line(res, 2, "config error: %s: %s must be finite" % (cfg, key))
+
+
+@pytest.mark.parametrize("axis", ["kappa=0.1:inf:3", "kappa=nan:0.3:3",
+                                  "drive.delta=-inf:1:3"])
+def test_sweep_non_finite_axis_is_config_error(runner, tmp_path, axis):
+    out = tmp_path / "s.csv"
+    res = runner.invoke(main, ["sweep", "--preset", "fig2", "--axis", axis,
+                               "--out", str(out)])
+    assert_one_line(res, 2, "config error: axis bounds must be finite")
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="must be finite"):
+        parse_axis(axis)
+
+
+@pytest.mark.parametrize("bound", [["--omega-min", "nan"], ["--omega-max", "inf"]])
+def test_spectrum_non_finite_bounds_are_config_error(runner, tmp_path, bound):
+    out = tmp_path / "spec.csv"
+    res = runner.invoke(main, ["spectrum", "--preset", "fig3", "--points", "5",
+                               "--out", str(out)] + bound)
+    assert_one_line(res, 2, "config error: frequency bounds must be finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--eta", "nan", "--theta", "0"],
+                                  ["--eta", "1.0", "--theta", "inf"],
+                                  ["--eta", "-inf", "--theta", "0"]])
+def test_lambda_non_finite_is_config_error(runner, args):
+    res = runner.invoke(main, ["lambda"] + args)
+    assert_one_line(res, 2, "config error: --eta and --theta must be finite")
+    assert res.stdout == ""

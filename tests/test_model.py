@@ -46,6 +46,22 @@ def test_spec_positivity():
         two_mode(nbar=(-1.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spec_rejects_non_finite(bad):
+    for kw in (dict(kappa=bad), dict(omega=(1.0, bad)), dict(gamma=(bad, 1e-5)),
+               dict(nbar=(1e3, bad)), dict(eta=bad), dict(theta=bad),
+               dict(delta=bad), dict(g=bad)):
+        with pytest.raises(InvalidSpec):
+            two_mode(**kw)
+    for kw in (dict(delta_c=bad), dict(omega_drive_amp=complex(1.0, bad)),
+               dict(g_single=(1e-4, bad))):
+        with pytest.raises(InvalidSpec, match="must be finite"):
+            Physical(**{**dict(delta_c=1.0, omega_drive_amp=1e3, g_single=(1e-4, 1e-4)),
+                        **kw})
+    with pytest.raises(InvalidSpec, match="must be finite"):
+        Linearized(delta=bad, g_lin=(0.1, 0.1))
+
+
 def test_theta_reduced():
     spec = two_mode(theta=2 * np.pi + 0.3)
     assert spec.theta[0] == pytest.approx(0.3)
