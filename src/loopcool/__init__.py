@@ -14,8 +14,8 @@ from .errors import (BlowUp, ConfigError, DimensionOverflow, DomainError,
 from .model import (FULL, RWA, CouplingApprox, Linearized, Physical,
                     SystemSpec, build_drift, build_noise, linearize,
                     to_linearized)
-from .steadystate import (CoolingReport, cool, cool_or_flag, lyapunov_solve,
-                          phonon_numbers, stability_check)
+from .steadystate import (CoolingReport, cool, cool_many, cool_or_flag,
+                          lyapunov_solve, phonon_numbers, stability_check)
 from .spectra import (Cooperativities, lambda_analytic, lambda_numeric,
                       scattering_matrix, transmittances)
 from .limits import (EffectiveTwoMode, cooling_limit_full,

@@ -7,6 +7,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import __version__, limits, modes, spectra, steadystate
 from .config import parse_spec, spec_to_dict
-from .errors import ConfigError, DomainError, InvalidSpec, LoopcoolError
+from .errors import ConfigError, DomainError, InvalidSpec, LoopcoolError, Unstable
 from .model import CouplingApprox, build_drift, to_linearized
 from .presets import get_preset
 
@@ -61,8 +62,9 @@ def _approx(om_rwa, mech_full):
 def _reports_errors(fn):
     """Report a LoopcoolError from a command as one line on stderr and an exit code.
 
-    Config, spec and domain errors exit EXIT_CONFIG; any other package error is
-    a numerical failure and exits EXIT_ERROR.  No other code turns one into output.
+    Config, spec and domain errors exit EXIT_CONFIG; an unstable point exits
+    EXIT_UNSTABLE; any other package error is a numerical failure and exits
+    EXIT_ERROR.  No other code turns one into output.
     """
     @functools.wraps(fn)
     def command(*args, **kwargs):
@@ -71,6 +73,9 @@ def _reports_errors(fn):
         except (ConfigError, InvalidSpec, DomainError) as exc:
             click.echo("config error: %s" % exc, err=True)
             sys.exit(EXIT_CONFIG)
+        except Unstable as exc:
+            click.echo("unstable: %s" % exc, err=True)
+            sys.exit(EXIT_UNSTABLE)
         except LoopcoolError as exc:
             click.echo("error: %s: %s" % (type(exc).__name__, exc), err=True)
             sys.exit(EXIT_ERROR)
@@ -119,10 +124,14 @@ def cool(spec, approx):
     if spec.n_mech == 2 and report.stable:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            eff = limits.effective_model(spec)
-            n1s, n2s = limits.cooling_limit_simplified(eff, spec)
-        payload["limits"] = {"simplified": [n1s, n2s],
-                             "warnings": [str(w.message) for w in caught]}
+            try:
+                eff = limits.effective_model(spec)
+            except DomainError as exc:  # the steady state stands without its limit
+                payload["limits"] = {"unavailable": str(exc)}
+            else:
+                n1s, n2s = limits.cooling_limit_simplified(eff, spec)
+                payload["limits"] = {"simplified": [n1s, n2s],
+                                     "warnings": [str(w.message) for w in caught]}
     _emit_json(payload)
     if not report.stable:
         sys.exit(EXIT_UNSTABLE)
@@ -144,8 +153,8 @@ def stability(spec, approx):
 _PATH_RE = re.compile(r"^(drive\.)?([a-z_]+)(?:\[(\d+)\])?$")
 
 
-def set_param(spec, path, value):
-    """Return a copy of spec with the parameter at `path` replaced.
+def _resolve(spec, path):
+    """(on_drive, name, index or None) for a parameter path of spec.
 
     Paths: kappa, eta[0], theta[0], omega_m[1], gamma[0], nbar[0],
     drive.delta, drive.g_lin[0].
@@ -153,7 +162,7 @@ def set_param(spec, path, value):
     m = _PATH_RE.match(path)
     if not m:
         raise ConfigError("bad parameter path %r" % path)
-    on_drive, name, idx = m.group(1), m.group(2), m.group(3)
+    on_drive, name, idx = bool(m.group(1)), m.group(2), m.group(3)
     target = spec.drive if on_drive else spec
     if not hasattr(target, name):
         raise ConfigError("unknown parameter %r" % path)
@@ -164,17 +173,33 @@ def set_param(spec, path, value):
         i = int(idx)
         if not 0 <= i < len(cur):
             raise ConfigError("index out of range in %r" % path)
-        new = cur[:i] + (value,) + cur[i + 1:]
-    else:
-        if idx is not None:
-            raise ConfigError("%s is scalar; drop the index" % path)
-        new = value
+        return on_drive, name, i
+    if idx is not None:
+        raise ConfigError("%s is scalar; drop the index" % path)
+    return on_drive, name, None
+
+
+def _with_values(spec, params, values):
+    """Copy of spec with each resolved parameter set to its value, in one validated copy."""
+    fields, drive_fields = {}, {}
+    for (on_drive, name, i), value in zip(params, values):
+        owner = drive_fields if on_drive else fields
+        if i is None:
+            owner[name] = value
+        else:
+            cur = owner.get(name, getattr(spec.drive if on_drive else spec, name))
+            owner[name] = cur[:i] + (value,) + cur[i + 1:]
     try:
-        if on_drive:
-            return spec.with_(drive=type(spec.drive)(**{**spec.drive.__dict__, name: new}))
-        return spec.with_(**{name: new})
+        if drive_fields:
+            fields["drive"] = type(spec.drive)(**{**spec.drive.__dict__, **drive_fields})
+        return spec.with_(**fields)
     except InvalidSpec as exc:
         raise ConfigError(str(exc)) from None
+
+
+def set_param(spec, path, value):
+    """Return a copy of spec with the parameter at `path` replaced (paths as in _resolve)."""
+    return _with_values(spec, [_resolve(spec, path)], [value])
 
 
 def parse_axis(raw):
@@ -195,12 +220,22 @@ def parse_axis(raw):
     return path, np.linspace(start, stop, points)
 
 
+#: grid points per engine call; a sweep builds, solves and drops one chunk at a time
+BATCH = 64
+
+
 def _sweep_eval(task):
-    """One grid point; module-level so process pools can pickle it."""
-    spec, approx, paths, values = task
-    for path, value in zip(paths, values):
-        spec = set_param(spec, path, float(value))
-    return steadystate.cool_or_flag(build_drift(spec, approx))
+    """Reports for one chunk of grid points; module-level so process pools can pickle it."""
+    spec, approx, params, chunk = task
+    return steadystate.cool_many([build_drift(_with_values(spec, params, values), approx)
+                                  for values in chunk])
+
+
+def _check_out(out):
+    """Refuse, before any work, an output path whose directory does not exist."""
+    directory = os.path.dirname(out) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError("output directory %r does not exist" % directory)
 
 
 def _write_csv(out, spec, approx, header, rows):
@@ -223,21 +258,24 @@ def _write_csv(out, spec, approx, header, rows):
               help="Parallel worker processes.")
 def sweep(spec, approx, axes, out, workers):
     """1-D or 2-D parameter sweep of the steady-state occupations (CSV)."""
+    _check_out(out)
     if len(axes) > 2:
         raise ConfigError("at most two --axis options")
-    parsed = [parse_axis(a) for a in axes]
+    parsed = [(path, grid.tolist()) for path, grid in map(parse_axis, axes)]
     for path, grid in parsed:  # spec rules are per field: no grid point can fail them later
         for v in grid:
-            set_param(spec, path, float(v))
+            set_param(spec, path, v)
     paths = [p for p, _ in parsed]
+    params = [_resolve(spec, p) for p in paths]
     points = list(itertools.product(*(grid for _, grid in parsed)))
-    tasks = [(spec, approx, paths, vals) for vals in points]
+    tasks = [(spec, approx, params, points[i:i + BATCH]) for i in range(0, len(points), BATCH)]
 
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_sweep_eval, tasks, chunksize=8))
+            chunks = list(pool.map(_sweep_eval, tasks))
     else:
-        reports = [_sweep_eval(t) for t in tasks]
+        chunks = map(_sweep_eval, tasks)  # lazy: one chunk's drifts alive at a time
+    reports = itertools.chain.from_iterable(chunks)
 
     n = spec.n_mech
     rows = []
@@ -261,6 +299,7 @@ def sweep(spec, approx, axes, out, workers):
 @click.option("--out", type=click.Path(), required=True, help="Output CSV path.")
 def spectrum(spec, approx, omega_min, omega_max, points, out):
     """Probe-frequency scan of transmittances and relative scattering rates."""
+    _check_out(out)
     if points < 2:
         raise ConfigError("need at least 2 frequency points")
     if not (math.isfinite(omega_min) and math.isfinite(omega_max)):
@@ -268,6 +307,9 @@ def spectrum(spec, approx, omega_min, omega_max, points, out):
     if spec.n_mech != 2:
         raise ConfigError("spectrum scan is defined for n_mech = 2")
     drift = build_drift(spec, approx)
+    stable, abscissa = steadystate.stability_check(drift)
+    if not stable:
+        raise steadystate.unstable(abscissa)
     coop = spectra.Cooperativities.from_spec(spec)
     lam_res = spectra.lambda_analytic(coop, spec.theta[0])
     tcols = ["T_%s%s" % vw for vw in itertools.product(["a", "b1", "b2"], repeat=2)]

@@ -99,6 +99,8 @@ def effective_model(spec):
 
     gamma_opt, omega_opt, xi1, xi2 = _lorentzian_pieces(spec, hop)
     omega_eff = (w1 - omega_opt[0], w2 - omega_opt[1])
+    if w1 + w2 + 2.0 * d == 0.0:
+        raise DomainError("n_opt undefined when omega_1 + omega_2 + 2 delta = 0")
     n_opt = 4.0 * k * k / (w1 + w2 + 2.0 * d) ** 2
     gamma_eff, chi1, chi2, chi_plus, chi_minus, n_chi1, n_chi2 = _transfer_rates(
         spec, gamma_opt, xi1, xi2, n_opt)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from loopcool import cli, model, steadystate
 from loopcool.cli import main, parse_axis, set_param
 from loopcool.errors import ConfigError, NoConvergence, NoFixedPoint
 from loopcool.presets import get_preset
@@ -129,6 +131,19 @@ def test_set_param_paths():
             set_param(spec, bad, 1.0)
 
 
+def test_point_values_apply_in_one_copy():
+    # several axes on one spec or drive field compose as successive set_param calls
+    spec = get_preset("figS11")
+    for paths, values in ((["theta[0]", "theta[1]"], [0.25, 0.5]),
+                          (["drive.delta", "drive.g_lin[1]"], [0.9, 0.2]),
+                          (["kappa", "eta[1]"], [0.3, 0.02])):
+        want = spec
+        for path, value in zip(paths, values):
+            want = set_param(want, path, value)
+        params = [cli._resolve(spec, p) for p in paths]
+        assert cli._with_values(spec, params, values) == want
+
+
 def test_parse_axis():
     path, grid = parse_axis("theta[0]=0:6.28:5")
     assert path == "theta[0]" and len(grid) == 5 and grid[0] == 0.0
@@ -230,7 +245,87 @@ def test_sweep_invalid_value_is_config_error(runner, tmp_path, axis, message):
     assert not out.exists()
 
 
+def test_sweep_chunks_and_workers_do_not_change_the_csv(runner, tmp_path, monkeypatch):
+    # 81 points: more than one BATCH; the delta = 0 row sends points to Schur
+    axes = ["--axis", "drive.delta=-1:1:9", "--axis", "theta[0]=0:6.2832:9"]
+
+    def run(name, *extra):
+        out = tmp_path / name
+        res = runner.invoke(main, ["sweep", "--preset", "fig2", *axes,
+                                   "--out", str(out), *extra])
+        assert res.exit_code == 0, res.output
+        return body_lines(out)
+
+    serial = run("serial.csv")
+    assert len(serial) == 1 + 81 > 1 + cli.BATCH
+    assert {row.split(",")[-2] for row in serial[1:]} == {"true", "false"}
+    assert run("parallel.csv", "--workers", "2") == serial
+    monkeypatch.setattr(cli, "BATCH", 1)
+    assert run("single.csv") == serial
+
+
+def test_sweep_missing_out_directory_is_config_error(runner, tmp_path, monkeypatch):
+    def fail(drifts):
+        raise AssertionError("a grid point ran before the --out check")
+
+    monkeypatch.setattr("loopcool.steadystate.cool_many", fail)
+    out = tmp_path / "nodir" / "x.csv"
+    res = runner.invoke(main, ["sweep", "--preset", "fig2", "--axis", "kappa=0.1:0.3:3",
+                               "--out", str(out)])
+    assert_one_line(res, 2, "config error: output directory %r does not exist" % str(out.parent))
+    assert not out.parent.exists()
+
+
 # --- spectrum -----------------------------------------------------------
+
+UNSTABLE = dict(theta="1.5708", drive_lines=(
+    "type = linearized", "delta = -1.0", "g_lin = 0.1, 0.1"))
+
+
+def test_spectrum_unstable_exits_3_and_keeps_out(runner, tmp_path):
+    cfg = write_config(tmp_path / "unstable.ini", **UNSTABLE)
+    out = tmp_path / "spec.csv"
+    out.write_text("precious\n")
+    res = runner.invoke(main, ["spectrum", "--config", cfg, "--points", "5",
+                               "--out", str(out)])
+    assert_one_line(res, 3, "unstable: spectral abscissa 4.16")
+    assert out.read_text() == "precious\n"
+    assert runner.invoke(main, ["cool", "--config", cfg]).exit_code == 3
+
+
+def test_spectrum_missing_out_directory_is_config_error(runner, tmp_path):
+    out = tmp_path / "nodir" / "spec.csv"
+    res = runner.invoke(main, ["spectrum", "--preset", "fig3", "--points", "5",
+                               "--out", str(out)])
+    assert_one_line(res, 2, "config error: output directory")
+    assert not out.parent.exists()
+
+
+def test_every_command_flags_the_shifted_point(runner, tmp_path, monkeypatch):
+    # abscissa -1e-11: inside the margin, so every command must call it unstable
+    def shifted(spec, approx=model.CouplingApprox()):
+        d = model.build_drift(spec, approx)
+        _, abscissa = steadystate.stability_check(d)
+        return dataclasses.replace(d, a=d.a - (abscissa + 1e-11) * np.eye(d.a.shape[0]))
+
+    monkeypatch.setattr(cli, "build_drift", shifted)
+    res = runner.invoke(main, ["cool", "--preset", "fig2"])
+    assert res.exit_code == 3 and not json.loads(res.stdout)["stable"]
+    res = runner.invoke(main, ["stability", "--preset", "fig2"])
+    payload = json.loads(res.stdout)
+    assert not payload["stable"]
+    assert payload["spectral_abscissa"] == pytest.approx(-1e-11, abs=1e-14)
+    out = tmp_path / "s.csv"
+    res = runner.invoke(main, ["sweep", "--preset", "fig2", "--axis", "kappa=0.15:0.25:3",
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert [row.split(",")[-2] for row in body_lines(out)[1:]] == ["false"] * 3
+    out = tmp_path / "spec.csv"
+    res = runner.invoke(main, ["spectrum", "--preset", "fig3", "--points", "5",
+                               "--out", str(out)])
+    assert_one_line(res, 3, "unstable: spectral abscissa")
+    assert not out.exists()
+
 
 def test_spectrum_reciprocal_at_zero_phase(runner, tmp_path):
     cfg = write_config(tmp_path / "sym.ini", theta="0.0")
@@ -335,20 +430,20 @@ def test_sweep_invalid_value_keeps_existing_file(runner, tmp_path):
 
 
 def test_sweep_validates_every_axis_value_before_running(runner, tmp_path, monkeypatch):
-    def fail(drift):
+    def fail(drifts):
         raise AssertionError("a grid point ran before the axis check")
 
-    monkeypatch.setattr("loopcool.steadystate.cool_or_flag", fail)
+    monkeypatch.setattr("loopcool.steadystate.cool_many", fail)
     res = runner.invoke(main, ["sweep", "--preset", "fig2", "--axis", "drive.delta=0.9:1.1:3",
                                "--axis", "kappa=1:-1:5", "--out", str(tmp_path / "s.csv")])
     assert_one_line(res, 2, "config error: kappa must be > 0")
 
 
 def test_sweep_numerical_failure_is_not_config_error(runner, tmp_path, monkeypatch):
-    def fail(drift):
+    def fail(drifts):
         raise NoConvergence("eigenvalue iteration failed")
 
-    monkeypatch.setattr("loopcool.steadystate.cool_or_flag", fail)
+    monkeypatch.setattr("loopcool.steadystate.cool_many", fail)
     out = tmp_path / "keep.csv"
     out.write_text("precious\n")
     res = runner.invoke(main, ["sweep", "--preset", "fig2",
@@ -394,6 +489,29 @@ def test_limits_zero_xi_is_domain_error(runner, tmp_path):
     res = runner.invoke(main, ["cool", "--config", cfg])
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["stable"]
+
+
+# at delta = -(omega_1 + omega_2)/2 the adiabatic n_opt divides by zero
+OPPOSITE_DETUNING = dict(drive_lines=(
+    "type = linearized", "delta = -1.0", "g_lin = 0.01, 0.01"))
+
+
+def test_limits_at_opposite_detuning_is_domain_error(runner, tmp_path):
+    cfg = write_config(tmp_path / "opp.ini", **OPPOSITE_DETUNING)
+    res = runner.invoke(main, ["limits", "--config", cfg])
+    assert_one_line(res, 2, "config error: n_opt undefined when omega_1 + omega_2 + 2 delta = 0")
+
+
+def test_cool_at_opposite_detuning_reports_limit_unavailable(runner, tmp_path):
+    cfg = tmp_path / "opp.ini"
+    write_config(cfg, **OPPOSITE_DETUNING)
+    cfg.write_text(cfg.read_text().replace("gamma = 1e-5, 1e-5", "gamma = 0.01, 0.01"))
+    res = runner.invoke(main, ["cool", "--config", str(cfg)])
+    assert res.exit_code == 0, res.output
+    payload = json.loads(res.output)
+    assert payload["stable"]
+    assert payload["limits"] == {
+        "unavailable": "n_opt undefined when omega_1 + omega_2 + 2 delta = 0"}
 
 
 # --- non-finite input is rejected at the edge ------------------------------

@@ -25,6 +25,14 @@ def test_needs_two_modes():
         effective_model(get_preset("figS10"))
 
 
+def test_opposite_detuning_is_domain_error():
+    # n_opt = 4 kappa^2 / (omega_1 + omega_2 + 2 delta)^2 has no value here
+    spec = get_preset("fig2")
+    spec = spec.with_(drive=Linearized(delta=-1.0, g_lin=spec.drive.g_lin))
+    with pytest.raises(DomainError, match="n_opt undefined"):
+        effective_model(spec)
+
+
 def test_resonant_rates():
     spec = get_preset("fig4")  # G = 0.05, kappa = 0.2, Delta = omega = 1
     eff = effective_model(spec)

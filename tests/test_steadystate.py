@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from loopcool import get_preset, kernels, numkit
+from loopcool import get_preset, kernels, numkit, steadystate
 from loopcool.errors import ShapeMismatch, Unstable
-from loopcool.model import FULL, RWA, CouplingApprox, DriftModel, build_drift
+from loopcool.model import FULL, RWA, CouplingApprox, DriftModel, Linearized, build_drift
 from loopcool.presets import PRESETS, _chain
-from loopcool.steadystate import (cool, cool_or_flag, lyapunov_residual,
+from loopcool.steadystate import (cool, cool_many, cool_or_flag, lyapunov_residual,
                                   lyapunov_solve, phonon_numbers,
                                   stability_check)
 
@@ -158,13 +159,13 @@ def test_one_margin_for_every_verdict():
 
 def test_cool_runs_one_eigensolve(monkeypatch):
     calls = []
-    eigenvalues = numkit.eigenvalues
+    eig = steadystate._eig
 
     def counted(a):
         calls.append(a)
-        return eigenvalues(a)
+        return eig(a)
 
-    monkeypatch.setattr(numkit, "eigenvalues", counted)
+    monkeypatch.setattr(steadystate, "_eig", counted)
     rep = cool(build_drift(get_preset("fig2")))
     assert rep.stable and len(calls) == 1
 
@@ -174,3 +175,100 @@ def test_lyapunov_chain_beyond_kron_cap():
     assert d.a.shape[0] ** 2 > numkit.KRON_CAP
     v = lyapunov_solve(d)
     assert lyapunov_residual(d, v) <= 1e-10 * numkit.norm_inf(d.q)
+
+
+# --- the batched engine: eig route, backward-error test, Schur fallback ----
+
+def _schur(drift):
+    """The Schur-based Bartels-Stewart solve the eig route must reproduce."""
+    return scipy.linalg.solve_sylvester(drift.a, drift.a.T, -drift.q)
+
+
+def _rel(v, ref):
+    return np.abs(v - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+@pytest.mark.parametrize("om", [RWA, FULL])
+@pytest.mark.parametrize("mech", [RWA, FULL])
+def test_engine_matches_schur_solve(name, om, mech):
+    d = build_drift(get_preset(name), CouplingApprox(om, mech))
+    ref = _schur(d)
+    assert _rel(lyapunov_solve(d), ref) <= 1e-12
+    rep = cool(d)
+    want = phonon_numbers(ref, d.spec.n_mech)
+    # occupations relative to their covariance entries n + 1/2
+    assert np.all(np.abs(rep.n_f - want.n_f) <= 1e-12 * (np.abs(want.n_f) + 0.5))
+    assert abs(rep.n_cav - want.n_cav) <= 1e-12 * (abs(want.n_cav) + 0.5)
+    assert rep.solver in ("eig", "schur")
+
+
+def test_well_conditioned_point_takes_eig_route():
+    rep = cool(build_drift(get_preset("fig2")))
+    assert rep.solver == "eig"
+    assert cool_or_flag(build_drift(get_preset("figS13").with_(eta=(0.5,)),
+                                    CouplingApprox(FULL, FULL))).solver is None
+
+
+def _near_defective(split):
+    """4x4 drift with a Jordan-like block whose eigenvalues differ by `split`."""
+    a = np.diag([-1.0, -1.0 - split, -2.0, -3.0]).astype(complex)
+    a[0, 1] = 1.0
+    rng = np.random.default_rng(0)
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    return manual_drift(u @ a @ u.conj().T, np.eye(4))
+
+
+def test_near_defective_drift_falls_back_to_schur():
+    d = _near_defective(1e-9)
+    _, w = np.linalg.eig(d.a)
+    assert np.linalg.cond(w) > 1e7  # the eig route is off by percents here
+    rep = cool_or_flag(d)
+    assert rep.stable and rep.solver == "schur"
+    ref = _schur(d)
+    assert _rel(lyapunov_solve(d), ref) <= 1e-12
+    assert rep.n_cav == phonon_numbers(ref, 1).n_cav
+
+
+def test_singular_eigenvector_stack_falls_back_to_schur(monkeypatch):
+    # an exactly singular W anywhere in a chunk sends the whole chunk to Schur
+    def singular(w):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    drifts = [build_drift(get_preset(name)) for name in ("fig2", "fig3")]
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    reports = cool_many(drifts)
+    assert [r.solver for r in reports] == ["schur", "schur"]
+    for d, rep in zip(drifts, reports):
+        assert np.array_equal(rep.n_f, phonon_numbers(_schur(d), 2).n_f)
+
+
+def test_fig2_zero_detuning_column_matches_schur():
+    # cond(W) ~ 1e8 along delta = 0: the backward-error test must send these to Schur
+    base = get_preset("fig2")
+    drifts = [build_drift(base.with_(theta=(th,), drive=Linearized(delta=0.0,
+                                                                   g_lin=base.drive.g_lin)))
+              for th in np.linspace(0.0, 2.0 * math.pi, 33)]
+    reports = cool_many(drifts)
+    assert all(r.stable for r in reports)
+    assert any(r.solver == "schur" for r in reports)
+    for d, rep in zip(drifts, reports):
+        want = phonon_numbers(_schur(d), 2)
+        assert np.all(np.abs(rep.n_f - want.n_f) <= 1e-12 * (np.abs(want.n_f) + 0.5))
+        assert abs(rep.n_cav - want.n_cav) <= 1e-12 * (abs(want.n_cav) + 0.5)
+
+
+def test_batch_equals_batches_of_one():
+    # a chunk's reports do not depend on the rest of the chunk (sweep CSVs rely on it)
+    base = get_preset("fig2")
+    drifts = [build_drift(base.with_(theta=(th,), drive=Linearized(delta=dl,
+                                                                   g_lin=base.drive.g_lin)))
+              for dl in (-1.0, 0.0, 0.7, 1.0) for th in np.linspace(0.0, 6.0, 5)]
+    batch = cool_many(drifts)
+    assert {r.stable for r in batch} == {True, False}
+    for d, rep in zip(drifts, batch):
+        one = cool_or_flag(d)
+        assert one.stable == rep.stable and one.solver == rep.solver
+        assert one.spectral_abscissa == rep.spectral_abscissa
+        assert np.array_equal(one.n_f, rep.n_f, equal_nan=True)
+        assert one.n_cav == rep.n_cav or (math.isnan(one.n_cav) and math.isnan(rep.n_cav))
