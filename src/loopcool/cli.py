@@ -232,7 +232,9 @@ def _sweep_eval(task):
 
 
 def _check_out(out):
-    """Refuse, before any work, an output path whose directory does not exist."""
+    """Refuse, before any work, an output path that is a directory or whose directory is missing."""
+    if os.path.isdir(out):
+        raise ConfigError("output path %r is a directory" % out)
     directory = os.path.dirname(out) or "."
     if not os.path.isdir(directory):
         raise ConfigError("output directory %r does not exist" % directory)
@@ -254,7 +256,7 @@ def _write_csv(out, spec, approx, header, rows):
 @click.option("--axis", "axes", multiple=True, required=True,
               help="Sweep axis as path=start:stop:points (repeat for a 2-D grid).")
 @click.option("--out", type=click.Path(), required=True, help="Output CSV path.")
-@click.option("--workers", type=int, default=1, show_default=True,
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
               help="Parallel worker processes.")
 def sweep(spec, approx, axes, out, workers):
     """1-D or 2-D parameter sweep of the steady-state occupations (CSV)."""
@@ -313,11 +315,9 @@ def spectrum(spec, approx, omega_min, omega_max, points, out):
     coop = spectra.Cooperativities.from_spec(spec)
     lam_res = spectra.lambda_analytic(coop, spec.theta[0])
     tcols = ["T_%s%s" % vw for vw in itertools.product(["a", "b1", "b2"], repeat=2)]
-    rows = []
-    for w in np.linspace(omega_min, omega_max, points):
-        pt = spectra.scan_point(drift, float(w), coop)
-        cells = [w, *pt.t.reshape(-1), pt.lambda_rel[2, 1], pt.lambda_rel[1, 2], lam_res]
-        rows.append([_fmt(x) for x in cells])
+    pt = spectra.scan_point(drift, np.linspace(omega_min, omega_max, points), coop)
+    rows = [[_fmt(x) for x in (w, *t.reshape(-1), lam[2, 1], lam[1, 2], lam_res)]
+            for w, t, lam in zip(pt.omega, pt.t, pt.lambda_rel)]
     header = ["omega"] + tcols + ["Lambda_b2b1", "Lambda_b1b2", "Lambda_analytic_resonant"]
     _write_csv(out, spec, approx, header, rows)
 

@@ -30,6 +30,11 @@ def as_cmatrix(a):
 
 
 def norm_inf(a):
+    """Largest entry magnitude max |a_ij| (0.0 for an empty array).
+
+    This is not the induced infinity norm (largest absolute row sum) that the
+    backward-error test of `steadystate.cool_many` uses.
+    """
     a = np.asarray(a)
     if a.size == 0:
         return 0.0

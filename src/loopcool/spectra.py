@@ -4,6 +4,13 @@ U(w) = Gamma (-i w I - A)^{-1} Gamma - I maps input noise operators to output
 fields; transmittances sum the signal and conjugate-channel contributions,
 and the relative scattering rate Lambda_vw = (T_vw - T_wv)/T_max quantifies
 nonreciprocity of the phonon transfer.
+
+`scattering_matrix`, `transmittances` and `scan_point` take a scalar probe
+frequency or a 1-D array of them.  An array gives a stack along the leading
+axis, solved by one batched LAPACK call; a scalar is the same computation for
+one frequency.  The resolvent is meant to be taken behind the stability
+verdict: for a stable drift every eigenvalue of -i w I - A has modulus at
+least |Re lambda| > 0, so it is nonsingular at every real w.
 """
 
 import math
@@ -11,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numkit
-from .errors import DomainError, ShapeMismatch
+from .errors import DomainError, ShapeMismatch, SingularMatrix
 
 
 @dataclass(frozen=True)
@@ -40,6 +46,8 @@ class Cooperativities:
 
 @dataclass
 class ScatteringPoint:
+    """U, T and Lambda at omega; with an array omega each is a stack along axis 0."""
+
     omega: float
     u: np.ndarray
     t: np.ndarray
@@ -52,21 +60,41 @@ def _damping_diag(spec):
 
 
 def scattering_matrix(drift, omega):
-    """U(w) in the [da, db_1..db_N, conjugates] ordering."""
+    """U(w) in the [da, db_1..db_N, conjugates] ordering.
+
+    omega is a scalar, giving one (2N+2, 2N+2) matrix, or a 1-D array, giving
+    a (len(omega), 2N+2, 2N+2) stack from one batched solve.  Raises
+    SingularMatrix only when LAPACK finds an exactly zero pivot: unlike
+    `numkit.solve_linear`, an LU pivot below `numkit.PIVOT_RTOL` times the
+    largest entry of -i w I - A that is not exactly zero raises nothing.  A
+    stable drift (see `steadystate.stability_check`) keeps the resolvent
+    nonsingular at every real omega, so check stability first.  A NaN or
+    infinite omega raises DomainError.
+    """
+    if not np.all(np.isfinite(omega)):
+        raise DomainError("probe frequencies must be finite")
     a = drift.a
-    n2 = a.shape[0]
+    eye = np.eye(a.shape[0])
     gam = _damping_diag(drift.spec)
-    core = numkit.solve_linear(-1j * omega * np.eye(n2) - a, gam)
-    return gam @ core - np.eye(n2)
+    lhs = -1j * np.multiply.outer(omega, eye) - a
+    try:
+        # an explicit stack of right-hand sides: numpy < 2 would read a 2-D b
+        # against a 3-D lhs as a stack of vectors
+        core = np.linalg.solve(lhs, np.broadcast_to(gam, lhs.shape))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix("resolvent -i w I - A is singular: %s" % exc) from None
+    return gam @ core - eye
 
 
 def transmittances(u, n_mech):
-    """T_vw = |U_vw|^2 + |U_{v,w+N+1}|^2 over the {a, b_1..b_N} channels."""
+    """T_vw = |U_vw|^2 + |U_{v,w+N+1}|^2 over the {a, b_1..b_N} channels.
+
+    u is one U matrix or a stack of them along the leading axes.
+    """
     dim = n_mech + 1
-    if u.shape != (2 * dim, 2 * dim):
+    if u.shape[-2:] != (2 * dim, 2 * dim):
         raise ShapeMismatch("U shape %s does not match n_mech=%d" % (u.shape, n_mech))
-    t = np.abs(u[:dim, :dim]) ** 2 + np.abs(u[:dim, dim:]) ** 2
-    return t
+    return np.abs(u[..., :dim, :dim]) ** 2 + np.abs(u[..., :dim, dim:]) ** 2
 
 
 def t_max(coop):
@@ -100,9 +128,13 @@ def lambda_numeric(drift, omega, coop):
 
 
 def scan_point(drift, omega, coop=None):
+    """U, T and Lambda at a scalar omega, or stacked over a 1-D array of them.
+
+    Same contract as `scattering_matrix`; coop defaults to the spec's.
+    """
     if coop is None:
         coop = Cooperativities.from_spec(drift.spec)
     u = scattering_matrix(drift, omega)
     t = transmittances(u, drift.spec.n_mech)
-    lam = (t - t.T) / t_max(coop)
+    lam = (t - np.swapaxes(t, -1, -2)) / t_max(coop)
     return ScatteringPoint(omega=omega, u=u, t=t, lambda_rel=lam)

@@ -276,6 +276,29 @@ def test_sweep_missing_out_directory_is_config_error(runner, tmp_path, monkeypat
     assert not out.parent.exists()
 
 
+def test_sweep_out_is_a_directory_is_config_error(runner, tmp_path, monkeypatch):
+    def fail(drifts):
+        raise AssertionError("a grid point ran before the --out check")
+
+    monkeypatch.setattr("loopcool.steadystate.cool_many", fail)
+    out = tmp_path / "adir"
+    out.mkdir()
+    res = runner.invoke(main, ["sweep", "--preset", "fig2", "--axis", "kappa=0.1:0.3:3",
+                               "--out", str(out)])
+    assert_one_line(res, 2, "config error: output path %r is a directory" % str(out))
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_rejects_workers_below_one(runner, tmp_path, workers):
+    out = tmp_path / "s.csv"
+    res = runner.invoke(main, ["sweep", "--preset", "fig2", "--axis", "kappa=0.1:0.3:3",
+                               "--out", str(out), "--workers", workers])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--workers'" in res.stderr
+    assert not out.exists()
+
+
 # --- spectrum -----------------------------------------------------------
 
 UNSTABLE = dict(theta="1.5708", drive_lines=(
@@ -299,6 +322,19 @@ def test_spectrum_missing_out_directory_is_config_error(runner, tmp_path):
                                "--out", str(out)])
     assert_one_line(res, 2, "config error: output directory")
     assert not out.parent.exists()
+
+
+def test_spectrum_out_is_a_directory_is_config_error(runner, tmp_path, monkeypatch):
+    def fail(*args):
+        raise AssertionError("the scan ran before the --out check")
+
+    monkeypatch.setattr("loopcool.spectra.scan_point", fail)
+    out = tmp_path / "adir"
+    out.mkdir()
+    res = runner.invoke(main, ["spectrum", "--preset", "fig3", "--points", "5",
+                               "--out", str(out)])
+    assert_one_line(res, 2, "config error: output path %r is a directory" % str(out))
+    assert list(out.iterdir()) == []
 
 
 def test_every_command_flags_the_shifted_point(runner, tmp_path, monkeypatch):

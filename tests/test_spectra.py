@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from loopcool import get_preset
-from loopcool.errors import DomainError, ShapeMismatch
-from loopcool.model import Linearized, build_drift
+from loopcool import get_preset, numkit
+from loopcool.errors import DomainError, ShapeMismatch, SingularMatrix
+from loopcool.model import CouplingApprox, Linearized, build_drift
 from loopcool.spectra import (Cooperativities, lambda_analytic, lambda_numeric,
                               scan_point, scattering_matrix, t_max,
                               transmittances)
@@ -56,6 +57,10 @@ def test_scattering_far_detuned():
 def test_transmittances_shape_check():
     with pytest.raises(ShapeMismatch):
         transmittances(np.eye(4, dtype=complex), 2)
+    with pytest.raises(ShapeMismatch):
+        transmittances(np.zeros((5, 4, 4), complex), 2)
+    with pytest.raises(ShapeMismatch):
+        transmittances(np.zeros((5, 4, 6), complex), 2)
 
 
 def test_t_max_value():
@@ -124,3 +129,69 @@ def test_scan_point_consistency():
     pt = scan_point(d, 1.0)
     assert pt.omega == 1.0
     assert np.allclose(pt.t, transmittances(pt.u, 2))
+
+
+# --- the batched path -----------------------------------------------------
+
+APPROXES = [CouplingApprox(optomechanical=om, mechanical=mech)
+            for om in ("full", "rwa") for mech in ("rwa", "full")]
+OMEGAS = np.linspace(0.5, 1.5, 801)
+
+
+def reference_scan(drift, omegas, coop):
+    """U, T and Lambda one frequency at a time, solved through numkit.solve_linear."""
+    spec = drift.spec
+    n2 = drift.a.shape[0]
+    dim = n2 // 2
+    g = np.sqrt(2.0 * np.array([spec.kappa, *spec.gamma]))
+    gam = np.diag(np.concatenate([g, g]))
+    us, ts, lams = [], [], []
+    for w in omegas:
+        u = gam @ numkit.solve_linear(-1j * w * np.eye(n2) - drift.a, gam) - np.eye(n2)
+        t = np.abs(u[:dim, :dim]) ** 2 + np.abs(u[:dim, dim:]) ** 2
+        us.append(u)
+        ts.append(t)
+        lams.append((t - t.T) / t_max(coop))
+    return np.array(us), np.array(ts), np.array(lams)
+
+
+@pytest.mark.parametrize("approx", APPROXES, ids=lambda a: a.optomechanical + "-" + a.mechanical)
+def test_scan_array_is_the_stack_of_scalar_scans(approx):
+    d = build_drift(get_preset("fig3"), approx)
+    pt = scan_point(d, OMEGAS)
+    singles = [scan_point(d, float(w)) for w in OMEGAS]
+    assert pt.u.shape == (len(OMEGAS), 6, 6)
+    assert np.array_equal(pt.u, np.stack([s.u for s in singles]))
+    assert np.array_equal(pt.t, np.stack([s.t for s in singles]))
+    assert np.array_equal(pt.lambda_rel, np.stack([s.lambda_rel for s in singles]))
+
+
+@pytest.mark.parametrize("approx", APPROXES, ids=lambda a: a.optomechanical + "-" + a.mechanical)
+def test_scan_array_matches_per_frequency_reference(approx):
+    d = build_drift(get_preset("fig3"), approx)
+    pt = scan_point(d, OMEGAS)
+    for got, ref in zip((pt.u, pt.t, pt.lambda_rel),
+                        reference_scan(d, OMEGAS, Cooperativities.from_spec(d.spec))):
+        err = np.abs(got - ref).max(axis=(1, 2))
+        assert np.all(err <= 1e-12 * np.abs(ref).max(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, np.array([1.0, -math.inf])])
+def test_non_finite_probe_frequency_is_domain_error(omega):
+    with pytest.raises(DomainError, match="must be finite"):
+        scan_point(build_drift(fig3_spec()), omega)
+
+
+def test_singular_resolvent_raises():
+    # an undamped, uncoupled mode at the probe frequency: -i w I - A has a zero pivot
+    spec = fig3_spec().with_(eta=(0.0,), theta=(0.0,),
+                             drive=Linearized(delta=1.0, g_lin=(0.0, 0.0)))
+    d = build_drift(spec)
+    a = d.a.copy()
+    a[1, 1] = -1j
+    d = dataclasses.replace(d, a=a)
+    with pytest.raises(SingularMatrix):
+        scattering_matrix(d, 1.0)
+    with pytest.raises(SingularMatrix):
+        scan_point(d, np.array([0.9, 1.0, 1.1]))
+    assert np.isfinite(scattering_matrix(d, 1.1)).all()
