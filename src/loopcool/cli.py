@@ -18,20 +18,13 @@ import numpy as np
 from . import __version__, limits, modes, spectra, steadystate
 from .config import parse_spec, spec_to_dict
 from .errors import ConfigError, DomainError, InvalidSpec, LoopcoolError, Unstable
-from .model import CouplingApprox, build_drift, to_linearized
+from .model import (DRIVE_FIELDS, SPEC_FIELDS, TWO_PI, CouplingApprox, build_drift, drift_stack,
+                    param_table, to_linearized)
 from .presets import get_preset
 
 EXIT_ERROR = 1
 EXIT_CONFIG = 2
 EXIT_UNSTABLE = 3
-
-
-def _fmt(x):
-    """Shortest round-trip float formatting; NaN spelled 'nan'."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return repr(x)
 
 
 def _provenance(approx):
@@ -63,8 +56,9 @@ def _reports_errors(fn):
     """Report a LoopcoolError from a command as one line on stderr and an exit code.
 
     Config, spec and domain errors exit EXIT_CONFIG; an unstable point exits
-    EXIT_UNSTABLE; any other package error is a numerical failure and exits
-    EXIT_ERROR.  No other code turns one into output.
+    EXIT_UNSTABLE; any other package error is a numerical failure and, like an
+    OSError from writing the output, exits EXIT_ERROR.  No other code turns
+    one into output.
     """
     @functools.wraps(fn)
     def command(*args, **kwargs):
@@ -76,7 +70,7 @@ def _reports_errors(fn):
         except Unstable as exc:
             click.echo("unstable: %s" % exc, err=True)
             sys.exit(EXIT_UNSTABLE)
-        except LoopcoolError as exc:
+        except (LoopcoolError, OSError) as exc:  # OSError: the output file could not be written
             click.echo("error: %s: %s" % (type(exc).__name__, exc), err=True)
             sys.exit(EXIT_ERROR)
     return command
@@ -224,31 +218,63 @@ def parse_axis(raw):
 BATCH = 64
 
 
+def _chunk_table(spec, params, chunk):
+    """Parameter table of a chunk of grid points (rows of axis values, one column per axis).
+
+    It starts as copies of spec, and each axis then overwrites its column, in
+    axis order, so a later axis on the same entry wins, as in successive
+    set_param calls.
+    """
+    table = param_table(spec, len(chunk))
+    for (_, name, i), values in zip(params, chunk.T):
+        if name == "theta":
+            values = values % TWO_PI  # as SystemSpec stores a phase
+        if i is None:
+            table[name][:] = values
+        else:
+            table[name][:, i] = values
+    return table
+
+
 def _sweep_eval(task):
-    """Reports for one chunk of grid points; module-level so process pools can pickle it."""
+    """Stacked report for one chunk of grid points; module-level so process pools can pickle it."""
     spec, approx, params, chunk = task
-    return steadystate.cool_many([build_drift(_with_values(spec, params, values), approx)
-                                  for values in chunk])
+    a, _, q = drift_stack(_chunk_table(spec, params, chunk), approx)
+    return steadystate.cool_many(a, q)
+
+
+def _sweep_lines(chunk, batch):
+    """CSV lines of one chunk: axis values, n_f_j and n_cav (empty if unstable), stable, abscissa."""
+    n_axes = chunk.shape[1]
+    unstable = "," * (batch.n_f.shape[1] + 1) + ",false,"
+    cells = np.column_stack([chunk, batch.n_f, batch.n_cav]).tolist()
+    return [",".join(map(repr, row)) + ",true," + repr(x) if ok
+            else ",".join(map(repr, row[:n_axes])) + unstable + repr(x)
+            for row, ok, x in zip(cells, batch.stable.tolist(),
+                                  batch.spectral_abscissa.tolist())]
 
 
 def _check_out(out):
-    """Refuse, before any work, an output path that is a directory or whose directory is missing."""
+    """Refuse, before any work, an output path that is a directory or whose
+    directory is missing or not writable."""
     if os.path.isdir(out):
         raise ConfigError("output path %r is a directory" % out)
     directory = os.path.dirname(out) or "."
     if not os.path.isdir(directory):
         raise ConfigError("output directory %r does not exist" % directory)
+    if not os.access(directory, os.W_OK):
+        raise ConfigError("output directory %r is not writable" % directory)
 
 
-def _write_csv(out, spec, approx, header, rows):
-    """Write header and rows (lists of cells) under '# '-commented JSON metadata."""
+def _write_csv(out, spec, approx, header, lines):
+    """Write the header and the CSV lines under '# '-commented JSON metadata."""
     meta = {"spec": spec_to_dict(spec), "provenance": _provenance(approx)}
     with open(out, "w") as fh:
         for line in json.dumps(meta, indent=2, sort_keys=True).splitlines():
             fh.write("# %s\n" % line)
-        for row in [header] + rows:
-            fh.write(",".join(row) + "\n")
-    click.echo("wrote %d rows to %s" % (len(rows), out))
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line + "\n" for line in lines)
+    click.echo("wrote %d rows to %s" % (len(lines), out))
 
 
 @main.command()
@@ -269,28 +295,22 @@ def sweep(spec, approx, axes, out, workers):
             set_param(spec, path, v)
     paths = [p for p, _ in parsed]
     params = [_resolve(spec, p) for p in paths]
-    points = list(itertools.product(*(grid for _, grid in parsed)))
-    tasks = [(spec, approx, params, points[i:i + BATCH]) for i in range(0, len(points), BATCH)]
+    for path, (_, name, _) in zip(paths, params):
+        if name not in SPEC_FIELDS + DRIVE_FIELDS:  # n_mech: the table's shape, not a number in it
+            raise ConfigError("%s cannot be swept" % path)
+    points = np.array(list(itertools.product(*(grid for _, grid in parsed))))
+    chunks = [points[i:i + BATCH] for i in range(0, len(points), BATCH)]
+    tasks = [(spec, approx, params, chunk) for chunk in chunks]
 
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_sweep_eval, tasks))
+            batches = list(pool.map(_sweep_eval, tasks))
     else:
-        chunks = map(_sweep_eval, tasks)  # lazy: one chunk's drifts alive at a time
-    reports = itertools.chain.from_iterable(chunks)
-
-    n = spec.n_mech
-    rows = []
-    for vals, rep in zip(points, reports):
-        row = [_fmt(v) for v in vals]
-        if rep.stable:
-            row += [_fmt(x) for x in rep.n_f] + [_fmt(rep.n_cav)]
-        else:
-            row += [""] * (n + 1)  # unstable: empty observable cells
-        rows.append(row + ["true" if rep.stable else "false", _fmt(rep.spectral_abscissa)])
-    header = paths + ["n_f_%d" % (j + 1) for j in range(n)] + \
+        batches = map(_sweep_eval, tasks)  # lazy: one chunk's stacks alive at a time
+    lines = [line for chunk, batch in zip(chunks, batches) for line in _sweep_lines(chunk, batch)]
+    header = paths + ["n_f_%d" % (j + 1) for j in range(spec.n_mech)] + \
         ["n_cav", "stable", "spectral_abscissa"]
-    _write_csv(out, spec, approx, header, rows)
+    _write_csv(out, spec, approx, header, lines)
 
 
 @main.command()
@@ -316,10 +336,10 @@ def spectrum(spec, approx, omega_min, omega_max, points, out):
     lam_res = spectra.lambda_analytic(coop, spec.theta[0])
     tcols = ["T_%s%s" % vw for vw in itertools.product(["a", "b1", "b2"], repeat=2)]
     pt = spectra.scan_point(drift, np.linspace(omega_min, omega_max, points), coop)
-    rows = [[_fmt(x) for x in (w, *t.reshape(-1), lam[2, 1], lam[1, 2], lam_res)]
-            for w, t, lam in zip(pt.omega, pt.t, pt.lambda_rel)]
+    cells = np.column_stack([pt.omega, pt.t.reshape(points, -1), pt.lambda_rel[:, 2, 1],
+                             pt.lambda_rel[:, 1, 2], np.full(points, lam_res)])
     header = ["omega"] + tcols + ["Lambda_b2b1", "Lambda_b1b2", "Lambda_analytic_resonant"]
-    _write_csv(out, spec, approx, header, rows)
+    _write_csv(out, spec, approx, header, [",".join(map(repr, row)) for row in cells.tolist()])
 
 
 @main.command("modes")

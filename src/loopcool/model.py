@@ -7,6 +7,12 @@ fluctuation ordering everywhere is
     u = [da, db_1 ... db_N, da^+, db_1^+ ... db_N^+]
 
 so the drift matrix has the conjugate block structure A = [[X, Y], [Y*, X*]].
+
+Drifts are built in stacks: `param_table` lays a spec's numbers out as arrays
+with a leading batch axis, a caller may overwrite rows or columns of it (a
+sweep writes its grid values there), and `drift_stack` turns the table into
+(G, 2N+2, 2N+2) drift and noise stacks with elementwise arithmetic.
+`build_drift` is the batch of one, so there is a single builder.
 """
 
 import cmath
@@ -147,8 +153,29 @@ class DriftModel:
 ORDERING = "u = [da, db_1..db_N, da^+, db_1^+..db_N^+]"
 
 
-def mechanical_matrix(spec):
-    """Hermitian N x N phonon matrix H of the chain.
+#: the numbers of a spec, then of a Linearized drive, as named in a parameter table
+SPEC_FIELDS = ("omega_m", "kappa", "gamma", "nbar", "eta", "theta")
+DRIVE_FIELDS = ("delta", "g_lin")
+
+
+def param_table(spec, size=1):
+    """Parameter table of `size` copies of spec: field name -> float array.
+
+    Each array has a leading batch axis: shape (size,) for a scalar field,
+    (size, len) for a tuple field.  The fields are SPEC_FIELDS and, for a
+    Linearized drive, DRIVE_FIELDS.  Every array is a fresh copy, so a caller
+    may overwrite rows or columns (e.g. a sweep's axis values) without
+    touching spec.
+    """
+    owners = [(spec, SPEC_FIELDS)]
+    if isinstance(spec.drive, Linearized):
+        owners.append((spec.drive, DRIVE_FIELDS))
+    return {name: np.array([getattr(owner, name)] * size, float)
+            for owner, names in owners for name in names}
+
+
+def mechanical_stack(table):
+    """Hermitian N x N phonon matrices H, one per row of a parameter table.
 
     H_jj = omega_j and H_{j,j+1} = eta_j e^{i theta_j}: the hopping term
     eta_j (e^{i theta_j} b_j^+ b_{j+1} + h.c.) of the loop.  This is the one
@@ -156,13 +183,20 @@ def mechanical_matrix(spec):
     fixed point, the normal modes and the adiabatic limits all take their
     hops from it.
     """
-    n = spec.n_mech
-    h = np.zeros((n, n), complex)
-    h.flat[::n + 1] = spec.omega_m
-    hops = np.exp(1j * np.array(spec.theta)) * spec.eta
-    h.flat[1::n + 1] = hops
-    h.flat[n::n + 1] = hops.conj()
+    omega = table["omega_m"]
+    size, n = omega.shape
+    h = np.zeros((size, n, n), complex)
+    flat = h.reshape(size, n * n)  # a square matrix's (0, +1, -1) diagonals are strided slices
+    flat[:, ::n + 1] = omega
+    hops = np.exp(1j * table["theta"]) * table["eta"]
+    flat[:, 1::n + 1] = hops
+    flat[:, n::n + 1] = hops.conj()
     return h
+
+
+def mechanical_matrix(spec):
+    """The phonon matrix H of one spec (see mechanical_stack)."""
+    return mechanical_stack(param_table(spec))[0]
 
 
 #: damping factor of the Picard iteration for the classical fixed point
@@ -224,41 +258,69 @@ def to_linearized(spec):
     return spec.with_(drive=Linearized(delta=st.delta_eff, g_lin=g_lin))
 
 
-def build_drift(spec, approx=CouplingApprox()):
-    """Drift, raw-correlation, and symmetrized noise matrices for the spec."""
-    if isinstance(spec.drive, Physical):
-        spec = to_linearized(spec)
-    dim = spec.n_mech + 1
-    h = mechanical_matrix(spec)
-    g = -1j * np.array(spec.drive.g_lin)
-    a = np.zeros((2 * dim, 2 * dim), complex)
-    x = a[:dim, :dim]  # annihilation block
-    y = a[:dim, dim:]  # cross block to daggered operators
-    x[0, 0] = -(spec.kappa + 1j * spec.drive.delta)
-    x[0, 1:] = x[1:, 0] = g  # G_j is real (Linearized stores floats)
+def drift_stack(table, approx=CouplingApprox()):
+    """Drift, raw-correlation and symmetrized noise stacks (A, C, Q) of a parameter table.
+
+    The one drift builder: each is (size, 2N+2, 2N+2), row k built from row k
+    of every table field with elementwise arithmetic only, so a row does not
+    depend on the rest of the batch.  The table needs a Linearized drive.
+    """
+    h = mechanical_stack(table)
+    size, n, _ = h.shape
+    dim = n + 1
+    g = -1j * table["g_lin"]
+    a = np.zeros((size, 2 * dim, 2 * dim), complex)
+    x = a[:, :dim, :dim]  # annihilation block
+    y = a[:, :dim, dim:]  # cross block to daggered operators
+    x[:, 0, 0] = -(table["kappa"] + 1j * table["delta"])
+    x[:, 0, 1:] = x[:, 1:, 0] = g  # G_j is real (Linearized stores floats)
     mech = -1j * h
-    mech.flat[::dim] -= spec.gamma  # -i H - diag(gamma)
-    x[1:, 1:] = mech
+    mech.reshape(size, n * n)[:, ::n + 1] -= table["gamma"]  # -i H - diag(gamma)
+    x[:, 1:, 1:] = mech
     if approx.optomechanical == FULL:
-        y[0, 1:] = y[1:, 0] = g
+        y[:, 0, 1:] = y[:, 1:, 0] = g
     if approx.mechanical == FULL:
         # counter-rotating part of eta (e^{i th} b_j^+ + e^{-i th} b_j)(b_{j+1} + b_{j+1}^+)
         up = np.triu(h, 1)
-        y[1:, 1:] = -1j * (up + up.T)
-    np.conjugate(y, out=a[dim:, :dim])
-    np.conjugate(x, out=a[dim:, dim:])
-    c, q = build_noise(spec)
-    return DriftModel(a=a, q=q, c=c, ordering=ORDERING, approx=approx, spec=spec)
+        y[:, 1:, 1:] = -1j * (up + up.swapaxes(-1, -2))
+    np.conjugate(y, out=a[:, dim:, :dim])
+    np.conjugate(x, out=a[:, dim:, dim:])
+    c, q = noise_stack(table)
+    return a, c, q
+
+
+def _diagonal(stack, row, col, length):
+    """Writable view of `length` diagonal entries from (row, col) on, in each
+    matrix of a C-contiguous (size, m, m) stack (a block's diagonal)."""
+    size, m, _ = stack.shape
+    return stack.reshape(size, m * m)[:, row * m + col::m + 1][:, :length]
+
+
+def noise_stack(table):
+    """Raw bath-correlation stack C and its symmetrization Q = (C + C^T)/2."""
+    gamma, nbar = table["gamma"], table["nbar"]
+    size, n = gamma.shape
+    dim = n + 1
+    two_gamma = 2.0 * gamma
+    c = np.zeros((size, 2 * dim, 2 * dim))
+    c[:, 0, dim] = 2.0 * table["kappa"]  # cavity bath at vacuum
+    _diagonal(c, 1, dim + 1, n)[:] = two_gamma * (nbar + 1.0)
+    _diagonal(c, dim + 1, 1, n)[:] = two_gamma * nbar
+    q = 0.5 * (c + c.swapaxes(-1, -2))
+    return c, q
+
+
+def build_drift(spec, approx=CouplingApprox()):
+    """Drift, raw-correlation, and symmetrized noise matrices for the spec.
+
+    The batch of one of drift_stack; a Physical drive is linearized first.
+    """
+    spec = to_linearized(spec)
+    a, c, q = drift_stack(param_table(spec), approx)
+    return DriftModel(a=a[0], q=q[0], c=c[0], ordering=ORDERING, approx=approx, spec=spec)
 
 
 def build_noise(spec):
     """Raw bath-correlation matrix C and its symmetrization Q = (C + C^T)/2."""
-    n = spec.n_mech
-    dim = n + 1
-    c = np.zeros((2 * dim, 2 * dim))
-    c[0, dim] = 2.0 * spec.kappa  # cavity bath at vacuum
-    for j in range(n):
-        c[1 + j, dim + 1 + j] = 2.0 * spec.gamma[j] * (spec.nbar[j] + 1.0)
-        c[dim + 1 + j, 1 + j] = 2.0 * spec.gamma[j] * spec.nbar[j]
-    q = 0.5 * (c + c.T)
-    return c, q
+    c, q = noise_stack(param_table(spec))
+    return c[0], q[0]

@@ -2,7 +2,8 @@
 
 The covariance matrix V solves A V + V A^T = -Q (plain transpose, complex A,
 matching the operator-ordered correlation matrix).  One engine serves every
-caller.  It stacks the drifts of a batch and runs one eigendecomposition
+caller.  It takes a stack of drifts and their noise matrices (as
+`model.drift_stack` builds them) and runs one eigendecomposition
 A = W diag(lambda) W^-1 per drift (`_eig`).  The eigenvalues give the verdict:
 a drift is stable iff its spectral abscissa is below STABILITY_MARGIN, the one
 margin used everywhere.  For the stable drifts the eigenvectors give V by the
@@ -19,9 +20,10 @@ So each solution's normwise backward error
 
 is checked, and a drift whose error is not <= BACKWARD_ERROR_TOL is solved
 again by the Schur-based `scipy.linalg.solve_sylvester`; its report says
-solver = "schur" instead of "eig".  `cool_many` is the batched entry point;
-`cool`, `cool_or_flag`, `stability_check` and `lyapunov_solve` are batches of
-one, so every command gives the same verdict for the same drift.
+solver = "schur" instead of "eig".  `cool_many` is the batched entry point:
+it returns one CoolingReport of arrays over the stack, with no per-drift
+object.  `cool`, `cool_or_flag`, `stability_check` and `lyapunov_solve` are
+batches of one, so every command gives the same verdict for the same drift.
 """
 
 import math
@@ -44,6 +46,8 @@ BACKWARD_ERROR_TOL = 1e-13
 
 @dataclass
 class CoolingReport:
+    """One drift's steady state; from cool_many, every field has a leading batch axis."""
+
     n_f: np.ndarray
     n_cav: float
     stable: bool
@@ -143,29 +147,30 @@ def phonon_numbers(v, n_mech):
                          spectral_abscissa=math.nan, residual=math.nan)
 
 
-def cool_many(drifts):
-    """One report per drift (all of one shape); unstable drifts get NaN occupations.
+def cool_many(a, q):
+    """Reports for a stack of drifts a (G, n, n) with noise q (G, n, n).
 
     The batched engine: one eigendecomposition per drift, then the Lyapunov
-    solve and phonon extraction for the stable ones.
+    solve and phonon extraction for the stable ones.  Returns one
+    CoolingReport whose fields are arrays over the G drifts: n_f (G, N),
+    n_cav, stable, spectral_abscissa, residual (G,), and solver, an object
+    array of "eig", "schur" or None.  Unstable drifts get NaN occupations and
+    residual and no solver.
     """
-    a = np.stack([d.a for d in drifts]).astype(complex, copy=False)
-    q = np.stack([d.q for d in drifts])
-    n_mech = a.shape[-1] // 2 - 1
+    a = np.asarray(a).astype(complex, copy=False)
+    size, n_mech = len(a), a.shape[-1] // 2 - 1
     lam, w = _eig(a)
     abscissa = lam.real.max(axis=-1)
-    stable = np.flatnonzero(abscissa < STABILITY_MARGIN)
-    reports = [CoolingReport(n_f=np.full(n_mech, math.nan), n_cav=math.nan, stable=False,
-                             spectral_abscissa=float(x), residual=math.nan)
-               for x in abscissa]
-    if stable.size:
-        v, residual, solver = _solve(a[stable], q[stable], lam[stable], w[stable])
-        n_f, n_cav = _occupations(v, n_mech)
-        for k, i in enumerate(stable):
-            reports[i] = CoolingReport(n_f=n_f[k], n_cav=float(n_cav[k]), stable=True,
-                                       spectral_abscissa=float(abscissa[i]),
-                                       residual=float(residual[k]), solver=solver[k])
-    return reports
+    stable = abscissa < STABILITY_MARGIN
+    batch = CoolingReport(n_f=np.full((size, n_mech), math.nan),
+                          n_cav=np.full(size, math.nan), stable=stable,
+                          spectral_abscissa=abscissa, residual=np.full(size, math.nan),
+                          solver=np.full(size, None, object))
+    k = np.flatnonzero(stable)
+    if k.size:
+        v, batch.residual[k], batch.solver[k] = _solve(a[k], q[k], lam[k], w[k])
+        batch.n_f[k], batch.n_cav[k] = _occupations(v, n_mech)
+    return batch
 
 
 def cool(drift):
@@ -181,4 +186,8 @@ def cool_or_flag(drift):
 
     Used where a single unstable point must not abort the run.
     """
-    return cool_many([drift])[0]
+    batch = cool_many(drift.a[None], drift.q[None])
+    return CoolingReport(n_f=batch.n_f[0], n_cav=float(batch.n_cav[0]),
+                         stable=bool(batch.stable[0]),
+                         spectral_abscissa=float(batch.spectral_abscissa[0]),
+                         residual=float(batch.residual[0]), solver=batch.solver[0])

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,7 +11,13 @@ from click.testing import CliRunner
 from loopcool import cli, model, steadystate
 from loopcool.cli import main, parse_axis, set_param
 from loopcool.errors import ConfigError, NoConvergence, NoFixedPoint
-from loopcool.presets import get_preset
+from loopcool.presets import _chain, get_preset
+
+DATA = pathlib.Path(__file__).parent / "data"
+TWO_PI = 2.0 * math.pi
+APPROXES = [model.CouplingApprox(om, mech) for om in ("full", "rwa") for mech in ("full", "rwa")]
+N1_CONFIG = dict(n_mech=1, eta="", theta="", drive_lines=(
+    "type = linearized", "delta = 1.0", "g_lin = 0.1"))
 
 
 @pytest.fixture
@@ -264,8 +272,79 @@ def test_sweep_chunks_and_workers_do_not_change_the_csv(runner, tmp_path, monkey
     assert run("single.csv") == serial
 
 
+SPECS = {
+    "n1": lambda: get_preset("fig2").with_(n_mech=1, omega_m=(1.0,), gamma=(1e-5,),
+                                           nbar=(1e3,), eta=(), theta=(),
+                                           drive=model.Linearized(delta=1.0, g_lin=(0.1,))),
+    "chain16": lambda: _chain(16, 0.1, 0.1, math.pi / 2),
+}
+
+
+#: (spec, axis paths, rows of axis values): every kind of path, N = 4, 1 and 16
+CHUNKS = [
+    ("figS11", ["kappa"], [[0.05], [0.3], [1.0]]),
+    ("figS11", ["eta[1]"], [[0.0], [0.02], [0.3]]),
+    ("figS11", ["theta[2]"], [[t] for t in [-7.0, -0.0, -1e-300, 0.5, TWO_PI, 13.0,
+                                            *np.linspace(-20.0, 20.0, 41)]]),
+    ("figS11", ["omega_m[3]"], [[0.5], [1.0], [2.0]]),
+    ("figS11", ["gamma[0]"], [[1e-6], [1e-3]]),
+    ("figS11", ["nbar[2]"], [[0.0], [10.0], [1e4]]),
+    ("figS11", ["drive.delta"], [[-1.0], [0.0], [2.0]]),
+    ("figS11", ["drive.g_lin[1]"], [[0.0], [0.05], [0.2]]),
+    ("figS11", ["theta[0]", "theta[2]"], [[0.25, -3.0], [9.0, 0.5]]),
+    ("figS11", ["kappa", "kappa"], [[0.1, 0.2], [0.3, 0.4]]),
+    ("figS11", ["drive.delta", "drive.g_lin[0]"], [[0.9, 0.2], [-0.5, 0.0]]),
+    ("n1", ["drive.g_lin[0]", "kappa"], [[0.0, 0.1], [0.3, 0.5], [0.1, 2.0]]),
+    ("chain16", ["theta[14]", "eta[3]"], [[-1.0, 0.0], [7.0, 0.3]]),
+]
+
+
+@pytest.mark.parametrize("spec, paths, rows", CHUNKS,
+                         ids=["%s-%s" % (spec, "+".join(paths)) for spec, paths, _ in CHUNKS])
+def test_chunk_table_builds_the_drifts_of_set_param(spec, paths, rows):
+    # a sweep's stacked drifts equal, bit for bit, the drifts of the specs set_param makes
+    spec = SPECS[spec]() if spec in SPECS else get_preset(spec)
+    params = [cli._resolve(spec, p) for p in paths]
+    specs = []
+    for row in rows:
+        point = spec
+        for path, value in zip(paths, row):
+            point = set_param(point, path, value)
+        specs.append(point)
+    for approx in APPROXES:
+        a, c, q = model.drift_stack(cli._chunk_table(spec, params, np.array(rows)), approx)
+        for k, point in enumerate(specs):
+            d = model.build_drift(point, approx)
+            assert a[k].tobytes() == d.a.tobytes()
+            assert q[k].tobytes() == d.q.tobytes() and c[k].tobytes() == d.c.tobytes()
+
+
+@pytest.mark.parametrize("name, source, args", [
+    ("sweep_n1", "n1", ["--axis", "drive.delta=-1.5:1.5:13",
+                        "--axis", "drive.g_lin[0]=0.02:0.3:5"]),
+    ("sweep_mech_full", "fig2", ["--mech-full", "--axis", "drive.delta=-1.2:1.2:9",
+                                 "--axis", "theta[0]=-3:9:9"]),
+], ids=["n1", "mech_full"])
+def test_sweep_matches_reference_csv(runner, tmp_path, name, source, args):
+    # the reference CSVs come from the per-point implementation of sweep
+    src = (["--config", write_config(tmp_path / "n1.ini", **N1_CONFIG)] if source == "n1"
+           else ["--preset", source])
+    out = tmp_path / "sweep.csv"
+    res = runner.invoke(main, ["sweep", *src, *args, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert body_lines(out) == (DATA / (name + ".csv")).read_text().splitlines()
+
+
+def test_sweep_rejects_n_mech_axis(runner, tmp_path):
+    out = tmp_path / "s.csv"
+    res = runner.invoke(main, ["sweep", "--preset", "fig2", "--axis", "n_mech=2:2:2",
+                               "--out", str(out)])
+    assert_one_line(res, 2, "config error: n_mech cannot be swept")
+    assert not out.exists()
+
+
 def test_sweep_missing_out_directory_is_config_error(runner, tmp_path, monkeypatch):
-    def fail(drifts):
+    def fail(a, q):
         raise AssertionError("a grid point ran before the --out check")
 
     monkeypatch.setattr("loopcool.steadystate.cool_many", fail)
@@ -277,7 +356,7 @@ def test_sweep_missing_out_directory_is_config_error(runner, tmp_path, monkeypat
 
 
 def test_sweep_out_is_a_directory_is_config_error(runner, tmp_path, monkeypatch):
-    def fail(drifts):
+    def fail(a, q):
         raise AssertionError("a grid point ran before the --out check")
 
     monkeypatch.setattr("loopcool.steadystate.cool_many", fail)
@@ -297,6 +376,37 @@ def test_sweep_rejects_workers_below_one(runner, tmp_path, workers):
     assert res.exit_code == 2, res.output
     assert "Invalid value for '--workers'" in res.stderr
     assert not out.exists()
+
+
+FIG3_SPECTRUM = ["spectrum", "--preset", "fig3", "--points", "5"]
+FIG2_SWEEP = ["sweep", "--preset", "fig2", "--axis", "kappa=0.1:0.3:3"]
+
+
+@pytest.mark.parametrize("command", [FIG2_SWEEP, FIG3_SPECTRUM], ids=["sweep", "spectrum"])
+def test_unwritable_out_directory_is_config_error(runner, tmp_path, monkeypatch, command):
+    # root ignores permission bits, so the directory's refusal is simulated
+    def fail(*args):
+        raise AssertionError("a point ran before the --out check")
+
+    monkeypatch.setattr("loopcool.steadystate.cool_many", fail)
+    monkeypatch.setattr("loopcool.spectra.scan_point", fail)
+    monkeypatch.setattr(os, "access", lambda path, mode: mode != os.W_OK)
+    out = tmp_path / "s.csv"
+    res = runner.invoke(main, command + ["--out", str(out)])
+    assert_one_line(res, 2, "config error: output directory %r is not writable" % str(tmp_path))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [FIG2_SWEEP, FIG3_SPECTRUM], ids=["sweep", "spectrum"])
+def test_csv_write_failure_is_one_error_line(runner, tmp_path, monkeypatch, command):
+    def refuse(path, mode="r"):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    out = tmp_path / "s.csv"
+    res = runner.invoke(main, command + ["--out", str(out)])
+    assert_one_line(res, 1, "error: PermissionError: [Errno 13] Permission denied: %r" % str(out))
+    assert res.stdout == ""
 
 
 # --- spectrum -----------------------------------------------------------
@@ -344,7 +454,13 @@ def test_every_command_flags_the_shifted_point(runner, tmp_path, monkeypatch):
         _, abscissa = steadystate.stability_check(d)
         return dataclasses.replace(d, a=d.a - (abscissa + 1e-11) * np.eye(d.a.shape[0]))
 
+    def shifted_stack(table, approx=model.CouplingApprox()):  # what sweep builds
+        a, c, q = model.drift_stack(table, approx)
+        abscissa = np.linalg.eig(a)[0].real.max(axis=-1)
+        return a - (abscissa + 1e-11)[:, None, None] * np.eye(a.shape[-1]), c, q
+
     monkeypatch.setattr(cli, "build_drift", shifted)
+    monkeypatch.setattr(cli, "drift_stack", shifted_stack)
     res = runner.invoke(main, ["cool", "--preset", "fig2"])
     assert res.exit_code == 3 and not json.loads(res.stdout)["stable"]
     res = runner.invoke(main, ["stability", "--preset", "fig2"])
@@ -466,7 +582,7 @@ def test_sweep_invalid_value_keeps_existing_file(runner, tmp_path):
 
 
 def test_sweep_validates_every_axis_value_before_running(runner, tmp_path, monkeypatch):
-    def fail(drifts):
+    def fail(a, q):
         raise AssertionError("a grid point ran before the axis check")
 
     monkeypatch.setattr("loopcool.steadystate.cool_many", fail)
@@ -476,7 +592,7 @@ def test_sweep_validates_every_axis_value_before_running(runner, tmp_path, monke
 
 
 def test_sweep_numerical_failure_is_not_config_error(runner, tmp_path, monkeypatch):
-    def fail(drifts):
+    def fail(a, q):
         raise NoConvergence("eigenvalue iteration failed")
 
     monkeypatch.setattr("loopcool.steadystate.cool_many", fail)

@@ -4,8 +4,8 @@ import pytest
 from loopcool import numkit
 from loopcool.errors import InvalidSpec
 from loopcool.model import (FULL, RWA, CouplingApprox, Linearized, Physical,
-                            SystemSpec, build_drift, build_noise, linearize,
-                            mechanical_matrix, to_linearized)
+                            SystemSpec, build_drift, build_noise, drift_stack, linearize,
+                            mechanical_matrix, param_table, to_linearized)
 from loopcool.presets import PRESETS
 
 APPROXES = [CouplingApprox(om, mech) for om in (FULL, RWA) for mech in (FULL, RWA)]
@@ -179,8 +179,8 @@ def _build_drift_per_entry(spec, approx):
     return np.block([[x, y], [np.conj(y), np.conj(x)]])
 
 
-def _random_chain(rng):
-    n = int(rng.integers(1, 9))
+def _random_chain(rng, n=None):
+    n = int(rng.integers(1, 9)) if n is None else n
     # a third of the phases sit on the real axis (0 or pi), the rest anywhere
     theta = np.where(rng.random(n - 1) < 1 / 3, rng.choice([0.0, np.pi], n - 1),
                      rng.uniform(0.0, 2 * np.pi, n - 1))
@@ -207,6 +207,54 @@ def test_drift_matches_per_entry_reference_random_chains():
         for approx in APPROXES:
             assert np.array_equal(build_drift(spec, approx).a,
                                   _build_drift_per_entry(spec, approx))
+
+
+def _same_bits(x, y):
+    """Equal to the last bit, signed zeros included."""
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _table_of(specs):
+    """One parameter table holding spec k in row k."""
+    tables = [param_table(spec) for spec in specs]
+    return {name: np.concatenate([t[name] for t in tables]) for name in tables[0]}
+
+
+@pytest.mark.parametrize("approx", APPROXES, ids=lambda a: "%s-%s" % (
+    a.optomechanical, a.mechanical))
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_drift_stack_rows_equal_build_drift_presets(preset, approx):
+    spec = PRESETS[preset]()
+    d = build_drift(spec, approx)
+    a, c, q = drift_stack(param_table(spec, 3), approx)
+    assert a.shape == c.shape == q.shape == (3,) + d.a.shape
+    for k in range(3):
+        assert _same_bits(a[k], d.a) and _same_bits(c[k], d.c) and _same_bits(q[k], d.q)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_drift_stack_of_g_equals_g_batches_of_one(n):
+    # a row's drift never depends on the other rows (n = 1 has no hops at all)
+    rng = np.random.default_rng(n)
+    specs = [_random_chain(rng, n) for _ in range(9)]
+    for approx in APPROXES:
+        a, c, q = drift_stack(_table_of(specs), approx)
+        for k, spec in enumerate(specs):
+            d = build_drift(spec, approx)
+            assert _same_bits(a[k], d.a) and _same_bits(c[k], d.c) and _same_bits(q[k], d.q)
+            assert np.array_equal(a[k], _build_drift_per_entry(spec, approx))
+
+
+def test_param_table_is_a_copy():
+    spec = two_mode()
+    table = param_table(spec, 2)
+    assert table["theta"].shape == (2, 1) and table["kappa"].shape == (2,)
+    assert set(table) == {"omega_m", "kappa", "gamma", "nbar", "eta", "theta",
+                          "delta", "g_lin"}
+    for column in table.values():
+        column[...] = 7.0
+    assert spec == two_mode()
+    assert "delta" not in param_table(physical_spec())
 
 
 def test_drift_conjugate_block_structure():

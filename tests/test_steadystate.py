@@ -14,6 +14,11 @@ from loopcool.steadystate import (cool, cool_many, cool_or_flag, lyapunov_residu
                                   stability_check)
 
 
+def stacked(drifts):
+    """The (a, q) stacks that cool_many takes."""
+    return np.stack([d.a for d in drifts]), np.stack([d.q for d in drifts])
+
+
 def manual_drift(a, q):
     return DriftModel(a=np.asarray(a, complex), q=np.asarray(q, complex),
                       c=np.asarray(q, complex), ordering="manual",
@@ -237,10 +242,10 @@ def test_singular_eigenvector_stack_falls_back_to_schur(monkeypatch):
 
     drifts = [build_drift(get_preset(name)) for name in ("fig2", "fig3")]
     monkeypatch.setattr(np.linalg, "inv", singular)
-    reports = cool_many(drifts)
-    assert [r.solver for r in reports] == ["schur", "schur"]
-    for d, rep in zip(drifts, reports):
-        assert np.array_equal(rep.n_f, phonon_numbers(_schur(d), 2).n_f)
+    batch = cool_many(*stacked(drifts))
+    assert batch.solver.tolist() == ["schur", "schur"]
+    for d, n_f in zip(drifts, batch.n_f):
+        assert np.array_equal(n_f, phonon_numbers(_schur(d), 2).n_f)
 
 
 def test_fig2_zero_detuning_column_matches_schur():
@@ -249,13 +254,13 @@ def test_fig2_zero_detuning_column_matches_schur():
     drifts = [build_drift(base.with_(theta=(th,), drive=Linearized(delta=0.0,
                                                                    g_lin=base.drive.g_lin)))
               for th in np.linspace(0.0, 2.0 * math.pi, 33)]
-    reports = cool_many(drifts)
-    assert all(r.stable for r in reports)
-    assert any(r.solver == "schur" for r in reports)
-    for d, rep in zip(drifts, reports):
+    batch = cool_many(*stacked(drifts))
+    assert batch.stable.all()
+    assert "schur" in batch.solver.tolist()
+    for d, n_f, n_cav in zip(drifts, batch.n_f, batch.n_cav):
         want = phonon_numbers(_schur(d), 2)
-        assert np.all(np.abs(rep.n_f - want.n_f) <= 1e-12 * (np.abs(want.n_f) + 0.5))
-        assert abs(rep.n_cav - want.n_cav) <= 1e-12 * (abs(want.n_cav) + 0.5)
+        assert np.all(np.abs(n_f - want.n_f) <= 1e-12 * (np.abs(want.n_f) + 0.5))
+        assert abs(n_cav - want.n_cav) <= 1e-12 * (abs(want.n_cav) + 0.5)
 
 
 def test_batch_equals_batches_of_one():
@@ -264,11 +269,12 @@ def test_batch_equals_batches_of_one():
     drifts = [build_drift(base.with_(theta=(th,), drive=Linearized(delta=dl,
                                                                    g_lin=base.drive.g_lin)))
               for dl in (-1.0, 0.0, 0.7, 1.0) for th in np.linspace(0.0, 6.0, 5)]
-    batch = cool_many(drifts)
-    assert {r.stable for r in batch} == {True, False}
-    for d, rep in zip(drifts, batch):
+    batch = cool_many(*stacked(drifts))
+    assert set(batch.stable.tolist()) == {True, False}
+    for i, d in enumerate(drifts):
         one = cool_or_flag(d)
-        assert one.stable == rep.stable and one.solver == rep.solver
-        assert one.spectral_abscissa == rep.spectral_abscissa
-        assert np.array_equal(one.n_f, rep.n_f, equal_nan=True)
-        assert one.n_cav == rep.n_cav or (math.isnan(one.n_cav) and math.isnan(rep.n_cav))
+        assert one.stable == batch.stable[i] and one.solver == batch.solver[i]
+        assert one.spectral_abscissa == batch.spectral_abscissa[i]
+        assert np.array_equal(one.n_f, batch.n_f[i], equal_nan=True)
+        assert one.n_cav == batch.n_cav[i] or (math.isnan(one.n_cav)
+                                               and math.isnan(batch.n_cav[i]))
