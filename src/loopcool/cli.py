@@ -37,8 +37,29 @@ def _provenance(approx):
     }
 
 
+def _plain(x):
+    """x in JSON's terms: containers and arrays element by element, a complex
+    number as [re, im], NaN and +-inf as None, numpy scalars as Python ones."""
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in x]
+    if isinstance(x, np.generic):
+        x = x.item()
+    if isinstance(x, complex):
+        return [_plain(x.real), _plain(x.imag)]
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    return x
+
+
+def _json(payload):
+    """The one JSON encoder of the CLI's output; strict JSON, with no NaN or Infinity."""
+    return json.dumps(_plain(payload), indent=2, sort_keys=True, allow_nan=False)
+
+
 def _emit_json(payload):
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    click.echo(_json(payload))
 
 
 def _load_spec(config, preset):
@@ -108,11 +129,11 @@ def cool(spec, approx):
     report = steadystate.cool_or_flag(drift)
     payload = {
         "spec": spec_to_dict(spec),
-        "n_f": [None if math.isnan(x) else x for x in report.n_f],
-        "n_cav": None if math.isnan(report.n_cav) else report.n_cav,
+        "n_f": report.n_f,
+        "n_cav": report.n_cav,
         "stable": report.stable,
         "spectral_abscissa": report.spectral_abscissa,
-        "residual": None if math.isnan(report.residual) else report.residual,
+        "residual": report.residual,
         "provenance": _provenance(approx),
     }
     if spec.n_mech == 2 and report.stable:
@@ -123,8 +144,7 @@ def cool(spec, approx):
             except DomainError as exc:  # the steady state stands without its limit
                 payload["limits"] = {"unavailable": str(exc)}
             else:
-                n1s, n2s = limits.cooling_limit_simplified(eff, spec)
-                payload["limits"] = {"simplified": [n1s, n2s],
+                payload["limits"] = {"simplified": limits.cooling_limit_simplified(eff, spec),
                                      "warnings": [str(w.message) for w in caught]}
     _emit_json(payload)
     if not report.stable:
@@ -148,11 +168,9 @@ _PATH_RE = re.compile(r"^(drive\.)?([a-z_]+)(?:\[(\d+)\])?$")
 
 
 def _resolve(spec, path):
-    """(on_drive, name, index or None) for a parameter path of spec.
-
-    Paths: kappa, eta[0], theta[0], omega_m[1], gamma[0], nbar[0],
-    drive.delta, drive.g_lin[0].
-    """
+    """(on_drive, name, index or None) for a path of spec that names a number of its
+    parameter table: kappa, eta[0], theta[0], omega_m[1], gamma[0], nbar[0],
+    drive.delta, drive.g_lin[0].  Any other path is a ConfigError."""
     m = _PATH_RE.match(path)
     if not m:
         raise ConfigError("bad parameter path %r" % path)
@@ -164,36 +182,29 @@ def _resolve(spec, path):
     if isinstance(cur, tuple):
         if idx is None:
             raise ConfigError("%s is a list; use %s[i]" % (path, path))
-        i = int(idx)
-        if not 0 <= i < len(cur):
+        idx = int(idx)
+        if not 0 <= idx < len(cur):
             raise ConfigError("index out of range in %r" % path)
-        return on_drive, name, i
-    if idx is not None:
+    elif idx is not None:
         raise ConfigError("%s is scalar; drop the index" % path)
-    return on_drive, name, None
-
-
-def _with_values(spec, params, values):
-    """Copy of spec with each resolved parameter set to its value, in one validated copy."""
-    fields, drive_fields = {}, {}
-    for (on_drive, name, i), value in zip(params, values):
-        owner = drive_fields if on_drive else fields
-        if i is None:
-            owner[name] = value
-        else:
-            cur = owner.get(name, getattr(spec.drive if on_drive else spec, name))
-            owner[name] = cur[:i] + (value,) + cur[i + 1:]
-    try:
-        if drive_fields:
-            fields["drive"] = type(spec.drive)(**{**spec.drive.__dict__, **drive_fields})
-        return spec.with_(**fields)
-    except InvalidSpec as exc:
-        raise ConfigError(str(exc)) from None
+    if name not in (DRIVE_FIELDS if on_drive else SPEC_FIELDS):  # e.g. n_mech: the table's shape
+        raise ConfigError("%s cannot be swept" % path)
+    return on_drive, name, idx
 
 
 def set_param(spec, path, value):
-    """Return a copy of spec with the parameter at `path` replaced (paths as in _resolve)."""
-    return _with_values(spec, [_resolve(spec, path)], [value])
+    """Validated copy of spec with the parameter at `path` (as in _resolve) set to value."""
+    on_drive, name, i = _resolve(spec, path)
+    owner = spec.drive if on_drive else spec
+    if i is not None:
+        cur = getattr(owner, name)
+        value = cur[:i] + (value,) + cur[i + 1:]
+    try:
+        if on_drive:
+            return spec.with_(drive=dataclasses.replace(spec.drive, **{name: value}))
+        return spec.with_(**{name: value})
+    except InvalidSpec as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def parse_axis(raw):
@@ -270,7 +281,7 @@ def _write_csv(out, spec, approx, header, lines):
     """Write the header and the CSV lines under '# '-commented JSON metadata."""
     meta = {"spec": spec_to_dict(spec), "provenance": _provenance(approx)}
     with open(out, "w") as fh:
-        for line in json.dumps(meta, indent=2, sort_keys=True).splitlines():
+        for line in _json(meta).splitlines():
             fh.write("# %s\n" % line)
         fh.write(",".join(header) + "\n")
         fh.writelines(line + "\n" for line in lines)
@@ -290,14 +301,11 @@ def sweep(spec, approx, axes, out, workers):
     if len(axes) > 2:
         raise ConfigError("at most two --axis options")
     parsed = [(path, grid.tolist()) for path, grid in map(parse_axis, axes)]
+    paths = [p for p, _ in parsed]
+    params = [_resolve(spec, p) for p in paths]
     for path, grid in parsed:  # spec rules are per field: no grid point can fail them later
         for v in grid:
             set_param(spec, path, v)
-    paths = [p for p, _ in parsed]
-    params = [_resolve(spec, p) for p in paths]
-    for path, (_, name, _) in zip(paths, params):
-        if name not in SPEC_FIELDS + DRIVE_FIELDS:  # n_mech: the table's shape, not a number in it
-            raise ConfigError("%s cannot be swept" % path)
     points = np.array(list(itertools.product(*(grid for _, grid in parsed))))
     chunks = [points[i:i + BATCH] for i in range(0, len(points), BATCH)]
     tasks = [(spec, approx, params, chunk) for chunk in chunks]
@@ -351,17 +359,14 @@ def modes_cmd(spec, approx):
         if spec.eta[0] == 0.0:
             payload["bright_dark"] = dataclasses.asdict(modes.bright_dark(spec))
         else:
-            hy = modes.hybrid_transform(spec)
-            payload["hybrid"] = {**dataclasses.asdict(hy),  # complex couplings as [re, im]
-                                 "g_tilde_plus": [hy.g_tilde_plus.real, hy.g_tilde_plus.imag],
-                                 "g_tilde_minus": [hy.g_tilde_minus.real, hy.g_tilde_minus.imag]}
+            payload["hybrid"] = dataclasses.asdict(modes.hybrid_transform(spec))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         nm = modes.normal_modes(spec)
     payload["normal_modes"] = {
-        "omega_k": [float(x) for x in nm.omega_k],
-        "coupling_abs": [abs(c) for c in nm.coupling_k],
-        "dark_count": int(nm.dark_flags.sum()),
+        "omega_k": nm.omega_k,
+        "coupling_abs": [abs(c) for c in nm.coupling_k],  # not np.abs: it differs in the last bit
+        "dark_count": nm.dark_flags.sum(),
         "predicted_uncooled": nm.predicted_uncooled,
         "closed_form": nm.closed_form,
     }
@@ -379,13 +384,8 @@ def lambda_cmd(eta, theta):
         raise ConfigError("--eta and --theta must be finite")
     sys_ = modes.LambdaSystem(omega1=1.0, omega2=1.0, omega_b=eta, theta=theta)
     eig = modes.lambda_eigensystem(sys_)
-    _emit_json({
-        "eta": eta, "theta": theta,
-        "lambdas": [float(x) for x in eig.lambdas],
-        "p_e": [float(x) for x in eig.p_e],
-        "dark_index": eig.dark_index,
-        "analytic": eig.analytic,
-    })
+    _emit_json({"eta": eta, "theta": theta, "lambdas": eig.lambdas, "p_e": eig.p_e,
+                "dark_index": eig.dark_index, "analytic": eig.analytic})
 
 
 @main.command("limits")
@@ -401,17 +401,11 @@ def limits_cmd(spec, approx):
         full = limits.cooling_limit_full(eff, spec)
     _emit_json({
         "spec": spec_to_dict(spec),
-        "effective": {
-            "xi1": [eff.xi1.real, eff.xi1.imag],
-            "xi2": [eff.xi2.real, eff.xi2.imag],
-            "gamma_eff": list(eff.gamma_eff),
-            "omega_eff": list(eff.omega_eff),
-            "chi1": eff.chi1, "chi2": eff.chi2,
-            "chi_plus": eff.chi_plus, "chi_minus": eff.chi_minus,
-            "n_opt": eff.n_opt,
-        },
-        "simplified": list(simple),
-        "full": list(full),
+        "effective": {name: getattr(eff, name) for name in (
+            "xi1", "xi2", "gamma_eff", "omega_eff", "chi1", "chi2", "chi_plus", "chi_minus",
+            "n_opt")},
+        "simplified": simple,
+        "full": full,
         "warnings": sorted({str(w.message) for w in caught}),
         "provenance": _provenance(approx),
     })

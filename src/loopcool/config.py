@@ -87,22 +87,14 @@ def parse_spec(path):
 
 
 def spec_to_dict(spec):
-    """Flat, JSON/CSV-friendly snapshot of a resolved spec."""
-    out = {
-        "n_mech": spec.n_mech,
-        "omega_m": list(spec.omega_m),
-        "kappa": spec.kappa,
-        "gamma": list(spec.gamma),
-        "nbar": list(spec.nbar),
-        "eta": list(spec.eta),
-        "theta": list(spec.theta),
-    }
+    """Flat snapshot of a resolved spec: its own values (tuples, a complex drive
+    amplitude), for the CLI's JSON encoder."""
+    out = {name: getattr(spec, name)
+           for name in ("n_mech", "omega_m", "kappa", "gamma", "nbar", "eta", "theta")}
     if isinstance(spec.drive, Linearized):
-        out["drive"] = {"type": "linearized", "delta": spec.drive.delta,
-                        "g_lin": list(spec.drive.g_lin)}
+        out["drive"] = {"type": "linearized", "delta": spec.drive.delta, "g_lin": spec.drive.g_lin}
     else:
-        amp = spec.drive.omega_drive_amp
         out["drive"] = {"type": "physical", "delta_c": spec.drive.delta_c,
-                        "omega_amp": [amp.real, amp.imag],
-                        "g_single": list(spec.drive.g_single)}
+                        "omega_amp": complex(spec.drive.omega_drive_amp),
+                        "g_single": spec.drive.g_single}
     return out

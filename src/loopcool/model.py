@@ -145,12 +145,8 @@ class DriftModel:
     a: np.ndarray
     q: np.ndarray
     c: np.ndarray
-    ordering: str
     approx: CouplingApprox
     spec: SystemSpec = None
-
-
-ORDERING = "u = [da, db_1..db_N, da^+, db_1^+..db_N^+]"
 
 
 #: the numbers of a spec, then of a Linearized drive, as named in a parameter table
@@ -317,7 +313,7 @@ def build_drift(spec, approx=CouplingApprox()):
     """
     spec = to_linearized(spec)
     a, c, q = drift_stack(param_table(spec), approx)
-    return DriftModel(a=a[0], q=q[0], c=c[0], ordering=ORDERING, approx=approx, spec=spec)
+    return DriftModel(a=a[0], q=q[0], c=c[0], approx=approx, spec=spec)
 
 
 def build_noise(spec):

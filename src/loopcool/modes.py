@@ -186,12 +186,12 @@ def _cardano_roots(eta, theta):
 
 
 def _lambda_matrix(sys):
-    eta = sys.eta_ratio
+    eta, ratio = sys.eta_ratio, sys.omega2 / sys.omega1
     return np.array([
-        [sys.delta / sys.omega1, 1.0, 1.0],
+        [sys.delta / sys.omega1, 1.0, ratio],
         [1.0, 0.0, eta * cmath.exp(1j * sys.theta)],
-        [1.0, eta * cmath.exp(-1j * sys.theta), 0.0],
-    ])  # basis (e, f, g), in units of Omega
+        [ratio, eta * cmath.exp(-1j * sys.theta), 0.0],
+    ])  # basis (e, f, g), in units of Omega_1
 
 
 def lambda_eigensystem(sys):

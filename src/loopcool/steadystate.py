@@ -4,12 +4,12 @@ The covariance matrix V solves A V + V A^T = -Q (plain transpose, complex A,
 matching the operator-ordered correlation matrix).  One engine serves every
 caller.  It takes a stack of drifts and their noise matrices (as
 `model.drift_stack` builds them) and runs one eigendecomposition
-A = W diag(lambda) W^-1 per drift (`_eig`).  The eigenvalues give the verdict:
-a drift is stable iff its spectral abscissa is below STABILITY_MARGIN, the one
-margin used everywhere.  For the stable drifts the eigenvectors give V by the
-diagonalisation form of the Bartels-Stewart method (Golub & Van Loan, Matrix
-Computations, sec. 7.6; Bartels & Stewart, CACM 15, 1972), batched at O(n^3)
-per drift:
+A = W diag(lambda) W^-1 per drift.  The eigenvalues give the verdict, in
+`_verdict` alone: a drift is stable iff its spectral abscissa is below
+STABILITY_MARGIN, the one margin used everywhere.  For the stable drifts the
+eigenvectors give V by the diagonalisation form of the Bartels-Stewart method
+(Golub & Van Loan, Matrix Computations, sec. 7.6; Bartels & Stewart, CACM 15,
+1972), batched at O(n^3) per drift:
 
     V = W (F / (lambda_i + lambda_j)) W^T,   F = W^-1 (-Q) W^-T.
 
@@ -71,6 +71,13 @@ def _eig(a):
         raise NoConvergence("eigenvalue iteration failed: %s" % exc) from None
 
 
+def _verdict(a):
+    """(eigenvalues, eigenvectors, abscissa, stable) of a (G, n, n) drift stack."""
+    lam, w = _eig(a)
+    abscissa = lam.real.max(axis=-1)
+    return lam, w, abscissa, abscissa < STABILITY_MARGIN
+
+
 def _norm(m):
     return np.linalg.norm(m, np.inf, axis=(-2, -1))
 
@@ -97,9 +104,8 @@ def _solve(a, q, lam, w):
 
 def stability_check(drift):
     """(stable, abscissa): stable iff max Re eig(A) < STABILITY_MARGIN."""
-    lam, _ = _eig(drift.a[None])
-    abscissa = float(lam.real.max())
-    return abscissa < STABILITY_MARGIN, abscissa
+    _, _, abscissa, stable = _verdict(drift.a[None])
+    return bool(stable[0]), float(abscissa[0])
 
 
 def lyapunov_solve(drift, require_stable=True):
@@ -112,10 +118,9 @@ def lyapunov_solve(drift, require_stable=True):
     breakdown).
     """
     a, q = drift.a[None], drift.q[None]
-    lam, w = _eig(a)
-    abscissa = float(lam.real.max())
-    if require_stable and not abscissa < STABILITY_MARGIN:
-        raise unstable(abscissa)
+    lam, w, abscissa, stable = _verdict(a)
+    if require_stable and not stable[0]:
+        raise unstable(float(abscissa[0]))
     return _solve(a, q, lam, w)[0][0]
 
 
@@ -136,7 +141,7 @@ def phonon_numbers(v, n_mech):
 
     n_j^f is the (db_j^+, db_j) element minus 1/2; the cavity occupation
     comes from the analogous (da^+, da) element.  The report's spectral
-    abscissa and residual are NaN; cool() fills them in.
+    abscissa and residual are NaN: they need the drift, not V alone.
     """
     dim = n_mech + 1
     if v.shape != (2 * dim, 2 * dim):
@@ -159,9 +164,7 @@ def cool_many(a, q):
     """
     a = np.asarray(a).astype(complex, copy=False)
     size, n_mech = len(a), a.shape[-1] // 2 - 1
-    lam, w = _eig(a)
-    abscissa = lam.real.max(axis=-1)
-    stable = abscissa < STABILITY_MARGIN
+    lam, w, abscissa, stable = _verdict(a)
     batch = CoolingReport(n_f=np.full((size, n_mech), math.nan),
                           n_cav=np.full(size, math.nan), stable=stable,
                           spectral_abscissa=abscissa, residual=np.full(size, math.nan),

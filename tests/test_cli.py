@@ -45,6 +45,13 @@ def body_lines(path):
     return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity."""
+    def refuse(name):
+        raise ValueError("non-finite JSON constant %s" % name)
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_cool_preset(runner):
     res = runner.invoke(main, ["cool", "--preset", "fig2"])
     assert res.exit_code == 0, res.output
@@ -114,9 +121,10 @@ def test_cool_unstable_exit(runner, tmp_path):
     cfg = write_config(tmp_path / "hot.ini", eta="0.5")
     res = runner.invoke(main, ["cool", "--config", cfg, "--mech-full"])
     assert res.exit_code == 3
-    payload = json.loads(res.output)
+    payload = strict_json(res.output)
     assert not payload["stable"]
     assert payload["n_f"] == [None, None]
+    assert payload["n_cav"] is None and payload["residual"] is None
 
 
 def test_stability_command(runner):
@@ -137,19 +145,6 @@ def test_set_param_paths():
     for bad in ("nope", "theta", "kappa[0]", "eta[5]", "drive.delta[0]"):
         with pytest.raises(ConfigError):
             set_param(spec, bad, 1.0)
-
-
-def test_point_values_apply_in_one_copy():
-    # several axes on one spec or drive field compose as successive set_param calls
-    spec = get_preset("figS11")
-    for paths, values in ((["theta[0]", "theta[1]"], [0.25, 0.5]),
-                          (["drive.delta", "drive.g_lin[1]"], [0.9, 0.2]),
-                          (["kappa", "eta[1]"], [0.3, 0.02])):
-        want = spec
-        for path, value in zip(paths, values):
-            want = set_param(want, path, value)
-        params = [cli._resolve(spec, p) for p in paths]
-        assert cli._with_values(spec, params, values) == want
 
 
 def test_parse_axis():
@@ -340,6 +335,24 @@ def test_sweep_rejects_n_mech_axis(runner, tmp_path):
     res = runner.invoke(main, ["sweep", "--preset", "fig2", "--axis", "n_mech=2:2:2",
                                "--out", str(out)])
     assert_one_line(res, 2, "config error: n_mech cannot be swept")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis", ["n_mech=3:4:2", "drive=0:1:2"])
+def test_sweep_rejects_a_non_table_path_before_any_value(runner, tmp_path, monkeypatch, axis):
+    # the path itself is refused, not a spec rule that one of its values breaks
+    path = axis.split("=")[0]
+    with pytest.raises(ConfigError, match="%s cannot be swept" % path):
+        set_param(get_preset("fig2"), path, 3.0)
+
+    def fail(spec, path, value):
+        raise AssertionError("a value was checked before every path was resolved")
+
+    monkeypatch.setattr(cli, "set_param", fail)
+    out = tmp_path / "s.csv"
+    res = runner.invoke(main, ["sweep", "--preset", "fig2", "--axis", "kappa=0.1:0.3:3",
+                               "--axis", axis, "--out", str(out)])
+    assert_one_line(res, 2, "config error: %s cannot be swept" % path)
     assert not out.exists()
 
 
@@ -556,6 +569,61 @@ def test_limits_command(runner):
     s1, s2 = payload["simplified"]
     f1, f2 = payload["full"]
     assert abs(f1 - s1) / s1 < 0.05 and abs(f2 - s2) / s2 < 0.05
+
+
+# --- JSON: one strict encoder ---------------------------------------------
+
+NONUNIFORM_N3 = dict(n_mech=3, eta="0.05, 0.08", theta="1.0, 2.0", drive_lines=(
+    "type = linearized", "delta = 1.0", "g_lin = 0.1, 0.12, 0.09"))
+
+
+@pytest.mark.parametrize("args", [
+    ["cool", "--preset", "fig2"], ["cool", "--preset", "figS10", "--mech-full"],
+    ["cool", "NONUNIFORM_N3"], ["stability", "--preset", "fig4"], ["stability", "NONUNIFORM_N3"],
+    ["modes", "--preset", "fig2"], ["modes", "--preset", "fig2_eta0"], ["modes", "NONUNIFORM_N3"],
+    ["limits", "--preset", "fig4", "--om-rwa"], ["lambda", "--eta", "1.0", "--theta", "0.0"],
+    ["lambda", "--eta", "0.5", "--theta", "1.0"],
+], ids=lambda args: "-".join(args).replace("--", ""))
+def test_every_json_output_is_strict(runner, tmp_path, args):
+    if "NONUNIFORM_N3" in args:
+        args = [args[0], "--config", write_config(tmp_path / "n3.ini", **NONUNIFORM_N3)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    payload = strict_json(res.stdout)
+    if args[0] == "modes" and args[1] == "--config":
+        assert payload["normal_modes"]["predicted_uncooled"] is None
+        assert payload["normal_modes"]["closed_form"] is False
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--axis", "kappa=0.1:0.3:3"], ["spectrum", "--points", "5"],
+], ids=["sweep", "spectrum"])
+def test_csv_metadata_is_strict_json(runner, tmp_path, command):
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, [command[0], "--preset", "fig2", *command[1:], "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    meta = strict_json("\n".join(ln[2:] for ln in out.read_text().splitlines()
+                                  if ln.startswith("# ")))
+    assert meta["spec"]["drive"] == {"type": "linearized", "delta": 1.0, "g_lin": [0.1, 0.1]}
+
+
+def test_json_encoder_cases():
+    payload = {
+        "complex": 1.5 - 2j, "complex128": np.complex128(0.25j),
+        "nan": math.nan, "inf": [math.inf, -math.inf], "np_nan": np.float64("nan"),
+        "int64": np.int64(7), "bool_": np.bool_(True), "bool": False, "float64": np.float64(0.1),
+        "tuple": (1.0, (2, "x")), "nested": np.array([[1.5, np.nan], [np.inf, -0.0]]),
+        "complex_array": np.array([1 + 1j, np.nan + 0j]), "none": None,
+    }
+    text = cli._json(payload)
+    assert strict_json(text) == {
+        "complex": [1.5, -2.0], "complex128": [0.0, 0.25],
+        "nan": None, "inf": [None, None], "np_nan": None,
+        "int64": 7, "bool_": True, "bool": False, "float64": 0.1,
+        "tuple": [1.0, [2, "x"]], "nested": [[1.5, None], [None, -0.0]],
+        "complex_array": [[1.0, 1.0], [None, 0.0]], "none": None,
+    }
+    assert '"int64": 7,' in text and '"bool_": true,' in text and '"float64": 0.1,' in text
 
 
 # --- error boundary: one line and one exit code per package error ---------

@@ -267,6 +267,16 @@ def test_lambda_eigenvectors_satisfy_matrix():
             assert np.linalg.norm(vec) == pytest.approx(1.0)
 
 
+def test_lambda_unequal_drives_couple_e_to_g_by_their_ratio():
+    # Omega_2 = 2 Omega_1: the e-g entry is Omega_2/Omega_1, and without
+    # Omega_1 = Omega_2 no state has a zero excited amplitude
+    res = lambda_eigensystem(LambdaSystem(omega1=1.0, omega2=2.0, omega_b=0.5, theta=0.0))
+    hand = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.5], [2.0, 0.5, 0.0]])
+    assert np.allclose(res.lambdas, np.linalg.eigvalsh(hand), rtol=0.0, atol=1e-12)
+    assert res.dark_index is None
+    assert res.p_e.min() == pytest.approx(0.020, abs=1e-3)
+
+
 def test_lambda_detuned_numeric_path():
     res = lambda_eigensystem(LambdaSystem(omega1=1.0, omega2=1.0,
                                           omega_b=0.5, theta=0.0, delta=0.3))

@@ -21,8 +21,7 @@ def stacked(drifts):
 
 def manual_drift(a, q):
     return DriftModel(a=np.asarray(a, complex), q=np.asarray(q, complex),
-                      c=np.asarray(q, complex), ordering="manual",
-                      approx=CouplingApprox())
+                      c=np.asarray(q, complex), approx=CouplingApprox())
 
 
 def test_lyapunov_scalar():
