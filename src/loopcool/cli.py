@@ -18,8 +18,8 @@ import numpy as np
 from . import __version__, limits, modes, spectra, steadystate
 from .config import parse_spec, spec_to_dict
 from .errors import ConfigError, DomainError, InvalidSpec, LoopcoolError, Unstable
-from .model import (DRIVE_FIELDS, SPEC_FIELDS, TWO_PI, CouplingApprox, build_drift, drift_stack,
-                    param_table, to_linearized)
+from .model import (DRIVE_FIELDS, SPEC_FIELDS, CouplingApprox, build_drift, drift_stack,
+                    param_table, set_param, to_linearized)
 from .presets import get_preset
 
 EXIT_ERROR = 1
@@ -168,9 +168,9 @@ _PATH_RE = re.compile(r"^(drive\.)?([a-z_]+)(?:\[(\d+)\])?$")
 
 
 def _resolve(spec, path):
-    """(on_drive, name, index or None) for a path of spec that names a number of its
-    parameter table: kappa, eta[0], theta[0], omega_m[1], gamma[0], nbar[0],
-    drive.delta, drive.g_lin[0].  Any other path is a ConfigError."""
+    """(name, index or None) of the parameter-table entry that a path of spec
+    names: kappa, eta[0], theta[0], omega_m[1], gamma[0], nbar[0], drive.delta,
+    drive.g_lin[0].  Any other path is a ConfigError."""
     m = _PATH_RE.match(path)
     if not m:
         raise ConfigError("bad parameter path %r" % path)
@@ -189,22 +189,7 @@ def _resolve(spec, path):
         raise ConfigError("%s is scalar; drop the index" % path)
     if name not in (DRIVE_FIELDS if on_drive else SPEC_FIELDS):  # e.g. n_mech: the table's shape
         raise ConfigError("%s cannot be swept" % path)
-    return on_drive, name, idx
-
-
-def set_param(spec, path, value):
-    """Validated copy of spec with the parameter at `path` (as in _resolve) set to value."""
-    on_drive, name, i = _resolve(spec, path)
-    owner = spec.drive if on_drive else spec
-    if i is not None:
-        cur = getattr(owner, name)
-        value = cur[:i] + (value,) + cur[i + 1:]
-    try:
-        if on_drive:
-            return spec.with_(drive=dataclasses.replace(spec.drive, **{name: value}))
-        return spec.with_(**{name: value})
-    except InvalidSpec as exc:
-        raise ConfigError(str(exc)) from None
+    return name, idx
 
 
 def parse_axis(raw):
@@ -229,28 +214,10 @@ def parse_axis(raw):
 BATCH = 64
 
 
-def _chunk_table(spec, params, chunk):
-    """Parameter table of a chunk of grid points (rows of axis values, one column per axis).
-
-    It starts as copies of spec, and each axis then overwrites its column, in
-    axis order, so a later axis on the same entry wins, as in successive
-    set_param calls.
-    """
-    table = param_table(spec, len(chunk))
-    for (_, name, i), values in zip(params, chunk.T):
-        if name == "theta":
-            values = values % TWO_PI  # as SystemSpec stores a phase
-        if i is None:
-            table[name][:] = values
-        else:
-            table[name][:, i] = values
-    return table
-
-
 def _sweep_eval(task):
-    """Stacked report for one chunk of grid points; module-level so process pools can pickle it."""
-    spec, approx, params, chunk = task
-    a, _, q = drift_stack(_chunk_table(spec, params, chunk), approx)
+    """Stacked report for one chunk's rows of the grid table; module-level for process pools."""
+    approx, table = task
+    a, _, q = drift_stack(table, approx)
     return steadystate.cool_many(a, q)
 
 
@@ -302,20 +269,22 @@ def sweep(spec, approx, axes, out, workers):
         raise ConfigError("at most two --axis options")
     parsed = [(path, grid.tolist()) for path, grid in map(parse_axis, axes)]
     paths = [p for p, _ in parsed]
-    params = [_resolve(spec, p) for p in paths]
-    for path, grid in parsed:  # spec rules are per field: no grid point can fail them later
-        for v in grid:
-            set_param(spec, path, v)
+    entries = [_resolve(spec, p) for p in paths]
     points = np.array(list(itertools.product(*(grid for _, grid in parsed))))
-    chunks = [points[i:i + BATCH] for i in range(0, len(points), BATCH)]
-    tasks = [(spec, approx, params, chunk) for chunk in chunks]
+    table = param_table(spec, len(points))
+    for (name, i), values in zip(entries, points.T):  # checks every value before any point runs
+        set_param(table, name, i, values)
+    starts = range(0, len(points), BATCH)
+    tasks = [(approx, {name: column[s:s + BATCH] for name, column in table.items()})
+             for s in starts]
 
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_sweep_eval, tasks))
     else:
         batches = map(_sweep_eval, tasks)  # lazy: one chunk's stacks alive at a time
-    lines = [line for chunk, batch in zip(chunks, batches) for line in _sweep_lines(chunk, batch)]
+    lines = [line for s, batch in zip(starts, batches)
+             for line in _sweep_lines(points[s:s + BATCH], batch)]
     header = paths + ["n_f_%d" % (j + 1) for j in range(spec.n_mech)] + \
         ["n_cav", "stable", "spectral_abscissa"]
     _write_csv(out, spec, approx, header, lines)

@@ -8,7 +8,7 @@ physical (delta_c, omega_amp, g_single).  Lists are comma-separated.
 import configparser
 
 from .errors import ConfigError, InvalidSpec
-from .model import Linearized, Physical, SystemSpec
+from .model import SPEC_FIELDS, Linearized, Physical, SystemSpec
 
 
 def _floats(raw, where):
@@ -89,8 +89,7 @@ def parse_spec(path):
 def spec_to_dict(spec):
     """Flat snapshot of a resolved spec: its own values (tuples, a complex drive
     amplitude), for the CLI's JSON encoder."""
-    out = {name: getattr(spec, name)
-           for name in ("n_mech", "omega_m", "kappa", "gamma", "nbar", "eta", "theta")}
+    out = {name: getattr(spec, name) for name in ("n_mech",) + SPEC_FIELDS}
     if isinstance(spec.drive, Linearized):
         out["drive"] = {"type": "linearized", "delta": spec.drive.delta, "g_lin": spec.drive.g_lin}
     else:

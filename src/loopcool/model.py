@@ -9,10 +9,10 @@ fluctuation ordering everywhere is
 so the drift matrix has the conjugate block structure A = [[X, Y], [Y*, X*]].
 
 Drifts are built in stacks: `param_table` lays a spec's numbers out as arrays
-with a leading batch axis, a caller may overwrite rows or columns of it (a
-sweep writes its grid values there), and `drift_stack` turns the table into
-(G, 2N+2, 2N+2) drift and noise stacks with elementwise arithmetic.
-`build_drift` is the batch of one, so there is a single builder.
+with a leading batch axis, `set_param` writes a sweep axis there under the
+spec's own rules, and `drift_stack` turns the table into (G, 2N+2, 2N+2)
+drift and noise stacks with elementwise arithmetic.  `build_drift` is the
+batch of one, so there is a single builder.
 """
 
 import cmath
@@ -103,21 +103,13 @@ class SystemSpec:
         object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
         object.__setattr__(self, "nbar", tuple(float(x) for x in self.nbar))
         object.__setattr__(self, "eta", tuple(float(e) for e in self.eta))
-        object.__setattr__(self, "theta", tuple(float(t) % TWO_PI for t in self.theta))
+        object.__setattr__(self, "theta", tuple(_phase([float(t) for t in self.theta]).tolist()))
         for name, want in (("omega_m", n), ("gamma", n), ("nbar", n),
                            ("eta", max(n - 1, 0)), ("theta", max(n - 1, 0))):
             if len(getattr(self, name)) != want:
                 raise InvalidSpec("%s must have %d entries for n_mech=%d"
                                   % (name, want, n))
-        if self.kappa <= 0:
-            raise InvalidSpec("kappa must be > 0")
-        if any(w <= 0 for w in self.omega_m) or any(g <= 0 for g in self.gamma):
-            raise InvalidSpec("frequencies and decay rates must be > 0")
-        if any(x < 0 for x in self.nbar):
-            raise InvalidSpec("thermal occupations must be >= 0")
-        if any(e < 0 for e in self.eta):
-            raise InvalidSpec("phonon-exchange strengths must be >= 0")
-        _require_finite(self, "omega_m", "kappa", "gamma", "nbar", "eta", "theta")
+        _check_numbers(param_table(self))
         if isinstance(self.drive, Linearized):
             if len(self.drive.g_lin) != n:
                 raise InvalidSpec("drive.g_lin must have n_mech entries")
@@ -159,15 +151,48 @@ def param_table(spec, size=1):
 
     Each array has a leading batch axis: shape (size,) for a scalar field,
     (size, len) for a tuple field.  The fields are SPEC_FIELDS and, for a
-    Linearized drive, DRIVE_FIELDS.  Every array is a fresh copy, so a caller
-    may overwrite rows or columns (e.g. a sweep's axis values) without
-    touching spec.
+    Linearized drive, DRIVE_FIELDS.  Every array is a fresh copy, so
+    set_param may write a field (e.g. a sweep's axis) without touching spec.
     """
     owners = [(spec, SPEC_FIELDS)]
     if isinstance(spec.drive, Linearized):
         owners.append((spec.drive, DRIVE_FIELDS))
     return {name: np.array([getattr(owner, name)] * size, float)
             for owner, names in owners for name in names}
+
+
+def _phase(theta):
+    """Loop phases mod 2 pi as a spec stores them (Python's float %); an
+    infinite one becomes NaN, for the finite rule, with no RuntimeWarning."""
+    with np.errstate(invalid="ignore"):
+        return np.remainder(theta, TWO_PI)
+
+
+def _check_numbers(table):
+    """Raise InvalidSpec unless every row of a parameter table obeys a spec's value
+    rules, in this order: kappa > 0; omega_m, gamma > 0; nbar, eta >= 0; finite."""
+    if (table["kappa"] <= 0).any():
+        raise InvalidSpec("kappa must be > 0")
+    if (table["omega_m"] <= 0).any() or (table["gamma"] <= 0).any():
+        raise InvalidSpec("frequencies and decay rates must be > 0")
+    if (table["nbar"] < 0).any():
+        raise InvalidSpec("thermal occupations must be >= 0")
+    if (table["eta"] < 0).any():
+        raise InvalidSpec("phonon-exchange strengths must be >= 0")
+    for name, values in table.items():
+        if not np.isfinite(values).all():
+            raise InvalidSpec("%s must be finite" % name)
+
+
+def set_param(table, name, index, values):
+    """Write values to entry `index` (None for a scalar field) of field `name` in
+    every row of a parameter table, a loop phase reduced as a spec stores it,
+    then check the table by the spec's value rules (InvalidSpec)."""
+    if name == "theta":
+        values = _phase(values)
+    column = table[name] if index is None else table[name][:, index]
+    column[...] = values
+    _check_numbers(table)
 
 
 def mechanical_stack(table):

@@ -130,7 +130,8 @@ def normal_modes(spec):
     The closed form assumes degenerate frequencies and uniform eta, G; in
     that case Omega_k = w_m + 2 eta cos(k pi/(N+1)) and the coupling of the
     k-th mode carries the accumulated-phase interference factor.  Nonuniform
-    specs fall back to numerical block diagonalization (with a warning).
+    specs fall back to numerical block diagonalization (with a warning).  The
+    uncooled ceiling nbar (N-1)/N needs equal baths too (nbar, gamma); else NaN.
     """
     n = spec.n_mech
     g = spec.drive.g_lin
@@ -161,7 +162,7 @@ def normal_modes(spec):
             phase += spec.theta[j - 2]
             acc += cmath.exp(1j * phase) * math.sin(j * k * math.pi / (n + 1))
         coupling[ki] = gval / norm_a * acc
-    nbar = spec.nbar[0]
+    nbar = spec.nbar[0] if len(set(spec.nbar)) == len(set(spec.gamma)) == 1 else math.nan
     return NormalModeAnalysis(
         n=n, omega_k=omega_k, coupling_k=coupling,
         dark_flags=np.abs(coupling) <= DARK_TOL * abs(gval),

@@ -1,10 +1,9 @@
-"""Dense complex linear-algebra helpers used by every other module.
+"""Dense complex linear-algebra helpers.
 
-Matrices are plain numpy complex128 arrays.  The routines here wrap LAPACK
-(via numpy/scipy) behind the error contracts the rest of the package relies
-on: explicit singularity thresholds, eigenvalues that raise NoConvergence on
-failure, and a capped Kronecker product.  KRON_CAP also caps the lift of the
-RK4 time-domain oracle, `kernels.rk4_lyapunov_flow`.
+Matrices are plain numpy complex128 arrays.  Only `kernels` uses this module:
+`as_cmatrix`, and KRON_CAP, which caps the lift of its RK4 oracle.  The
+benchmark traces `solve_linear`, `eigenvalues` and `kron` by name, so these
+three stay, with no library caller, until its metric refresh (ROADMAP item 1).
 """
 
 import numpy as np

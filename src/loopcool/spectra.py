@@ -64,10 +64,8 @@ def scattering_matrix(drift, omega):
 
     omega is a scalar, giving one (2N+2, 2N+2) matrix, or a 1-D array, giving
     a (len(omega), 2N+2, 2N+2) stack from one batched solve.  Raises
-    SingularMatrix only when LAPACK finds an exactly zero pivot: unlike
-    `numkit.solve_linear`, an LU pivot below `numkit.PIVOT_RTOL` times the
-    largest entry of -i w I - A that is not exactly zero raises nothing.  A
-    stable drift (see `steadystate.stability_check`) keeps the resolvent
+    SingularMatrix only when LAPACK finds an exactly zero pivot.  A stable
+    drift (see `steadystate.stability_check`) keeps the resolvent
     nonsingular at every real omega, so check stability first.  A NaN or
     infinite omega raises DomainError.
     """

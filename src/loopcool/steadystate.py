@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import numkit
 from .errors import NoConvergence, ShapeMismatch, Unstable
 
 #: spectral abscissas at or above this are unstable; closer to zero the
@@ -82,9 +81,14 @@ def _norm(m):
     return np.linalg.norm(m, np.inf, axis=(-2, -1))
 
 
+def _residual(a, v, q):
+    """(R, max |R_ij|) for R = A V + V A^T + Q: one drift (n, n), or per drift of a stack."""
+    r = a @ v + v @ np.swapaxes(a, -1, -2) + q
+    return r, np.abs(r).max(axis=(-2, -1))
+
+
 def _solve(a, q, lam, w):
     """(V, max-entry residual, solver per drift) for a stack with its eigensystems."""
-    at = np.swapaxes(a, -1, -2)
     with np.errstate(all="ignore"):  # a defective W gives inf or NaN: caught below
         try:
             w_inv = np.linalg.inv(w)
@@ -92,14 +96,14 @@ def _solve(a, q, lam, w):
             w_inv = np.full_like(w, np.nan)
         f = w_inv @ -q @ np.swapaxes(w_inv, -1, -2)
         v = w @ (f / (lam[:, :, None] + lam[:, None, :])) @ np.swapaxes(w, -1, -2)
-        r = a @ v + v @ at + q
+        r, residual = _residual(a, v, q)
         backward = _norm(r) / (2.0 * _norm(a) * _norm(v) + _norm(q))
     solver = ["eig"] * len(a)
     for k in np.flatnonzero(~(backward <= BACKWARD_ERROR_TOL)):
-        v[k] = scipy.linalg.solve_sylvester(a[k], at[k], -q[k])
-        r[k] = a[k] @ v[k] + v[k] @ at[k] + q[k]
+        v[k] = scipy.linalg.solve_sylvester(a[k], a[k].T, -q[k])
+        residual[k] = _residual(a[k], v[k], q[k])[1]
         solver[k] = "schur"
-    return v, np.abs(r).max(axis=(-2, -1)), solver
+    return v, residual, solver
 
 
 def stability_check(drift):
@@ -125,7 +129,8 @@ def lyapunov_solve(drift, require_stable=True):
 
 
 def lyapunov_residual(drift, v):
-    return numkit.norm_inf(drift.a @ v + v @ drift.a.T + drift.q)
+    """Largest entry magnitude of A V + V A^T + Q."""
+    return float(_residual(drift.a, v, drift.q)[1])
 
 
 def _occupations(v, n_mech):

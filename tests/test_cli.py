@@ -9,8 +9,8 @@ import pytest
 from click.testing import CliRunner
 
 from loopcool import cli, model, steadystate
-from loopcool.cli import main, parse_axis, set_param
-from loopcool.errors import ConfigError, NoConvergence, NoFixedPoint
+from loopcool.cli import main, parse_axis
+from loopcool.errors import ConfigError, InvalidSpec, NoConvergence, NoFixedPoint
 from loopcool.presets import _chain, get_preset
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -138,13 +138,18 @@ def test_stability_command(runner):
 
 def test_set_param_paths():
     spec = get_preset("fig2")
-    assert set_param(spec, "kappa", 0.5).kappa == 0.5
-    assert set_param(spec, "theta[0]", 0.25).theta == (0.25,)
-    assert set_param(spec, "drive.delta", 0.9).drive.delta == 0.9
-    assert set_param(spec, "drive.g_lin[1]", 0.2).drive.g_lin == (0.1, 0.2)
-    for bad in ("nope", "theta", "kappa[0]", "eta[5]", "drive.delta[0]"):
+    table = model.param_table(spec, 2)
+    for path, values in (("kappa", [0.5, 0.6]), ("theta[0]", [0.25, TWO_PI + 0.5]),
+                         ("drive.delta", [0.9, -0.9]), ("drive.g_lin[1]", [0.2, 0.0])):
+        model.set_param(table, *cli._resolve(spec, path), values)
+    assert table["kappa"].tolist() == [0.5, 0.6]
+    assert table["theta"].tolist() == [[0.25], [(TWO_PI + 0.5) % TWO_PI]]
+    assert table["delta"].tolist() == [0.9, -0.9]
+    assert table["g_lin"].tolist() == [[0.1, 0.2], [0.1, 0.0]]
+    assert model.param_table(spec)["kappa"].tolist() == [spec.kappa]  # spec untouched
+    for bad in ("nope", "theta", "kappa[0]", "eta[5]", "drive.delta[0]", "drive.kappa"):
         with pytest.raises(ConfigError):
-            set_param(spec, bad, 1.0)
+            cli._resolve(spec, bad)
 
 
 def test_parse_axis():
@@ -227,8 +232,49 @@ def test_sweep_bad_axis_no_partial_file(runner, tmp_path):
 
 
 def test_set_param_invalid_value_is_config_error():
-    with pytest.raises(ConfigError, match="kappa must be > 0"):
-        set_param(get_preset("fig2"), "kappa", -1.0)
+    # the CLI reports InvalidSpec as a config error (test_sweep_invalid_value_is_config_error)
+    table = model.param_table(get_preset("fig2"), 3)
+    with pytest.raises(InvalidSpec, match="kappa must be > 0"):
+        model.set_param(table, "kappa", None, [0.1, -1.0, 0.3])
+
+
+def replaced(spec, name, i, value):
+    """spec with entry i (None for a scalar) of field name set to value, by dataclasses.replace."""
+    owner = spec.drive if name in model.DRIVE_FIELDS else spec
+    if i is not None:
+        cur = getattr(owner, name)
+        value = cur[:i] + (value,) + cur[i + 1:]
+    new = dataclasses.replace(owner, **{name: value})
+    return new if owner is spec else dataclasses.replace(spec, drive=new)
+
+
+#: a value that breaks each sign rule of a spec, with the rule's message
+SIGN_RULES = [("kappa", 0.0, "kappa must be > 0"),
+              ("omega_m[0]", 0.0, "frequencies and decay rates must be > 0"),
+              ("gamma[1]", -1e-5, "frequencies and decay rates must be > 0"),
+              ("nbar[0]", -1.0, "thermal occupations must be >= 0"),
+              ("eta[0]", -0.1, "phonon-exchange strengths must be >= 0")]
+SIGNED = {path: message for path, _, message in SIGN_RULES}
+FIELDS = {"omega_m[0]": "omega_m", "kappa": "kappa", "gamma[1]": "gamma", "nbar[0]": "nbar",
+          "eta[0]": "eta", "theta[0]": "theta", "drive.delta": "delta", "drive.g_lin[1]": "g_lin"}
+#: and each field NaN, +inf and -inf; a sign rule comes before the finite rule
+RULE_BREAKERS = SIGN_RULES + [
+    (path, bad, SIGNED[path] if bad < 0 and path in SIGNED else "%s must be finite" % field)
+    for path, field in FIELDS.items() for bad in (math.nan, math.inf, -math.inf)]
+
+
+@pytest.mark.parametrize("path, value, message", RULE_BREAKERS,
+                         ids=["%s=%r" % (p, v) for p, v, _ in RULE_BREAKERS])
+def test_set_param_and_spec_raise_the_same_message(path, value, message):
+    # one statement of the value rules: a spec and a table row refuse a value alike
+    spec = get_preset("fig2")
+    name, i = cli._resolve(spec, path)
+    with pytest.raises(InvalidSpec) as from_spec:
+        replaced(spec, name, i, value)
+    table = model.param_table(spec, 2)
+    with pytest.raises(InvalidSpec) as from_table:
+        model.set_param(table, name, i, [1.0 if name != "theta" else 0.5, value])
+    assert str(from_table.value) == str(from_spec.value) == message
 
 
 @pytest.mark.parametrize("axis, message", [
@@ -267,6 +313,19 @@ def test_sweep_chunks_and_workers_do_not_change_the_csv(runner, tmp_path, monkey
     assert run("single.csv") == serial
 
 
+def test_sweep_later_axis_on_one_entry_wins(runner, tmp_path):
+    # the sweep writes its axes in order, so a second axis on kappa overrides the first
+    def rows(*axes):
+        out = tmp_path / "s.csv"
+        res = runner.invoke(main, ["sweep", "--preset", "fig2", *axes, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        return [line.split(",") for line in body_lines(out)[1:]]
+
+    both = rows("--axis", "kappa=0.1:0.5:3", "--axis", "kappa=0.2:0.3:2")
+    second = rows("--axis", "kappa=0.2:0.3:2")
+    assert [row[1:] for row in both] == second * 3
+
+
 SPECS = {
     "n1": lambda: get_preset("fig2").with_(n_mech=1, omega_m=(1.0,), gamma=(1e-5,),
                                            nbar=(1e3,), eta=(), theta=(),
@@ -297,17 +356,21 @@ CHUNKS = [
 @pytest.mark.parametrize("spec, paths, rows", CHUNKS,
                          ids=["%s-%s" % (spec, "+".join(paths)) for spec, paths, _ in CHUNKS])
 def test_chunk_table_builds_the_drifts_of_set_param(spec, paths, rows):
-    # a sweep's stacked drifts equal, bit for bit, the drifts of the specs set_param makes
+    # the stacked drifts of a table that set_param wrote equal, bit for bit, the
+    # drifts of the specs that dataclasses.replace makes point by point
     spec = SPECS[spec]() if spec in SPECS else get_preset(spec)
-    params = [cli._resolve(spec, p) for p in paths]
+    entries = [cli._resolve(spec, p) for p in paths]
+    table = model.param_table(spec, len(rows))
+    for (name, i), values in zip(entries, np.array(rows).T):
+        model.set_param(table, name, i, values)
     specs = []
     for row in rows:
         point = spec
-        for path, value in zip(paths, row):
-            point = set_param(point, path, value)
+        for (name, i), value in zip(entries, row):
+            point = replaced(point, name, i, value)
         specs.append(point)
     for approx in APPROXES:
-        a, c, q = model.drift_stack(cli._chunk_table(spec, params, np.array(rows)), approx)
+        a, c, q = model.drift_stack(table, approx)
         for k, point in enumerate(specs):
             d = model.build_drift(point, approx)
             assert a[k].tobytes() == d.a.tobytes()
@@ -343,9 +406,9 @@ def test_sweep_rejects_a_non_table_path_before_any_value(runner, tmp_path, monke
     # the path itself is refused, not a spec rule that one of its values breaks
     path = axis.split("=")[0]
     with pytest.raises(ConfigError, match="%s cannot be swept" % path):
-        set_param(get_preset("fig2"), path, 3.0)
+        cli._resolve(get_preset("fig2"), path)
 
-    def fail(spec, path, value):
+    def fail(table, name, index, values):
         raise AssertionError("a value was checked before every path was resolved")
 
     monkeypatch.setattr(cli, "set_param", fail)

@@ -67,6 +67,9 @@ def test_theta_reduced():
     assert spec.theta[0] == pytest.approx(0.3)
     spec = two_mode(theta=-0.3)
     assert 0 <= spec.theta[0] < 2 * np.pi
+    # bit for bit as Python's float %, signed zeros and the 2 pi that -1e-300 rounds to included
+    for t in [-7.0, -0.0, 0.0, -1e-300, 0.5, 2 * np.pi, 13.0, *np.linspace(-20.0, 20.0, 41)]:
+        assert two_mode(theta=t).theta[0].hex() == (float(t) % (2 * np.pi)).hex()
 
 
 # --- linearization ------------------------------------------------------

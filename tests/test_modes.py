@@ -149,6 +149,19 @@ def test_three_chain_predicted_ceiling():
     assert nm.norm_a == pytest.approx(math.sqrt(2.0))
 
 
+@pytest.mark.parametrize("baths", [dict(nbar=(1e3, 0.0)), dict(gamma=(1e-5, 2e-5))],
+                         ids=["nbar", "gamma"])
+def test_predicted_ceiling_needs_equal_baths(baths):
+    # with nbar = 1e3, 0 the steady state holds about 250 phonons in each mode,
+    # not the 500 of nbar (N-1)/N; the modes themselves stay closed-form
+    base = get_preset("fig2_eta0")
+    nm, ref = normal_modes(base.with_(**baths)), normal_modes(base)
+    assert nm.closed_form and math.isnan(nm.predicted_uncooled)
+    assert np.array_equal(nm.omega_k, ref.omega_k)
+    assert np.array_equal(nm.coupling_k, ref.coupling_k)
+    assert ref.predicted_uncooled == 500.0
+
+
 def test_normal_modes_nonuniform_fallback():
     spec = chain(3, omega=(1.0, 1.05, 0.95))
     with pytest.warns(UserWarning, match="nonuniform"):

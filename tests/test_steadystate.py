@@ -231,6 +231,8 @@ def test_near_defective_drift_falls_back_to_schur():
     assert rep.stable and rep.solver == "schur"
     ref = _schur(d)
     assert _rel(lyapunov_solve(d), ref) <= 1e-12
+    # the reported residual is that of the Schur solution, not of the rejected eig one
+    assert rep.residual == lyapunov_residual(d, lyapunov_solve(d)) <= 1e-12
     assert rep.n_cav == phonon_numbers(ref, 1).n_cav
 
 
@@ -256,7 +258,8 @@ def test_fig2_zero_detuning_column_matches_schur():
     batch = cool_many(*stacked(drifts))
     assert batch.stable.all()
     assert "schur" in batch.solver.tolist()
-    for d, n_f, n_cav in zip(drifts, batch.n_f, batch.n_cav):
+    for d, n_f, n_cav, residual in zip(drifts, batch.n_f, batch.n_cav, batch.residual):
+        assert residual == lyapunov_residual(d, lyapunov_solve(d))
         want = phonon_numbers(_schur(d), 2)
         assert np.all(np.abs(n_f - want.n_f) <= 1e-12 * (np.abs(want.n_f) + 0.5))
         assert abs(n_cav - want.n_cav) <= 1e-12 * (abs(want.n_cav) + 0.5)
