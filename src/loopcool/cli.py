@@ -77,9 +77,9 @@ def _reports_errors(fn):
     """Report a LoopcoolError from a command as one line on stderr and an exit code.
 
     Config, spec and domain errors exit EXIT_CONFIG; an unstable point exits
-    EXIT_UNSTABLE; any other package error is a numerical failure and, like an
-    OSError from writing the output, exits EXIT_ERROR.  No other code turns
-    one into output.
+    EXIT_UNSTABLE; any other package error is a numerical failure and, like a
+    float overflow (ArithmeticError) or an OSError from writing the output,
+    exits EXIT_ERROR.  No other code turns one into output.
     """
     @functools.wraps(fn)
     def command(*args, **kwargs):
@@ -91,7 +91,7 @@ def _reports_errors(fn):
         except Unstable as exc:
             click.echo("unstable: %s" % exc, err=True)
             sys.exit(EXIT_UNSTABLE)
-        except (LoopcoolError, OSError) as exc:  # OSError: the output file could not be written
+        except (LoopcoolError, ArithmeticError, OSError) as exc:  # OSError: an unwritable output
             click.echo("error: %s: %s" % (type(exc).__name__, exc), err=True)
             sys.exit(EXIT_ERROR)
     return command
@@ -121,6 +121,19 @@ def main():
     """Steady-state cooling and nonreciprocal phonon transport calculations."""
 
 
+def _limits_report(spec, full):
+    """(effective model, limits, warnings) of a two-mode spec: the simplified
+    limit formula and, if full, the full one, keyed as the reports name them,
+    and the validity warnings as sorted distinct messages."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        eff = limits.effective_model(spec)
+        found = {"simplified": limits.cooling_limit_simplified(eff, spec)}
+        if full:
+            found["full"] = limits.cooling_limit_full(eff, spec)
+    return eff, found, sorted({str(w.message) for w in caught})
+
+
 @main.command()
 @_spec_options
 def cool(spec, approx):
@@ -137,15 +150,12 @@ def cool(spec, approx):
         "provenance": _provenance(approx),
     }
     if spec.n_mech == 2 and report.stable:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                eff = limits.effective_model(spec)
-            except DomainError as exc:  # the steady state stands without its limit
-                payload["limits"] = {"unavailable": str(exc)}
-            else:
-                payload["limits"] = {"simplified": limits.cooling_limit_simplified(eff, spec),
-                                     "warnings": [str(w.message) for w in caught]}
+        try:
+            _, found, caught = _limits_report(spec, full=False)
+        except DomainError as exc:  # the steady state stands without its limit
+            payload["limits"] = {"unavailable": str(exc)}
+        else:
+            payload["limits"] = {**found, "warnings": caught}
     _emit_json(payload)
     if not report.stable:
         sys.exit(EXIT_UNSTABLE)
@@ -192,22 +202,30 @@ def _resolve(spec, path):
     return name, idx
 
 
+def _grid(start, stop, points, what, where=""):
+    """The one scan grid, np.linspace(start, stop, points).  A non-finite bound,
+    fewer than 2 points or a float overflow in stop - start (Python arithmetic:
+    numpy never warns) is a ConfigError about the `what` grid from `where`."""
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError("%s bounds must be finite%s" % (what, where))
+    if points < 2:
+        raise ConfigError("need at least 2 %s points%s" % (what, where))
+    if not math.isfinite(stop - start):
+        raise ConfigError("%s span is wider than the float range%s" % (what, where))
+    return np.linspace(start, stop, points)
+
+
 def parse_axis(raw):
     """Parse 'path=start:stop:points' into (path, grid array)."""
     m = re.match(r"^([^=]+)=([^:]+):([^:]+):(\d+)$", raw)
     if not m:
         raise ConfigError("bad axis %r (want path=start:stop:points)" % raw)
-    path = m.group(1).strip()
     try:
         start, stop = float(m.group(2)), float(m.group(3))
         points = int(m.group(4))
     except ValueError:
         raise ConfigError("bad axis numbers in %r" % raw)
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ConfigError("axis bounds must be finite in %r" % raw)
-    if points < 2:
-        raise ConfigError("axis needs at least 2 points")
-    return path, np.linspace(start, stop, points)
+    return m.group(1).strip(), _grid(start, stop, points, "axis", " in %r" % raw)
 
 
 #: grid points per engine call; a sweep builds, solves and drops one chunk at a time
@@ -217,8 +235,7 @@ BATCH = 64
 def _sweep_eval(task):
     """Stacked report for one chunk's rows of the grid table; module-level for process pools."""
     approx, table = task
-    a, _, q = drift_stack(table, approx)
-    return steadystate.cool_many(a, q)
+    return steadystate.cool_many(*drift_stack(table, approx))
 
 
 def _sweep_lines(chunk, batch):
@@ -299,10 +316,7 @@ def sweep(spec, approx, axes, out, workers):
 def spectrum(spec, approx, omega_min, omega_max, points, out):
     """Probe-frequency scan of transmittances and relative scattering rates."""
     _check_out(out)
-    if points < 2:
-        raise ConfigError("need at least 2 frequency points")
-    if not (math.isfinite(omega_min) and math.isfinite(omega_max)):
-        raise ConfigError("frequency bounds must be finite")
+    omega = _grid(omega_min, omega_max, points, "frequency")
     if spec.n_mech != 2:
         raise ConfigError("spectrum scan is defined for n_mech = 2")
     drift = build_drift(spec, approx)
@@ -312,7 +326,7 @@ def spectrum(spec, approx, omega_min, omega_max, points, out):
     coop = spectra.Cooperativities.from_spec(spec)
     lam_res = spectra.lambda_analytic(coop, spec.theta[0])
     tcols = ["T_%s%s" % vw for vw in itertools.product(["a", "b1", "b2"], repeat=2)]
-    pt = spectra.scan_point(drift, np.linspace(omega_min, omega_max, points), coop)
+    pt = spectra.scan_point(drift, omega, coop)
     cells = np.column_stack([pt.omega, pt.t.reshape(points, -1), pt.lambda_rel[:, 2, 1],
                              pt.lambda_rel[:, 1, 2], np.full(points, lam_res)])
     header = ["omega"] + tcols + ["Lambda_b2b1", "Lambda_b1b2", "Lambda_analytic_resonant"]
@@ -329,9 +343,7 @@ def modes_cmd(spec, approx):
             payload["bright_dark"] = dataclasses.asdict(modes.bright_dark(spec))
         else:
             payload["hybrid"] = dataclasses.asdict(modes.hybrid_transform(spec))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        nm = modes.normal_modes(spec)
+    nm = modes.normal_modes(spec)
     payload["normal_modes"] = {
         "omega_k": nm.omega_k,
         "coupling_abs": [abs(c) for c in nm.coupling_k],  # not np.abs: it differs in the last bit
@@ -363,19 +375,14 @@ def limits_cmd(spec, approx):
     """Adiabatic-elimination effective model and analytic cooling limits."""
     if spec.n_mech != 2:
         raise ConfigError("cooling limits are defined for n_mech = 2")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        eff = limits.effective_model(spec)
-        simple = limits.cooling_limit_simplified(eff, spec)
-        full = limits.cooling_limit_full(eff, spec)
+    eff, found, caught = _limits_report(spec, full=True)
     _emit_json({
         "spec": spec_to_dict(spec),
         "effective": {name: getattr(eff, name) for name in (
             "xi1", "xi2", "gamma_eff", "omega_eff", "chi1", "chi2", "chi_plus", "chi_minus",
             "n_opt")},
-        "simplified": simple,
-        "full": full,
-        "warnings": sorted({str(w.message) for w in caught}),
+        **found,
+        "warnings": caught,
         "provenance": _provenance(approx),
     })
 

@@ -35,11 +35,8 @@ class EffectiveTwoMode:
     chi_plus: float
     chi_minus: float
     n_opt: float
-    n_chi1: float
-    n_chi2: float
     lambda1: complex
     lambda2: complex
-    u_disc: complex
     # resonant approximations (used by the simplified limit formula)
     xi1_res: complex = 0.0
     xi2_res: complex = 0.0
@@ -102,7 +99,7 @@ def effective_model(spec):
     if w1 + w2 + 2.0 * d == 0.0:
         raise DomainError("n_opt undefined when omega_1 + omega_2 + 2 delta = 0")
     n_opt = 4.0 * k * k / (w1 + w2 + 2.0 * d) ** 2
-    gamma_eff, chi1, chi2, chi_plus, chi_minus, n_chi1, n_chi2 = _transfer_rates(
+    gamma_eff, chi1, chi2, chi_plus, chi_minus, _, _ = _transfer_rates(
         spec, gamma_opt, xi1, xi2, n_opt)
     gg = gamma_eff[0] + gamma_eff[1]
 
@@ -121,8 +118,7 @@ def effective_model(spec):
         xi1=xi1, xi2=xi2, gamma_eff=gamma_eff, omega_eff=omega_eff,
         gamma_opt=gamma_opt, omega_opt=omega_opt,
         chi1=chi1, chi2=chi2, chi_plus=chi_plus, chi_minus=chi_minus,
-        n_opt=n_opt, n_chi1=n_chi1, n_chi2=n_chi2,
-        lambda1=lam1, lambda2=lam2, u_disc=u,
+        n_opt=n_opt, lambda1=lam1, lambda2=lam2,
         xi1_res=xi1_res, xi2_res=xi2_res,
         gamma_opt_res=gamma_opt_res, omega_opt_res=omega_opt_res)
 

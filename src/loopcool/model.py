@@ -136,8 +136,6 @@ class ClassicalSteadyState:
 class DriftModel:
     a: np.ndarray
     q: np.ndarray
-    c: np.ndarray
-    approx: CouplingApprox
     spec: SystemSpec = None
 
 
@@ -280,7 +278,7 @@ def to_linearized(spec):
 
 
 def drift_stack(table, approx=CouplingApprox()):
-    """Drift, raw-correlation and symmetrized noise stacks (A, C, Q) of a parameter table.
+    """Drift and noise stacks (A, Q) of a parameter table.
 
     The one drift builder: each is (size, 2N+2, 2N+2), row k built from row k
     of every table field with elementwise arithmetic only, so a row does not
@@ -306,8 +304,7 @@ def drift_stack(table, approx=CouplingApprox()):
         y[:, 1:, 1:] = -1j * (up + up.swapaxes(-1, -2))
     np.conjugate(y, out=a[:, dim:, :dim])
     np.conjugate(x, out=a[:, dim:, dim:])
-    c, q = noise_stack(table)
-    return a, c, q
+    return a, noise_stack(table)
 
 
 def _diagonal(stack, row, col, length):
@@ -318,30 +315,32 @@ def _diagonal(stack, row, col, length):
 
 
 def noise_stack(table):
-    """Raw bath-correlation stack C and its symmetrization Q = (C + C^T)/2."""
+    """Symmetric noise stack Q of a parameter table.  Each bath gives two equal
+    entries, at (x, x^+) and (x^+, x), evaluated as 0.5 * (p + m) from its
+    correlation rates: p = 2 kappa, m = 0 for the cavity at vacuum, and
+    p = 2 gamma_j (nbar_j + 1), m = 2 gamma_j nbar_j for resonator j."""
     gamma, nbar = table["gamma"], table["nbar"]
     size, n = gamma.shape
     dim = n + 1
+    q = np.zeros((size, 2 * dim, 2 * dim))
+    q[:, 0, dim] = q[:, dim, 0] = 0.5 * (2.0 * table["kappa"])
     two_gamma = 2.0 * gamma
-    c = np.zeros((size, 2 * dim, 2 * dim))
-    c[:, 0, dim] = 2.0 * table["kappa"]  # cavity bath at vacuum
-    _diagonal(c, 1, dim + 1, n)[:] = two_gamma * (nbar + 1.0)
-    _diagonal(c, dim + 1, 1, n)[:] = two_gamma * nbar
-    q = 0.5 * (c + c.swapaxes(-1, -2))
-    return c, q
+    bath = 0.5 * (two_gamma * (nbar + 1.0) + two_gamma * nbar)
+    _diagonal(q, 1, dim + 1, n)[:] = bath
+    _diagonal(q, dim + 1, 1, n)[:] = bath
+    return q
 
 
 def build_drift(spec, approx=CouplingApprox()):
-    """Drift, raw-correlation, and symmetrized noise matrices for the spec.
+    """Drift and noise matrices for the spec.
 
     The batch of one of drift_stack; a Physical drive is linearized first.
     """
     spec = to_linearized(spec)
-    a, c, q = drift_stack(param_table(spec), approx)
-    return DriftModel(a=a[0], q=q[0], c=c[0], approx=approx, spec=spec)
+    a, q = drift_stack(param_table(spec), approx)
+    return DriftModel(a=a[0], q=q[0], spec=spec)
 
 
 def build_noise(spec):
-    """Raw bath-correlation matrix C and its symmetrization Q = (C + C^T)/2."""
-    c, q = noise_stack(param_table(spec))
-    return c[0], q[0]
+    """Symmetric noise matrix Q of the spec (see noise_stack)."""
+    return noise_stack(param_table(spec))[0]

@@ -7,7 +7,6 @@ of the analogous three-level Lambda configuration.
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,16 +129,14 @@ def normal_modes(spec):
     The closed form assumes degenerate frequencies and uniform eta, G; in
     that case Omega_k = w_m + 2 eta cos(k pi/(N+1)) and the coupling of the
     k-th mode carries the accumulated-phase interference factor.  Nonuniform
-    specs fall back to numerical block diagonalization (with a warning).  The
-    uncooled ceiling nbar (N-1)/N needs equal baths too (nbar, gamma); else NaN.
+    specs fall back to numerical block diagonalization (closed_form = False).
+    The uncooled ceiling nbar (N-1)/N needs equal baths too (nbar, gamma); else NaN.
     """
     n = spec.n_mech
     g = spec.drive.g_lin
     uniform = (len(set(spec.omega_m)) == 1 and len(set(g)) == 1
                and (n < 2 or len(set(spec.eta)) == 1))
     if not uniform:
-        warnings.warn("nonuniform spec: no closed normal-mode form, "
-                      "falling back to numerical diagonalization")
         vals, vecs = np.linalg.eigh(mechanical_matrix(spec))
         coupling = vecs.conj().T @ np.array(g, complex)
         gmax = max(abs(x) for x in g) or 1.0
@@ -195,53 +192,54 @@ def _lambda_matrix(sys):
     ])  # basis (e, f, g), in units of Omega_1
 
 
+def _numeric_eigensystem(matrix):
+    """(ascending eigenvalues, eigenvectors as rows) of a Hermitian Lambda matrix.
+
+    One eigh call.  Its basis of a degenerate eigenspace (consecutive eigenvalues
+    within 1e-8 max(1, max |lambda|)) is arbitrary, so it is rotated to put the
+    combinations with no |e> amplitude first: else a dark state could be missed.
+    """
+    vals, vecs = np.linalg.eigh(matrix)
+    tol = 1e-8 * max(1.0, float(np.abs(vals).max()))
+    for cols in np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > tol) + 1):
+        if len(cols) > 1:
+            _, _, vh = np.linalg.svd(vecs[0:1, cols])
+            vecs[:, cols] = vecs[:, cols] @ vh.conj().T[:, ::-1]  # last->first: |e| ascending
+    return vals, vecs.T
+
+
 def lambda_eigensystem(sys):
     """Eigensystem of the loop-coupled Lambda three-level configuration.
 
     For the symmetric resonant case (Omega_1 = Omega_2, Delta = 0) the
     eigenvalues come from the Cardano closed form and eigenvectors from the
-    analytic expression (numeric fallback at lambda^2 = 1, where that
-    expression is singular).  Other cases are solved numerically.
+    analytic expression, singular at lambda^2 = 1.  There, and in every other
+    case, _numeric_eigensystem gives them.
     """
     eta = sys.eta_ratio
     th = sys.theta
     symmetric = sys.omega1 == sys.omega2 and sys.delta == 0.0
     if not symmetric:
-        vals, vecs = np.linalg.eigh(_lambda_matrix(sys))
-        vectors = vecs.T
-        p_e = np.abs(vectors[:, 0]) ** 2
-        dark = int(np.argmin(p_e)) if p_e.min() <= 1e-10 else None
-        return LambdaEigen(lambdas=vals, vectors=vectors, p_e=p_e,
-                           dark_index=dark, cardano={}, analytic=False)
-
-    lambdas, card = _cardano_roots(eta, th)
-    vmat = _lambda_matrix(sys)
-    vectors = np.zeros((3, 3), complex)
-    singular = [abs(lam * lam - 1.0) <= 1e-8 for lam in lambdas]
-    for s, lam in enumerate(lambdas):
-        if not singular[s]:
-            c_f = (lam * eta * cmath.exp(1j * th) + 1.0) / (lam * lam - 1.0)
-            c_e = (eta * cmath.exp(1j * th) + lam) / (lam * lam - 1.0)
-            vec = np.array([c_e, c_f, 1.0])
-            vectors[s] = vec / np.linalg.norm(vec)
-    if any(singular):
-        # the analytic eigenvector expression is singular at lambda = +-1;
-        # fall back to a numeric eigensolve there.  For a degenerate
-        # eigenvalue the numeric basis of the eigenspace is arbitrary, so
-        # rotate it to expose a zero-excited-amplitude combination if one
-        # exists (otherwise a dark state could be missed).
-        vals, vecs = np.linalg.eigh(vmat)
-        for lam in {round(lambdas[s], 8) for s in range(3) if singular[s]}:
-            members = [s for s in range(3) if singular[s]
-                       and abs(lambdas[s] - lam) <= 1e-6]
-            cols = np.argsort(np.abs(vals - lam))[:len(members)]
-            basis = vecs[:, cols]
-            if len(members) > 1:
-                _, _, vh = np.linalg.svd(basis[0:1, :])
-                basis = basis @ vh.conj().T[:, ::-1]  # last->first: |e| ascending
-            for k, s in enumerate(members):
-                vectors[s] = basis[:, k]
+        lambdas, vectors = _numeric_eigensystem(_lambda_matrix(sys))
+        card = {}
+    else:
+        lambdas, card = _cardano_roots(eta, th)
+        vectors = np.zeros((3, 3), complex)
+        singular = [abs(lam * lam - 1.0) <= 1e-8 for lam in lambdas]
+        for s, lam in enumerate(lambdas):
+            if not singular[s]:
+                c_f = (lam * eta * cmath.exp(1j * th) + 1.0) / (lam * lam - 1.0)
+                c_e = (eta * cmath.exp(1j * th) + lam) / (lam * lam - 1.0)
+                vec = np.array([c_e, c_f, 1.0])
+                vectors[s] = vec / np.linalg.norm(vec)
+        if any(singular):
+            vals, numeric = _numeric_eigensystem(_lambda_matrix(sys))
+            for lam in {round(lambdas[s], 8) for s in range(3) if singular[s]}:
+                members = [s for s in range(3) if singular[s]
+                           and abs(lambdas[s] - lam) <= 1e-6]
+                nearest = np.sort(np.argsort(np.abs(vals - lam))[:len(members)])
+                vectors[members] = numeric[nearest]  # in eigenspace order: dark first
     p_e = np.abs(vectors[:, 0]) ** 2
     dark = int(np.argmin(p_e)) if p_e.min() <= 1e-10 else None
     return LambdaEigen(lambdas=lambdas, vectors=vectors, p_e=p_e,
-                       dark_index=dark, cardano=card, analytic=True)
+                       dark_index=dark, cardano=card, analytic=symmetric)

@@ -2,7 +2,7 @@
 
 The covariance matrix V solves A V + V A^T = -Q (plain transpose, complex A,
 matching the operator-ordered correlation matrix).  One engine serves every
-caller.  It takes a stack of drifts and their noise matrices (as
+caller.  It takes a stack of drifts and their symmetric noise matrices Q (as
 `model.drift_stack` builds them) and runs one eigendecomposition
 A = W diag(lambda) W^-1 per drift.  The eigenvalues give the verdict, in
 `_verdict` alone: a drift is stable iff its spectral abscissa is below
@@ -20,17 +20,17 @@ So each solution's normwise backward error
 
 is checked, and a drift whose error is not <= BACKWARD_ERROR_TOL is solved
 again by the Schur-based `scipy.linalg.solve_sylvester`; its report says
-solver = "schur" instead of "eig".  `cool_many` is the batched entry point:
-it returns one CoolingReport of arrays over the stack, with no per-drift
-object.  `cool`, `cool_or_flag`, `stability_check` and `lyapunov_solve` are
-batches of one, so every command gives the same verdict for the same drift.
+solver = "schur" instead of "eig".  Only that fallback imports scipy.
+`cool_many` is the batched entry point: it returns one CoolingReport of arrays
+over the stack, with no per-drift object.  `cool`, `cool_or_flag`,
+`stability_check` and `lyapunov_solve` are batches of one, so every command
+gives the same verdict for the same drift.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NoConvergence, ShapeMismatch, Unstable
 
@@ -100,6 +100,7 @@ def _solve(a, q, lam, w):
         backward = _norm(r) / (2.0 * _norm(a) * _norm(v) + _norm(q))
     solver = ["eig"] * len(a)
     for k in np.flatnonzero(~(backward <= BACKWARD_ERROR_TOL)):
+        import scipy.linalg  # here alone, off the cold start of a run with no Schur solve
         v[k] = scipy.linalg.solve_sylvester(a[k], a[k].T, -q[k])
         residual[k] = _residual(a[k], v[k], q[k])[1]
         solver[k] = "schur"

@@ -370,11 +370,10 @@ def test_chunk_table_builds_the_drifts_of_set_param(spec, paths, rows):
             point = replaced(point, name, i, value)
         specs.append(point)
     for approx in APPROXES:
-        a, c, q = model.drift_stack(table, approx)
+        a, q = model.drift_stack(table, approx)
         for k, point in enumerate(specs):
             d = model.build_drift(point, approx)
-            assert a[k].tobytes() == d.a.tobytes()
-            assert q[k].tobytes() == d.q.tobytes() and c[k].tobytes() == d.c.tobytes()
+            assert a[k].tobytes() == d.a.tobytes() and q[k].tobytes() == d.q.tobytes()
 
 
 @pytest.mark.parametrize("name, source, args", [
@@ -531,9 +530,9 @@ def test_every_command_flags_the_shifted_point(runner, tmp_path, monkeypatch):
         return dataclasses.replace(d, a=d.a - (abscissa + 1e-11) * np.eye(d.a.shape[0]))
 
     def shifted_stack(table, approx=model.CouplingApprox()):  # what sweep builds
-        a, c, q = model.drift_stack(table, approx)
+        a, q = model.drift_stack(table, approx)
         abscissa = np.linalg.eig(a)[0].real.max(axis=-1)
-        return a - (abscissa + 1e-11)[:, None, None] * np.eye(a.shape[-1]), c, q
+        return a - (abscissa + 1e-11)[:, None, None] * np.eye(a.shape[-1]), q
 
     monkeypatch.setattr(cli, "build_drift", shifted)
     monkeypatch.setattr(cli, "drift_stack", shifted_stack)
@@ -774,6 +773,19 @@ def test_limits_zero_xi_is_domain_error(runner, tmp_path):
     assert json.loads(res.output)["stable"]
 
 
+def test_cool_embeds_the_limits_report(runner, tmp_path):
+    # kappa = 0.05 < G = 0.1 is outside omega >> kappa >> G >> gamma: both commands warn
+    cfg = tmp_path / "narrow.ini"
+    write_config(cfg)
+    cfg.write_text(cfg.read_text().replace("kappa = 0.2", "kappa = 0.05"))
+    cooled = json.loads(runner.invoke(main, ["cool", "--config", str(cfg)]).output)
+    limited = json.loads(runner.invoke(main, ["limits", "--config", str(cfg)]).output)
+    assert cooled["stable"]
+    regime = "outside the validity regime omega >> kappa >> G >> gamma"
+    assert cooled["limits"] == {"simplified": limited["simplified"], "warnings": [regime]}
+    assert regime in limited["warnings"]
+
+
 # at delta = -(omega_1 + omega_2)/2 the adiabatic n_opt divides by zero
 OPPOSITE_DETUNING = dict(drive_lines=(
     "type = linearized", "delta = -1.0", "g_lin = 0.01, 0.01"))
@@ -836,6 +848,19 @@ def test_sweep_non_finite_axis_is_config_error(runner, tmp_path, axis):
         parse_axis(axis)
 
 
+@pytest.mark.parametrize("command, args, message", [
+    ("sweep", ["--axis", "eta[0]=1.7e308:-1.7e308:4"], "axis span is wider than the float range"),
+    ("spectrum", ["--omega-min", "-1.7e308", "--omega-max", "1.7e308"],
+     "frequency span is wider than the float range")])
+def test_span_beyond_float_range_is_config_error(runner, tmp_path, command, args, message):
+    # finite bounds whose stop - start overflows: refused before numpy sees them,
+    # so no RuntimeWarning (an error under the test settings) is raised
+    out = tmp_path / "o.csv"
+    res = runner.invoke(main, [command, "--preset", "fig3", "--out", str(out)] + args)
+    assert_one_line(res, 2, "config error: " + message)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bound", [["--omega-min", "nan"], ["--omega-max", "inf"]])
 def test_spectrum_non_finite_bounds_are_config_error(runner, tmp_path, bound):
     out = tmp_path / "spec.csv"
@@ -851,4 +876,11 @@ def test_spectrum_non_finite_bounds_are_config_error(runner, tmp_path, bound):
 def test_lambda_non_finite_is_config_error(runner, args):
     res = runner.invoke(main, ["lambda"] + args)
     assert_one_line(res, 2, "config error: --eta and --theta must be finite")
+    assert res.stdout == ""
+
+
+def test_lambda_float_overflow_is_one_error_line(runner):
+    # (2 + eta^2)^3 overflows a float in the Cardano roots
+    res = runner.invoke(main, ["lambda", "--eta", "1e100", "--theta", "0"])
+    assert_one_line(res, 1, "error: OverflowError:")
     assert res.stdout == ""

@@ -229,10 +229,10 @@ def _table_of(specs):
 def test_drift_stack_rows_equal_build_drift_presets(preset, approx):
     spec = PRESETS[preset]()
     d = build_drift(spec, approx)
-    a, c, q = drift_stack(param_table(spec, 3), approx)
-    assert a.shape == c.shape == q.shape == (3,) + d.a.shape
+    a, q = drift_stack(param_table(spec, 3), approx)
+    assert a.shape == q.shape == (3,) + d.a.shape
     for k in range(3):
-        assert _same_bits(a[k], d.a) and _same_bits(c[k], d.c) and _same_bits(q[k], d.q)
+        assert _same_bits(a[k], d.a) and _same_bits(q[k], d.q)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16])
@@ -241,10 +241,10 @@ def test_drift_stack_of_g_equals_g_batches_of_one(n):
     rng = np.random.default_rng(n)
     specs = [_random_chain(rng, n) for _ in range(9)]
     for approx in APPROXES:
-        a, c, q = drift_stack(_table_of(specs), approx)
+        a, q = drift_stack(_table_of(specs), approx)
         for k, spec in enumerate(specs):
             d = build_drift(spec, approx)
-            assert _same_bits(a[k], d.a) and _same_bits(c[k], d.c) and _same_bits(q[k], d.q)
+            assert _same_bits(a[k], d.a) and _same_bits(q[k], d.q)
             assert np.array_equal(a[k], _build_drift_per_entry(spec, approx))
 
 
@@ -349,25 +349,40 @@ def test_drift_from_physical_drive():
 # --- noise --------------------------------------------------------------
 
 def test_noise_pattern():
+    # Q = (C + C^T)/2 of the bath correlations C: 2 kappa at (a, a^+),
+    # 2 gamma (nbar + 1) at (b_j, b_j^+) and 2 gamma nbar at (b_j^+, b_j)
     spec = two_mode()
-    c, q = build_noise(spec)
-    assert c[0, 3] == pytest.approx(2 * 0.2)
-    assert c[1, 4] == pytest.approx(2 * 1e-5 * 1001)
-    assert c[4, 1] == pytest.approx(2 * 1e-5 * 1e3)
+    q = build_noise(spec)
+    assert q[0, 3] == q[3, 0] == 0.5 * (2 * 0.2)
+    assert q[1, 4] == q[4, 1] == 0.5 * (2 * 1e-5 * 1001 + 2 * 1e-5 * 1e3)
     # nothing else nonzero
-    mask = np.zeros_like(c, dtype=bool)
-    for i, j in [(0, 3), (1, 4), (2, 5), (4, 1), (5, 2)]:
+    mask = np.zeros_like(q, dtype=bool)
+    for i, j in [(0, 3), (1, 4), (2, 5), (3, 0), (4, 1), (5, 2)]:
         mask[i, j] = True
-    assert np.all(c[~mask] == 0)
+    assert np.all(q[~mask] == 0)
 
 
 def test_noise_vacuum_baths():
     spec = two_mode(nbar=(0.0, 0.0))
-    c, _ = build_noise(spec)
-    assert c[4, 1] == 0 and c[5, 2] == 0
-    assert c[1, 4] == pytest.approx(2e-5)
+    q = build_noise(spec)
+    assert q[4, 1] == q[1, 4] == q[5, 2] == pytest.approx(1e-5)
 
 
 def test_noise_q_symmetric():
-    _, q = build_noise(two_mode())
+    q = build_noise(two_mode())
     assert np.array_equal(q, q.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_noise_has_the_bits_of_the_symmetrized_bath_correlations(n):
+    # the reference builds the correlation matrix C entry by entry, then (C + C^T)/2
+    rng = np.random.default_rng(n)
+    dim = n + 1
+    for _ in range(20):
+        spec = _random_chain(rng, n)
+        c = np.zeros((2 * dim, 2 * dim))
+        c[0, dim] = 2.0 * spec.kappa
+        for j in range(n):
+            c[1 + j, dim + 1 + j] = 2.0 * spec.gamma[j] * (spec.nbar[j] + 1.0)
+            c[dim + 1 + j, 1 + j] = 2.0 * spec.gamma[j] * spec.nbar[j]
+        assert build_noise(spec).tobytes() == (0.5 * (c + c.T)).tobytes()

@@ -164,9 +164,8 @@ def test_predicted_ceiling_needs_equal_baths(baths):
 
 def test_normal_modes_nonuniform_fallback():
     spec = chain(3, omega=(1.0, 1.05, 0.95))
-    with pytest.warns(UserWarning, match="nonuniform"):
-        nm = normal_modes(spec)
-    assert not nm.closed_form
+    nm = normal_modes(spec)
+    assert nm.closed_form is False
     vals = np.linalg.eigvalsh(mechanical_matrix(spec))
     assert np.allclose(np.sort(nm.omega_k), np.sort(vals), atol=1e-10)
     # unitary transform preserves total coupling power
@@ -178,8 +177,8 @@ def test_normal_modes_nonuniform_fallback():
 def test_normal_modes_fallback_couplings_from_mechanical_matrix(n, theta):
     # the fallback's mode couplings are eigh(H) eigenvectors^dagger . g
     spec = chain(n, theta1=theta, omega=(1.0, 1.05, 0.95)[:n], gs=(0.1, 0.08, 0.12)[:n])
-    with pytest.warns(UserWarning, match="nonuniform"):
-        nm = normal_modes(spec)
+    nm = normal_modes(spec)
+    assert nm.closed_form is False
     vals, vecs = np.linalg.eigh(mechanical_matrix(spec))
     assert np.allclose(nm.omega_k, vals, rtol=0.0, atol=1e-14)
     assert np.allclose(nm.coupling_k, vecs.conj().T @ np.array(spec.drive.g_lin),
@@ -267,6 +266,19 @@ def test_lambda_degenerate_subspace_dark_found():
     assert sorted(round(x, 6) for x in res.lambdas) == [-1.0, -1.0, 2.0]
     bright = [s for s in range(3) if s != res.dark_index]
     assert sum(res.p_e[bright]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("eta", [0.3, 0.5])
+def test_lambda_detuned_degenerate_subspace_dark_found(eta):
+    # theta = 0, Delta = (1 - eta^2)/eta: the e-bright pair also has eigenvalue
+    # -eta, so -eta is twofold degenerate on the numeric route and the dark
+    # state (0, 1, -1)/sqrt(2) must be exposed from its eigenspace
+    res = lambda_eigensystem(LambdaSystem(omega1=1.0, omega2=1.0, omega_b=eta, theta=0.0,
+                                          delta=(1.0 - eta * eta) / eta))
+    assert not res.analytic
+    assert res.dark_index is not None
+    assert res.p_e[res.dark_index] <= 1e-10
+    assert abs(res.lambdas[res.dark_index] + eta) <= 1e-12
 
 
 def test_lambda_eigenvectors_satisfy_matrix():

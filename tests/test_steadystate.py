@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,8 +24,7 @@ def stacked(drifts):
 
 
 def manual_drift(a, q):
-    return DriftModel(a=np.asarray(a, complex), q=np.asarray(q, complex),
-                      c=np.asarray(q, complex), approx=CouplingApprox())
+    return DriftModel(a=np.asarray(a, complex), q=np.asarray(q, complex))
 
 
 def test_lyapunov_scalar():
@@ -212,6 +215,36 @@ def test_well_conditioned_point_takes_eig_route():
     assert rep.solver == "eig"
     assert cool_or_flag(build_drift(get_preset("figS13").with_(eta=(0.5,)),
                                     CouplingApprox(FULL, FULL))).solver is None
+
+
+def _fresh_python(code):
+    """stdout of code run by a new interpreter on this source tree.  The test
+    settings' warning filters import scipy.linalg into this process, so only a
+    new one shows what loopcool itself imports."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True).stdout
+
+
+def test_cool_on_the_eig_route_never_imports_scipy():
+    out = _fresh_python(
+        "import sys\n"
+        "from loopcool.cli import main\n"
+        "main.main(args=['cool', '--preset', 'fig2'], standalone_mode=False)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_schur_route_imports_scipy_when_needed():
+    # every point of fig2's Delta = 0 column takes the Schur route
+    out = _fresh_python(
+        "import dataclasses\n"
+        "from loopcool import build_drift, cool_or_flag, get_preset\n"
+        "spec = get_preset('fig2')\n"
+        "spec = spec.with_(drive=dataclasses.replace(spec.drive, delta=0.0))\n"
+        "print(cool_or_flag(build_drift(spec)).solver)\n")
+    assert out.splitlines() == ["schur"]
 
 
 def _near_defective(split):
