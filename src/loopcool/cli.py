@@ -1,6 +1,5 @@
 """Command-line interface: single-point reports, sweeps, and spectrum scans."""
 
-import concurrent.futures
 import dataclasses
 import datetime
 import functools
@@ -296,6 +295,8 @@ def sweep(spec, approx, axes, out, workers):
              for s in starts]
 
     if workers > 1:
+        import concurrent.futures  # only a pool needs it; every other run skips its import cost
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_sweep_eval, tasks))
     else:

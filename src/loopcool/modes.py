@@ -179,8 +179,15 @@ def _cardano_roots(eta, theta):
     l2 = -0.5 * (s1 + s2) + spread
     l3 = -0.5 * (s1 + s2) - spread
     roots = np.array([l1, l2, l3])
-    return roots.real, {"q": q, "r": r, "s1": s1, "s2": s2,
-                        "imag_residue": float(np.abs(roots.imag).max())}
+    lambdas = roots.real
+    # the closed form loses the smallest root to cancellation once eta >> 1
+    # (two roots near +-eta, one near -2 cos(theta)/eta); Vieta's
+    # l1 l2 l3 = 2 eta cos(theta) recovers it from the two large ones
+    k = int(np.argmin(np.abs(lambdas)))
+    big = np.delete(lambdas, k)
+    lambdas[k] = 2.0 * r / (big[0] * big[1])
+    return lambdas, {"q": q, "r": r, "s1": s1, "s2": s2,
+                     "imag_residue": float(np.abs(roots.imag).max())}
 
 
 def _lambda_matrix(sys):

@@ -7,8 +7,9 @@ import pytest
 from loopcool import get_preset
 from loopcool.errors import DomainError
 from loopcool.model import Linearized, SystemSpec, mechanical_matrix
-from loopcool.modes import (LambdaSystem, _cardano_roots, bright_dark,
-                            hybrid_transform, lambda_eigensystem, normal_modes)
+from loopcool.modes import (LambdaSystem, _cardano_roots, _lambda_matrix,
+                            bright_dark, hybrid_transform, lambda_eigensystem,
+                            normal_modes)
 
 
 def chain(n, g=0.1, eta=0.1, theta1=math.pi / 2, omega=None, gs=None):
@@ -209,6 +210,24 @@ def test_cardano_residual_grid():
             for lam in roots:
                 resid = lam ** 3 - (2 + eta * eta) * lam - 2 * eta * math.cos(th)
                 assert abs(resid) <= 1e-10
+
+
+@pytest.mark.parametrize("eta", [1e-6, 1e-2, 1.0, 1e2, 1e6, 1e10, 1e20, 1e40])
+def test_cardano_roots_and_vectors_at_extreme_exchange(eta):
+    # at eta >> 1 the smallest root is ~ -2 cos(theta)/eta, far below the
+    # rounding of the two roots near +-eta that the closed form subtracts
+    for th in np.linspace(0.0, 2 * math.pi, 13):
+        roots, _ = _cardano_roots(eta, th)
+        p, c = 2.0 + eta * eta, 2.0 * eta * math.cos(th)
+        for lam in roots:
+            scale = abs(lam) ** 3 + p * abs(lam) + abs(c)
+            assert abs(lam ** 3 - p * lam - c) <= 1e-14 * scale
+        sys = lam_sys(eta, th)
+        res = lambda_eigensystem(sys)
+        m = _lambda_matrix(sys)
+        for lam, v in zip(res.lambdas, res.vectors):
+            assert np.linalg.norm(m @ v - lam * v) <= 1e-12 * np.linalg.norm(m, 2)
+        assert abs(res.p_e.sum() - 1.0) <= 1e-12
 
 
 def test_lambda_dark_iff_phase_multiple_of_pi():

@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from loopcool import kernels, numkit
+from loopcool import get_preset, kernels, numkit
 from loopcool.errors import BlowUp, DimensionOverflow, ShapeMismatch, SingularMatrix
+from loopcool.model import build_drift
 
 
 def test_solve_identity():
@@ -166,27 +167,80 @@ def _rk4_per_step(a, q, x, n_steps, dt):
     return x
 
 
-@pytest.mark.parametrize("n_steps", [0, 1, 2, 7, 1000])
-def test_integrate_matches_per_step_rk4(n_steps):
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) - 4 * np.eye(6)
+def _cnormal(rng, n):
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def _stable_drift(n, seed):
+    rng = np.random.default_rng(seed)
+    a = _cnormal(rng, n) - 4 * np.eye(n)
     assert np.linalg.eigvals(a).real.max() < 0
-    q = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    x0 = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    dt = 0.01
+    return a, rng
+
+
+def _close_to_per_step(a, q, x0, n_steps, dt=0.01):
     ref = _rk4_per_step(a, q, x0, n_steps, dt)
     x = kernels.rk4_lyapunov_flow(a, q, x0, n_steps * dt, dt)
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    return x
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 2, 3, 7, 1000, 1023, 1024])
+def test_integrate_matches_per_step_rk4(n_steps):
+    a, rng = _stable_drift(6, 7)
+    q, x0 = _cnormal(rng, 6), _cnormal(rng, 6)
+    x = _close_to_per_step(a, q, x0, n_steps)
     if n_steps == 0:
         assert np.array_equal(x, x0)
         # t_end below half a step also rounds to no step
-        assert np.array_equal(kernels.rk4_lyapunov_flow(a, q, x0, 0.4 * dt, dt), x0)
+        assert np.array_equal(kernels.rk4_lyapunov_flow(a, q, x0, 0.004, 0.01), x0)
 
 
 def test_determinism():
     rng = np.random.default_rng(5)
-    a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)) - 2 * np.eye(5)
+    a = _cnormal(rng, 5) - 2 * np.eye(5)
     q = np.eye(5, dtype=complex)
     x1 = kernels.rk4_lyapunov_flow(a, q, np.zeros((5, 5)), 5.0, 0.01)
     x2 = kernels.rk4_lyapunov_flow(a, q, np.zeros((5, 5)), 5.0, 0.01)
     assert np.array_equal(x1, x2)
+
+
+@pytest.mark.parametrize("n_steps", [3, 1023, 1024])
+def test_integrate_symmetric_inputs_give_symmetric_state(n_steps):
+    # only the symmetric half runs, and the state is read back from one triangle
+    a, rng = _stable_drift(6, 11)
+    q, x0 = _cnormal(rng, 6), _cnormal(rng, 6)
+    x = _close_to_per_step(a, q + q.T, x0 + x0.T, n_steps)
+    assert np.array_equal(x, x.T)
+
+
+@pytest.mark.parametrize("n_steps", [3, 1023, 1024])
+def test_integrate_symmetric_forcing_antisymmetric_start(n_steps):
+    a, rng = _stable_drift(5, 12)
+    q, x0 = _cnormal(rng, 5), _cnormal(rng, 5)
+    # a short horizon keeps the antisymmetric start well above roundoff
+    x = _close_to_per_step(a, q + q.T, x0 - x0.T, n_steps, dt=0.001)
+    assert np.abs(x - x.T).max() > 1e-3 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("n_steps", [3, 1023, 1024])
+def test_integrate_antisymmetric_forcing_only(n_steps):
+    a, rng = _stable_drift(4, 13)
+    q = _cnormal(rng, 4)
+    x = _close_to_per_step(a, q - q.T, np.zeros((4, 4)), n_steps)
+    # the symmetric half has neither forcing nor start, so it stays zero
+    assert np.array_equal(x, -x.T)
+
+
+def test_integrate_unstable_drift_without_forcing_or_start():
+    # the state stays exactly zero; the powers of the step map must still trip
+    a = np.diag([0.5, -1.0, -2.0]).astype(complex)
+    with pytest.raises(BlowUp):
+        kernels.rk4_lyapunov_flow(a, np.zeros((3, 3)), np.zeros((3, 3)), 200.0, 0.01)
+
+
+def test_integrate_fig2_matches_per_step_rk4():
+    d = build_drift(get_preset("fig2"))
+    q = d.q.astype(complex)
+    x = _close_to_per_step(d.a, q, np.zeros_like(d.a), 2000, dt=0.02)
+    assert np.array_equal(x, x.T)

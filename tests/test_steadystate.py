@@ -236,6 +236,16 @@ def test_cool_on_the_eig_route_never_imports_scipy():
     assert out.splitlines()[-1] == "[]"
 
 
+def test_serial_cli_never_imports_concurrent_futures():
+    # only sweep --workers > 1 starts a process pool
+    out = _fresh_python(
+        "import sys\n"
+        "from loopcool.cli import main\n"
+        "main.main(args=['cool', '--preset', 'fig2'], standalone_mode=False)\n"
+        "print('concurrent.futures' in sys.modules)\n")
+    assert out.splitlines()[-1] == "False"
+
+
 def test_schur_route_imports_scipy_when_needed():
     # every point of fig2's Delta = 0 column takes the Schur route
     out = _fresh_python(
