@@ -237,15 +237,29 @@ def _sweep_eval(task):
     return steadystate.cool_many(*drift_stack(table, approx))
 
 
-def _sweep_lines(chunk, batch):
-    """CSV lines of one chunk: axis values, n_f_j and n_cav (empty if unstable), stable, abscissa."""
-    n_axes = chunk.shape[1]
+def _sweep_grid(grids):
+    """(columns, prefixes) of the grid spanned by the axes' value arrays, in
+    itertools.product's row order (the last axis varies fastest).
+
+    columns holds one value array per axis, from np.meshgrid; prefixes holds
+    each point's axis values as CSV text, with every axis value formatted by
+    repr once, however many rows repeat it.
+    """
+    columns = [column.ravel() for column in np.meshgrid(*grids, indexing="ij")]
+    texts = [[repr(v) for v in grid.tolist()] for grid in grids]
+    return columns, [",".join(cells) for cells in itertools.product(*texts)]
+
+
+def _sweep_lines(prefixes, batch):
+    """CSV lines of one chunk, from each point's axis prefix (see _sweep_grid):
+    the prefix, n_f_j and n_cav (empty if unstable), stable, abscissa.  Only
+    n_f_j, n_cav and the abscissa are formatted here, point by point."""
     unstable = "," * (batch.n_f.shape[1] + 1) + ",false,"
-    cells = np.column_stack([chunk, batch.n_f, batch.n_cav]).tolist()
-    return [",".join(map(repr, row)) + ",true," + repr(x) if ok
-            else ",".join(map(repr, row[:n_axes])) + unstable + repr(x)
-            for row, ok, x in zip(cells, batch.stable.tolist(),
-                                  batch.spectral_abscissa.tolist())]
+    cells = np.column_stack([batch.n_f, batch.n_cav]).tolist()
+    return [prefix + "," + ",".join(map(repr, row)) + ",true," + repr(x) if ok
+            else prefix + unstable + repr(x)
+            for prefix, row, ok, x in zip(prefixes, cells, batch.stable.tolist(),
+                                          batch.spectral_abscissa.tolist())]
 
 
 def _check_out(out):
@@ -279,18 +293,22 @@ def _write_csv(out, spec, approx, header, lines):
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
               help="Parallel worker processes.")
 def sweep(spec, approx, axes, out, workers):
-    """1-D or 2-D parameter sweep of the steady-state occupations (CSV)."""
+    """1-D or 2-D parameter sweep of the steady-state occupations (CSV).
+    \f
+    The grid's table (param_table, then set_param per axis) and every row's
+    axis text (_sweep_grid) are built once, before any point runs; each chunk
+    of BATCH rows then goes through the engine and _sweep_lines.
+    """
     _check_out(out)
     if len(axes) > 2:
         raise ConfigError("at most two --axis options")
-    parsed = [(path, grid.tolist()) for path, grid in map(parse_axis, axes)]
-    paths = [p for p, _ in parsed]
+    paths, grids = zip(*map(parse_axis, axes))
     entries = [_resolve(spec, p) for p in paths]
-    points = np.array(list(itertools.product(*(grid for _, grid in parsed))))
-    table = param_table(spec, len(points))
-    for (name, i), values in zip(entries, points.T):  # checks every value before any point runs
+    columns, prefixes = _sweep_grid(grids)
+    table = param_table(spec, len(prefixes))
+    for (name, i), values in zip(entries, columns):  # checks every value before any point runs
         set_param(table, name, i, values)
-    starts = range(0, len(points), BATCH)
+    starts = range(0, len(prefixes), BATCH)
     tasks = [(approx, {name: column[s:s + BATCH] for name, column in table.items()})
              for s in starts]
 
@@ -302,8 +320,8 @@ def sweep(spec, approx, axes, out, workers):
     else:
         batches = map(_sweep_eval, tasks)  # lazy: one chunk's stacks alive at a time
     lines = [line for s, batch in zip(starts, batches)
-             for line in _sweep_lines(points[s:s + BATCH], batch)]
-    header = paths + ["n_f_%d" % (j + 1) for j in range(spec.n_mech)] + \
+             for line in _sweep_lines(prefixes[s:s + BATCH], batch)]
+    header = list(paths) + ["n_f_%d" % (j + 1) for j in range(spec.n_mech)] + \
         ["n_cav", "stable", "spectral_abscissa"]
     _write_csv(out, spec, approx, header, lines)
 
@@ -329,9 +347,11 @@ def spectrum(spec, approx, omega_min, omega_max, points, out):
     tcols = ["T_%s%s" % vw for vw in itertools.product(["a", "b1", "b2"], repeat=2)]
     pt = spectra.scan_point(drift, omega, coop)
     cells = np.column_stack([pt.omega, pt.t.reshape(points, -1), pt.lambda_rel[:, 2, 1],
-                             pt.lambda_rel[:, 1, 2], np.full(points, lam_res)])
+                             pt.lambda_rel[:, 1, 2]])
+    last = "," + repr(lam_res)  # the one value of the constant last column, formatted once
     header = ["omega"] + tcols + ["Lambda_b2b1", "Lambda_b1b2", "Lambda_analytic_resonant"]
-    _write_csv(out, spec, approx, header, [",".join(map(repr, row)) for row in cells.tolist()])
+    _write_csv(out, spec, approx, header,
+               [",".join(map(repr, row)) + last for row in cells.tolist()])
 
 
 @main.command("modes")
@@ -367,7 +387,8 @@ def lambda_cmd(eta, theta):
     sys_ = modes.LambdaSystem(omega1=1.0, omega2=1.0, omega_b=eta, theta=theta)
     eig = modes.lambda_eigensystem(sys_)
     _emit_json({"eta": eta, "theta": theta, "lambdas": eig.lambdas, "p_e": eig.p_e,
-                "dark_index": eig.dark_index, "analytic": eig.analytic})
+                "dark_index": eig.dark_index, "dark_indices": eig.dark_indices,
+                "analytic": eig.analytic})
 
 
 @main.command("limits")

@@ -149,14 +149,19 @@ def param_table(spec, size=1):
 
     Each array has a leading batch axis: shape (size,) for a scalar field,
     (size, len) for a tuple field.  The fields are SPEC_FIELDS and, for a
-    Linearized drive, DRIVE_FIELDS.  Every array is a fresh copy, so
+    Linearized drive, DRIVE_FIELDS.  Each field's one row is converted once
+    and, for size > 1, repeated along the batch axis by ndarray.repeat, so no
+    Python list of size copies is built.  Every array is a fresh copy, so
     set_param may write a field (e.g. a sweep's axis) without touching spec.
     """
     owners = [(spec, SPEC_FIELDS)]
     if isinstance(spec.drive, Linearized):
         owners.append((spec.drive, DRIVE_FIELDS))
-    return {name: np.array([getattr(owner, name)] * size, float)
-            for owner, names in owners for name in names}
+    table = {name: np.array([getattr(owner, name)], float)
+             for owner, names in owners for name in names}
+    if size != 1:  # size 1 is every SystemSpec check and build_drift: no repeat call there
+        table = {name: row.repeat(size, axis=0) for name, row in table.items()}
+    return table
 
 
 def _phase(theta):

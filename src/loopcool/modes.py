@@ -16,6 +16,8 @@ from .model import mechanical_matrix
 
 #: a mode counts as dark when |coupling| <= DARK_TOL * max coupling strength
 DARK_TOL = 1e-10
+#: a Lambda eigenstate counts as dark when its excited-state weight p_e <= DARK_P_E
+DARK_P_E = 1e-10
 
 
 @dataclass
@@ -68,7 +70,8 @@ class LambdaEigen:
     lambdas: np.ndarray
     vectors: np.ndarray  # rows: eigenstates; columns: amplitudes on (e, f, g)
     p_e: np.ndarray
-    dark_index: object
+    dark_index: object  # the darkest state (argmin p_e) if it is dark, else None
+    dark_indices: list  # every dark state (p_e <= DARK_P_E), in index order
     cardano: dict
     analytic: bool
 
@@ -247,6 +250,7 @@ def lambda_eigensystem(sys):
                 nearest = np.sort(np.argsort(np.abs(vals - lam))[:len(members)])
                 vectors[members] = numeric[nearest]  # in eigenspace order: dark first
     p_e = np.abs(vectors[:, 0]) ** 2
-    dark = int(np.argmin(p_e)) if p_e.min() <= 1e-10 else None
+    dark = np.flatnonzero(p_e <= DARK_P_E).tolist()
     return LambdaEigen(lambdas=lambdas, vectors=vectors, p_e=p_e,
-                       dark_index=dark, cardano=card, analytic=symmetric)
+                       dark_index=int(np.argmin(p_e)) if dark else None,
+                       dark_indices=dark, cardano=card, analytic=symmetric)

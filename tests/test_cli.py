@@ -1,14 +1,16 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
 import pathlib
+import types
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from loopcool import cli, model, steadystate
+from loopcool import cli, model, spectra, steadystate
 from loopcool.cli import main, parse_axis
 from loopcool.errors import ConfigError, InvalidSpec, NoConvergence, NoFixedPoint
 from loopcool.presets import _chain, get_preset
@@ -392,6 +394,66 @@ def test_sweep_matches_reference_csv(runner, tmp_path, name, source, args):
     assert body_lines(out) == (DATA / (name + ".csv")).read_text().splitlines()
 
 
+def _sweep_lines_per_row(chunk, batch):
+    """A sweep chunk's CSV lines as first written: each row of grid values and
+    occupations formatted and joined whole, one repr per cell."""
+    n_axes = chunk.shape[1]
+    unstable = "," * (batch.n_f.shape[1] + 1) + ",false,"
+    cells = np.column_stack([chunk, batch.n_f, batch.n_cav]).tolist()
+    return [",".join(map(repr, row)) + ",true," + repr(x) if ok
+            else ",".join(map(repr, row[:n_axes])) + unstable + repr(x)
+            for row, ok, x in zip(cells, batch.stable.tolist(),
+                                  batch.spectral_abscissa.tolist())]
+
+
+EDGE_AXIS = np.array([-0.0, 5e-324, 1e300, -2.5, -1e-300, 0.1 + 0.2, 0.0, -1e300, 7.0])
+THETA_AXIS = np.linspace(-7.0, 7.0, 13)
+
+
+@pytest.mark.parametrize("grids", [
+    [THETA_AXIS],
+    [np.linspace(-7.0, 7.0, 2 * cli.BATCH + 3)],
+    [EDGE_AXIS, THETA_AXIS],
+    [THETA_AXIS, EDGE_AXIS],
+    [np.linspace(-1.5, 1.5, 33), EDGE_AXIS],
+], ids=["theta_13", "theta_131", "edge_x_theta", "theta_x_edge", "delta_33_x_edge"])
+def test_sweep_lines_match_the_per_row_formatting(grids):
+    points = np.array(list(itertools.product(*(grid.tolist() for grid in grids))))
+    assert len(points) % cli.BATCH != 0
+    columns, prefixes = cli._sweep_grid(grids)
+    assert np.column_stack(columns).tobytes() == points.tobytes()  # -0.0 kept, product order
+    rng = np.random.default_rng(len(points))
+    size, n_mech = len(points), 3
+    stable = rng.random(size) < 0.6
+    n_f = rng.lognormal(0.0, 8.0, (size, n_mech))
+    n_cav = rng.lognormal(-20.0, 8.0, size)
+    n_f[~stable], n_cav[~stable] = math.nan, math.nan  # as the engine leaves them
+    n_f[0, 0], n_cav[-1] = 5e-324, 1e300
+    abscissa = np.where(stable, -rng.lognormal(-5.0, 4.0, size), rng.lognormal(-5.0, 4.0, size))
+    for s in range(0, size, cli.BATCH):
+        rows = slice(s, s + cli.BATCH)
+        batch = types.SimpleNamespace(n_f=n_f[rows], n_cav=n_cav[rows], stable=stable[rows],
+                                      spectral_abscissa=abscissa[rows])
+        assert cli._sweep_lines(prefixes[rows], batch) == _sweep_lines_per_row(points[rows], batch)
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig4", "figS8"])
+def test_spectrum_body_matches_the_per_row_formatting(runner, tmp_path, preset):
+    out = tmp_path / "spectrum.csv"
+    res = runner.invoke(main, ["spectrum", "--preset", preset, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    # the body as first written: every column, the constant last one too, by one repr per cell
+    spec = model.to_linearized(get_preset(preset))
+    coop = spectra.Cooperativities.from_spec(spec)
+    pt = spectra.scan_point(model.build_drift(spec), np.linspace(0.9, 1.1, 801), coop)
+    cells = np.column_stack([pt.omega, pt.t.reshape(801, -1), pt.lambda_rel[:, 2, 1],
+                             pt.lambda_rel[:, 1, 2],
+                             np.full(801, spectra.lambda_analytic(coop, spec.theta[0]))])
+    body = body_lines(out)
+    assert body[0].endswith(",Lambda_b2b1,Lambda_b1b2,Lambda_analytic_resonant")
+    assert body[1:] == [",".join(map(repr, row)) for row in cells.tolist()]
+
+
 def test_sweep_rejects_n_mech_axis(runner, tmp_path):
     out = tmp_path / "s.csv"
     res = runner.invoke(main, ["sweep", "--preset", "fig2", "--axis", "n_mech=2:2:2",
@@ -622,6 +684,17 @@ def test_lambda_command(runner):
     assert payload["dark_index"] is not None
     assert payload["p_e"][payload["dark_index"]] <= 1e-10
     assert sorted(round(x, 6) for x in payload["lambdas"]) == [-1.0, -1.0, 2.0]
+
+
+@pytest.mark.parametrize("eta, theta, dark", [
+    ("1e10", "0.3", [0, 1]), ("1.0", "0", [1]), ("0.5", "0.3", []),
+])
+def test_lambda_reports_every_dark_state(runner, eta, theta, dark):
+    res = runner.invoke(main, ["lambda", "--eta", eta, "--theta", theta])
+    assert res.exit_code == 0, res.output
+    payload = strict_json(res.output)
+    assert payload["dark_indices"] == dark
+    assert payload["dark_index"] == (min(dark, key=payload["p_e"].__getitem__) if dark else None)
 
 
 def test_limits_command(runner):

@@ -3,9 +3,9 @@ import pytest
 
 from loopcool import numkit
 from loopcool.errors import InvalidSpec
-from loopcool.model import (FULL, RWA, CouplingApprox, Linearized, Physical,
-                            SystemSpec, build_drift, build_noise, drift_stack, linearize,
-                            mechanical_matrix, param_table, to_linearized)
+from loopcool.model import (DRIVE_FIELDS, FULL, RWA, SPEC_FIELDS, CouplingApprox, Linearized,
+                            Physical, SystemSpec, build_drift, build_noise, drift_stack,
+                            linearize, mechanical_matrix, param_table, to_linearized)
 from loopcool.presets import PRESETS
 
 APPROXES = [CouplingApprox(om, mech) for om in (FULL, RWA) for mech in (FULL, RWA)]
@@ -258,6 +258,38 @@ def test_param_table_is_a_copy():
         column[...] = 7.0
     assert spec == two_mode()
     assert "delta" not in param_table(physical_spec())
+
+
+def _param_table_from_lists(spec, size):
+    """The parameter table as first built: each column from a Python list of size copies."""
+    owners = [(spec, SPEC_FIELDS)]
+    if isinstance(spec.drive, Linearized):
+        owners.append((spec.drive, DRIVE_FIELDS))
+    return {name: np.array([getattr(owner, name)] * size, float)
+            for owner, names in owners for name in names}
+
+
+def one_mode():
+    return SystemSpec(n_mech=1, omega_m=(1.0,), kappa=0.2, gamma=(1e-5,), nbar=(1e3,),
+                      eta=(), theta=(), drive=Linearized(delta=1.0, g_lin=(0.1,)))
+
+
+@pytest.mark.parametrize("size", [1, 1089])
+@pytest.mark.parametrize("make", [
+    two_mode, physical_spec, one_mode,
+    lambda: to_linearized(PRESETS["figS11"]()),
+    lambda: two_mode(eta=0.0, theta=-0.0, delta=-0.0, nbar=(5e-324, 1e300)),
+], ids=["two_mode", "physical", "n1", "figS11", "edge_values"])
+def test_param_table_matches_the_list_built_table(make, size):
+    spec = make()
+    table, want = param_table(spec, size), _param_table_from_lists(spec, size)
+    assert list(table) == list(want)
+    for name, column in table.items():
+        assert column.dtype == want[name].dtype and column.shape == want[name].shape
+        assert column.tobytes() == want[name].tobytes(), name
+        assert column.flags.writeable and column.flags.c_contiguous and column.base is None
+    columns = list(table.values())
+    assert not any(np.shares_memory(a, b) for k, a in enumerate(columns) for b in columns[k + 1:])
 
 
 def test_drift_conjugate_block_structure():

@@ -287,6 +287,18 @@ def test_lambda_degenerate_subspace_dark_found():
     assert sum(res.p_e[bright]) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("eta, theta, dark", [
+    (1e10, 0.3, [0, 1]),  # p_e = 2.0e-20, 4.5e-22, 1.0: the darkest is not the only dark state
+    (1.0, 0.0, [1]),      # the degenerate lambda = -1 eigenspace holds one dark state
+    (0.5, 0.3, []),
+])
+def test_lambda_dark_indices_lists_every_dark_state(eta, theta, dark):
+    res = lambda_eigensystem(lam_sys(eta, theta))
+    assert res.dark_indices == dark
+    assert res.dark_indices == [s for s in range(3) if res.p_e[s] <= 1e-10]
+    assert res.dark_index == (int(np.argmin(res.p_e)) if dark else None)
+
+
 @pytest.mark.parametrize("eta", [0.3, 0.5])
 def test_lambda_detuned_degenerate_subspace_dark_found(eta):
     # theta = 0, Delta = (1 - eta^2)/eta: the e-bright pair also has eigenvalue
