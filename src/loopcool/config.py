@@ -33,10 +33,11 @@ def _get(section, key, where):
 
 def parse_spec(path):
     """Read a SystemSpec from an INI-style config file."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: the grammar has none, so a '%' in a value is read as is
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        read = cp.read(path)
-    except configparser.Error as exc:
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError("cannot parse %s: %s" % (path, exc))
     if not read:
         raise ConfigError("cannot read config file %s" % path)

@@ -189,10 +189,3 @@ def cooling_limit_full(eff, spec):
           + abs(eff.xi2) / (4.0 * abs(eff.xi1))
           * (g1 * g1 * cross + 2.0 * spec.gamma[0] * spec.nbar[0] * heat))
     return float(n1), float(n2)
-
-
-def at_optimal_detuning(spec, mode_index):
-    """Spec with the drive detuning set to omega_l (where the limits are quoted)."""
-    drive = spec.drive
-    return spec.with_(drive=type(drive)(delta=spec.omega_m[mode_index],
-                                        g_lin=drive.g_lin))

@@ -340,9 +340,13 @@ def build_drift(spec, approx=CouplingApprox()):
     """Drift and noise matrices for the spec.
 
     The batch of one of drift_stack; a Physical drive is linearized first.
+    Raises FloatingPointError, with no RuntimeWarning, if a number overflows
+    in building them (a finite but huge rate, such as kappa = 1e308, makes
+    2 kappa infinite), so neither matrix has a non-finite entry.
     """
     spec = to_linearized(spec)
-    a, q = drift_stack(param_table(spec), approx)
+    with np.errstate(over="raise", invalid="raise"):
+        a, q = drift_stack(param_table(spec), approx)
     return DriftModel(a=a[0], q=q[0], spec=spec)
 
 

@@ -1,31 +1,19 @@
 """Dense complex linear-algebra helpers.
 
-Matrices are plain numpy complex128 arrays.  Only `kernels` uses this module:
-`as_cmatrix`, and KRON_CAP, which caps the lift of its RK4 oracle.  The
-benchmark traces `solve_linear`, `eigenvalues` and `kron` by name, so these
-three stay, with no library caller, until its metric refresh (ROADMAP item 1).
+Matrices are plain numpy complex128 arrays.  No library module uses this one.
+The benchmark traces `solve_linear`, `eigenvalues` and `kron` by name, so these
+three stay until its metric refresh (ROADMAP item 1).  `as_cmatrix` and
+KRON_CAP belong to `kernels`, the RK4 oracle, whose import loads no scipy.
 """
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DimensionOverflow, NoConvergence, ShapeMismatch, SingularMatrix
-
-#: hard cap on the dimension of Kronecker-lifted systems
-KRON_CAP = 4096
+from .kernels import KRON_CAP, as_cmatrix
 
 #: pivot magnitudes below PIVOT_RTOL * ||a||_inf are treated as singular
 PIVOT_RTOL = 1e-14
-
-
-def as_cmatrix(a):
-    """Validate and convert to a finite complex128 2-D array."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2:
-        raise ShapeMismatch("expected a 2-D array, got ndim=%d" % a.ndim)
-    if not np.all(np.isfinite(a)):
-        raise ShapeMismatch("matrix contains non-finite entries")
-    return a
 
 
 def norm_inf(a):

@@ -54,11 +54,6 @@ class ScatteringPoint:
     lambda_rel: np.ndarray
 
 
-def _damping_diag(spec):
-    g = np.sqrt(2.0 * np.array([spec.kappa] + list(spec.gamma)))
-    return np.diag(np.concatenate([g, g]))
-
-
 def scattering_matrix(drift, omega):
     """U(w) in the [da, db_1..db_N, conjugates] ordering.
 
@@ -73,15 +68,16 @@ def scattering_matrix(drift, omega):
         raise DomainError("probe frequencies must be finite")
     a = drift.a
     eye = np.eye(a.shape[0])
-    gam = _damping_diag(drift.spec)
+    g = np.sqrt(2.0 * np.array([drift.spec.kappa, *drift.spec.gamma]))
+    g = np.concatenate([g, g])  # Gamma's diagonal, in the ordering of A
     lhs = -1j * np.multiply.outer(omega, eye) - a
     try:
         # an explicit stack of right-hand sides: numpy < 2 would read a 2-D b
         # against a 3-D lhs as a stack of vectors
-        core = np.linalg.solve(lhs, np.broadcast_to(gam, lhs.shape))
+        core = np.linalg.solve(lhs, np.broadcast_to(np.diag(g), lhs.shape))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix("resolvent -i w I - A is singular: %s" % exc) from None
-    return gam @ core - eye
+    return g[:, None] * core - eye  # Gamma @ core, as a row scaling
 
 
 def transmittances(u, n_mech):

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 from loopcool import cli, model, spectra, steadystate
 from loopcool.cli import main, parse_axis
+from loopcool.config import spec_to_dict
 from loopcool.errors import ConfigError, InvalidSpec, NoConvergence, NoFixedPoint
 from loopcool.presets import _chain, get_preset
 
@@ -97,6 +98,39 @@ def test_cool_malformed_config(runner, tmp_path):
     p.write_text("[system]\nn_mech = two\n")
     res = runner.invoke(main, ["cool", "--config", str(p)])
     assert res.exit_code == 2
+
+
+def test_percent_in_config_value_is_config_error(runner, tmp_path):
+    # the grammar has no interpolation, so a '%' is part of the value it is in
+    cfg = tmp_path / "pct.ini"
+    write_config(cfg)
+    cfg.write_text(cfg.read_text().replace("kappa = 0.2", "kappa = 20%"))
+    res = runner.invoke(main, ["cool", "--config", str(cfg)])
+    assert_one_line(res, 2, "config error: %s [system] kappa: expected a number, got '20%%'"
+                    % cfg)
+
+
+def test_config_that_is_not_utf8_is_config_error(runner, tmp_path):
+    cfg = tmp_path / "latin1.ini"
+    write_config(cfg)
+    cfg.write_bytes(cfg.read_bytes() + "# r\u00e9sum\u00e9\n".encode("latin-1"))
+    res = runner.invoke(main, ["cool", "--config", str(cfg)])
+    assert_one_line(res, 2, "config error: cannot parse %s: 'utf-8' codec can't decode" % cfg)
+
+
+def test_spec_to_dict_linearized_and_physical():
+    spec = get_preset("fig2")
+    base = {"n_mech": 2, "omega_m": (1.0, 1.0), "kappa": 0.2, "gamma": (1e-5, 1e-5),
+            "nbar": (1e3, 1e3), "eta": (0.05,), "theta": (math.pi / 2,)}
+    assert spec_to_dict(spec) == {**base, "drive": {
+        "type": "linearized", "delta": 1.0, "g_lin": (0.1, 0.1)}}
+    phys = spec.with_(drive=model.Physical(delta_c=1.5, omega_drive_amp=3 - 4j,
+                                           g_single=(1e-4, 2e-4)))
+    snapshot = spec_to_dict(phys)
+    assert snapshot == {**base, "drive": {
+        "type": "physical", "delta_c": 1.5, "omega_amp": 3 - 4j, "g_single": (1e-4, 2e-4)}}
+    assert type(snapshot["drive"]["omega_amp"]) is complex
+    assert strict_json(cli._json(snapshot))["drive"]["omega_amp"] == [3.0, -4.0]
 
 
 def test_cool_missing_section(runner, tmp_path):
@@ -957,3 +991,18 @@ def test_lambda_float_overflow_is_one_error_line(runner):
     res = runner.invoke(main, ["lambda", "--eta", "1e100", "--theta", "0"])
     assert_one_line(res, 1, "error: OverflowError:")
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["cool", "stability", "spectrum"])
+def test_overflowing_noise_matrix_is_numerical_error(runner, tmp_path, command):
+    # kappa = 1e308 passes every spec rule, but 2 kappa overflows in the noise
+    # matrix: one error line and no report, not an unstable point
+    cfg = tmp_path / "huge.ini"
+    write_config(cfg)
+    cfg.write_text(cfg.read_text().replace("kappa = 0.2", "kappa = 1e308"))
+    out = tmp_path / "out.csv"
+    extra = ["--out", str(out)] if command == "spectrum" else []
+    res = runner.invoke(main, [command, "--config", str(cfg)] + extra)
+    assert_one_line(res, 1, "error: FloatingPointError: overflow")
+    assert res.stdout == ""
+    assert not out.exists()

@@ -7,9 +7,8 @@ import pytest
 
 from loopcool import get_preset
 from loopcool.errors import DomainError
-from loopcool.limits import (ValidityWarning, at_optimal_detuning,
-                             cooling_limit_full, cooling_limit_simplified,
-                             effective_model)
+from loopcool.limits import (ValidityWarning, cooling_limit_full,
+                             cooling_limit_simplified, effective_model)
 from loopcool.model import Linearized, build_drift
 from loopcool.steadystate import cool
 
@@ -144,9 +143,3 @@ def test_regime_warning():
     eff = effective_model(spec)
     with pytest.warns(ValidityWarning, match="validity regime"):
         cooling_limit_simplified(eff, spec)
-
-
-def test_at_optimal_detuning():
-    spec = get_preset("fig4").with_(omega_m=(1.0, 1.1),
-                                    drive=Linearized(delta=0.5, g_lin=(0.05, 0.05)))
-    assert at_optimal_detuning(spec, 1).drive.delta == pytest.approx(1.1)

@@ -146,6 +146,7 @@ def test_integrate_input_checks():
            (a, np.diag([1.0, np.nan, 1.0]), x0, 0.01),
            (np.diag([-1.0, -np.inf, -1.0]), q, x0, 0.01),
            (a, q, np.full((3, 3), np.inf), 0.01),
+           (a, q + np.triu(np.full((3, 3), 1e-300), 1), x0, 0.01),
            (a, q, x0, 0.0), (a, q, x0, -0.01)]
     for a_, q_, x0_, dt in bad:
         with pytest.raises(ShapeMismatch):
@@ -189,6 +190,7 @@ def _close_to_per_step(a, q, x0, n_steps, dt=0.01):
 def test_integrate_matches_per_step_rk4(n_steps):
     a, rng = _stable_drift(6, 7)
     q, x0 = _cnormal(rng, 6), _cnormal(rng, 6)
+    q, x0 = q + q.T, x0 + x0.T
     x = _close_to_per_step(a, q, x0, n_steps)
     if n_steps == 0:
         assert np.array_equal(x, x0)
@@ -207,29 +209,30 @@ def test_determinism():
 
 @pytest.mark.parametrize("n_steps", [3, 1023, 1024])
 def test_integrate_symmetric_inputs_give_symmetric_state(n_steps):
-    # only the symmetric half runs, and the state is read back from one triangle
+    # the state is read back from one triangle
     a, rng = _stable_drift(6, 11)
     q, x0 = _cnormal(rng, 6), _cnormal(rng, 6)
     x = _close_to_per_step(a, q + q.T, x0 + x0.T, n_steps)
     assert np.array_equal(x, x.T)
 
 
-@pytest.mark.parametrize("n_steps", [3, 1023, 1024])
+# The flow runs on the lower triangle alone, so a q or x0 that is not symmetric
+# is refused at any step count, zero steps included, rather than read in part.
+
+@pytest.mark.parametrize("n_steps", [0, 3, 1023, 1024])
 def test_integrate_symmetric_forcing_antisymmetric_start(n_steps):
     a, rng = _stable_drift(5, 12)
     q, x0 = _cnormal(rng, 5), _cnormal(rng, 5)
-    # a short horizon keeps the antisymmetric start well above roundoff
-    x = _close_to_per_step(a, q + q.T, x0 - x0.T, n_steps, dt=0.001)
-    assert np.abs(x - x.T).max() > 1e-3 * np.abs(x).max()
+    with pytest.raises(ShapeMismatch, match="symmetric"):
+        kernels.rk4_lyapunov_flow(a, q + q.T, x0 - x0.T, n_steps * 0.001, 0.001)
 
 
-@pytest.mark.parametrize("n_steps", [3, 1023, 1024])
+@pytest.mark.parametrize("n_steps", [0, 3, 1023, 1024])
 def test_integrate_antisymmetric_forcing_only(n_steps):
     a, rng = _stable_drift(4, 13)
     q = _cnormal(rng, 4)
-    x = _close_to_per_step(a, q - q.T, np.zeros((4, 4)), n_steps)
-    # the symmetric half has neither forcing nor start, so it stays zero
-    assert np.array_equal(x, -x.T)
+    with pytest.raises(ShapeMismatch, match="symmetric"):
+        kernels.rk4_lyapunov_flow(a, q - q.T, np.zeros((4, 4)), n_steps * 0.01, 0.01)
 
 
 def test_integrate_unstable_drift_without_forcing_or_start():

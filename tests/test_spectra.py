@@ -7,6 +7,7 @@ import pytest
 from loopcool import get_preset, numkit
 from loopcool.errors import DomainError, ShapeMismatch, SingularMatrix
 from loopcool.model import CouplingApprox, Linearized, build_drift
+from loopcool.presets import PRESETS
 from loopcool.spectra import (Cooperativities, lambda_analytic, lambda_numeric,
                               scan_point, scattering_matrix, t_max,
                               transmittances)
@@ -174,6 +175,29 @@ def test_scan_array_matches_per_frequency_reference(approx):
                         reference_scan(d, OMEGAS, Cooperativities.from_spec(d.spec))):
         err = np.abs(got - ref).max(axis=(1, 2))
         assert np.all(err <= 1e-12 * np.abs(ref).max(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("approx", APPROXES, ids=lambda a: a.optomechanical + "-" + a.mechanical)
+def test_row_scaling_gives_the_bits_of_the_gamma_product(approx):
+    # U = Gamma @ core - I, with the diagonal Gamma as a matrix product, is the
+    # reference; the row scaling may move only the signs of exact zeros in U
+    for name in sorted(PRESETS):
+        d = build_drift(get_preset(name), approx)
+        n2, n = d.a.shape[0], d.spec.n_mech
+        g = np.sqrt(2.0 * np.array([d.spec.kappa, *d.spec.gamma]))
+        gam = np.diag(np.concatenate([g, g]))
+        for omegas in (OMEGAS, np.linspace(0.9, 1.1, 801)):
+            lhs = -1j * np.multiply.outer(omegas, np.eye(n2)) - d.a
+            core = np.linalg.solve(lhs, np.broadcast_to(gam, lhs.shape))
+            u_ref = gam @ core - np.eye(n2)
+            u = scattering_matrix(d, omegas)
+            assert np.array_equal(u, u_ref), name
+            t_ref = transmittances(u_ref, n)
+            assert np.array_equal(transmittances(u, n), t_ref), name
+            if n == 2:
+                coop = Cooperativities.from_spec(d.spec)
+                lam_ref = (t_ref - np.swapaxes(t_ref, 1, 2)) / t_max(coop)
+                assert np.array_equal(scan_point(d, omegas).lambda_rel, lam_ref), name
 
 
 @pytest.mark.parametrize("omega", [math.nan, math.inf, np.array([1.0, -math.inf])])

@@ -236,6 +236,14 @@ def test_cool_on_the_eig_route_never_imports_scipy():
     assert out.splitlines()[-1] == "[]"
 
 
+def test_rk4_oracle_import_leaves_scipy_linalg_out():
+    # the oracle does no linear solve, and numkit (which loads scipy) takes
+    # its two shared names from kernels, not the other way round
+    out = _fresh_python("import sys, loopcool.kernels\n"
+                        "print('scipy.linalg' in sys.modules)\n")
+    assert out.splitlines() == ["False"]
+
+
 def test_serial_cli_never_imports_concurrent_futures():
     # only sweep --workers > 1 starts a process pool
     out = _fresh_python(
