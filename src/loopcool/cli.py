@@ -121,16 +121,24 @@ def main():
 
 
 def _limits_report(spec, full):
-    """(effective model, limits, warnings) of a two-mode spec: the simplified
-    limit formula and, if full, the full one, keyed as the reports name them,
-    and the validity warnings as sorted distinct messages."""
+    """(effective quantities, limits, warnings) of a two-mode spec: the reported
+    effective-model quantities, the simplified limit formula and, if full, the
+    full one, keyed as the reports name them, and the validity warnings as
+    sorted distinct messages.  A non-finite quantity or limit (4 kappa^2
+    overflows above kappa ~ 7e153) is a numerical failure: FloatingPointError."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         eff = limits.effective_model(spec)
         found = {"simplified": limits.cooling_limit_simplified(eff, spec)}
         if full:
             found["full"] = limits.cooling_limit_full(eff, spec)
-    return eff, found, sorted({str(w.message) for w in caught})
+    effective = {name: getattr(eff, name) for name in (
+        "xi1", "xi2", "gamma_eff", "omega_eff", "chi1", "chi2", "chi_plus", "chi_minus", "n_opt")}
+    bad = [name for name, value in {**effective, **found}.items()
+           if not np.isfinite(value).all()]
+    if bad:
+        raise FloatingPointError("cooling-limit quantities not finite: %s" % ", ".join(bad))
+    return effective, found, sorted({str(w.message) for w in caught})
 
 
 @main.command()
@@ -151,7 +159,7 @@ def cool(spec, approx):
     if spec.n_mech == 2 and report.stable:
         try:
             _, found, caught = _limits_report(spec, full=False)
-        except DomainError as exc:  # the steady state stands without its limit
+        except (DomainError, ArithmeticError) as exc:  # the steady state stands without its limit
             payload["limits"] = {"unavailable": str(exc)}
         else:
             payload["limits"] = {**found, "warnings": caught}
@@ -397,12 +405,10 @@ def limits_cmd(spec, approx):
     """Adiabatic-elimination effective model and analytic cooling limits."""
     if spec.n_mech != 2:
         raise ConfigError("cooling limits are defined for n_mech = 2")
-    eff, found, caught = _limits_report(spec, full=True)
+    effective, found, caught = _limits_report(spec, full=True)
     _emit_json({
         "spec": spec_to_dict(spec),
-        "effective": {name: getattr(eff, name) for name in (
-            "xi1", "xi2", "gamma_eff", "omega_eff", "chi1", "chi2", "chi_plus", "chi_minus",
-            "n_opt")},
+        "effective": effective,
         **found,
         "warnings": caught,
         "provenance": _provenance(approx),

@@ -8,7 +8,7 @@ physical (delta_c, omega_amp, g_single).  Lists are comma-separated.
 import configparser
 
 from .errors import ConfigError, InvalidSpec
-from .model import SPEC_FIELDS, Linearized, Physical, SystemSpec
+from .model import DRIVE_FIELDS, SPEC_FIELDS, Linearized, Physical, SystemSpec
 
 
 def _floats(raw, where):
@@ -31,6 +31,16 @@ def _get(section, key, where):
     return section[key]
 
 
+def _numbers(section, fields, where):
+    """The numbers that a declaration (SPEC_FIELDS, DRIVE_FIELDS) names, read from
+    a config section: a scalar by _float, a list by _floats.  A list that
+    n_mech = 1 leaves empty (N - 1 entries) may be omitted."""
+    return {name: (_float if k is None else _floats)(
+                section.get(name, "") if k == 1 else _get(section, name, where),
+                "%s %s" % (where, name))
+            for name, k in fields.items()}
+
+
 def parse_spec(path):
     """Read a SystemSpec from an INI-style config file."""
     # no interpolation: the grammar has none, so a '%' in a value is read as is
@@ -49,24 +59,14 @@ def parse_spec(path):
         n_mech = int(_get(sy, "n_mech", where))
     except ValueError:
         raise ConfigError("%s: n_mech must be an integer" % where)
-    kwargs = dict(
-        n_mech=n_mech,
-        omega_m=_floats(_get(sy, "omega_m", where), where + " omega_m"),
-        kappa=_float(_get(sy, "kappa", where), where + " kappa"),
-        gamma=_floats(_get(sy, "gamma", where), where + " gamma"),
-        nbar=_floats(_get(sy, "nbar", where), where + " nbar"),
-        eta=_floats(sy.get("eta", ""), where + " eta"),
-        theta=_floats(sy.get("theta", ""), where + " theta"),
-    )
+    numbers = _numbers(sy, SPEC_FIELDS, where)
     if "drive" not in cp:
         raise ConfigError("%s: missing [drive] section" % path)
     dr = cp["drive"]
     where = "%s [drive]" % path
     kind = dr.get("type", "linearized").strip().lower()
     if kind == "linearized":
-        drive_type, drive_kw = Linearized, dict(
-            delta=_float(_get(dr, "delta", where), where + " delta"),
-            g_lin=_floats(_get(dr, "g_lin", where), where + " g_lin"))
+        drive_type, drive_kw = Linearized, _numbers(dr, DRIVE_FIELDS, where)
     elif kind == "physical":
         raw = _get(dr, "omega_amp", where)
         try:
@@ -82,7 +82,7 @@ def parse_spec(path):
         raise ConfigError("%s: type must be 'linearized' or 'physical', got %r"
                           % (where, kind))
     try:
-        return SystemSpec(drive=drive_type(**drive_kw), **kwargs)
+        return SystemSpec(n_mech=n_mech, drive=drive_type(**drive_kw), **numbers)
     except InvalidSpec as exc:
         raise ConfigError("%s: %s" % (path, exc))
 
@@ -90,9 +90,10 @@ def parse_spec(path):
 def spec_to_dict(spec):
     """Flat snapshot of a resolved spec: its own values (tuples, a complex drive
     amplitude), for the CLI's JSON encoder."""
-    out = {name: getattr(spec, name) for name in ("n_mech",) + SPEC_FIELDS}
+    out = {name: getattr(spec, name) for name in ("n_mech", *SPEC_FIELDS)}
     if isinstance(spec.drive, Linearized):
-        out["drive"] = {"type": "linearized", "delta": spec.drive.delta, "g_lin": spec.drive.g_lin}
+        out["drive"] = {"type": "linearized",
+                        **{name: getattr(spec.drive, name) for name in DRIVE_FIELDS}}
     else:
         out["drive"] = {"type": "physical", "delta_c": spec.drive.delta_c,
                         "omega_amp": complex(spec.drive.omega_drive_amp),

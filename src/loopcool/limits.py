@@ -44,28 +44,6 @@ class EffectiveTwoMode:
     omega_opt_res: tuple = (0.0, 0.0)
 
 
-def _lorentzian_pieces(spec, hop):
-    g1, g2 = spec.drive.g_lin
-    k = spec.kappa
-    d = spec.drive.delta
-    w1, w2 = spec.omega_m
-    gamma_opt = tuple(
-        g * g * k / (k * k + (d - w) ** 2) - g * g * k / (k * k + (d + w) ** 2)
-        for g, w in ((g1, w1), (g2, w2)))
-    omega_opt = tuple(
-        g * g * (d + w) / (k * k + (d + w) ** 2) + g * g * (d - w) / (k * k + (d - w) ** 2)
-        for g, w in ((g1, w1), (g2, w2)))
-
-    def xi(w_other, h):
-        lor = (g1 * g2 * (k + 1j * (d + w_other)) / (k * k + (d + w_other) ** 2)
-               - g1 * g2 * (k - 1j * (d - w_other)) / (k * k + (d - w_other) ** 2))
-        return lor - 1j * h
-
-    xi1 = xi(w2, hop)
-    xi2 = xi(w1, hop.conjugate())
-    return gamma_opt, omega_opt, xi1, xi2
-
-
 def _transfer_rates(spec, gamma_opt, xi1, xi2, n_opt):
     """Gamma_eff, the transfer rates chi_1, chi_2, chi_+, chi_- and n_chi1, n_chi2.
 
@@ -94,7 +72,19 @@ def effective_model(spec):
     w1, w2 = spec.omega_m
     hop = complex(mechanical_matrix(spec)[0, 1])
 
-    gamma_opt, omega_opt, xi1, xi2 = _lorentzian_pieces(spec, hop)
+    gamma_opt = tuple(
+        g * g * k / (k * k + (d - w) ** 2) - g * g * k / (k * k + (d + w) ** 2)
+        for g, w in ((g1, w1), (g2, w2)))
+    omega_opt = tuple(
+        g * g * (d + w) / (k * k + (d + w) ** 2) + g * g * (d - w) / (k * k + (d - w) ** 2)
+        for g, w in ((g1, w1), (g2, w2)))
+
+    def lorentzian(w_other):
+        return (g1 * g2 * (k + 1j * (d + w_other)) / (k * k + (d + w_other) ** 2)
+                - g1 * g2 * (k - 1j * (d - w_other)) / (k * k + (d - w_other) ** 2))
+
+    xi1 = lorentzian(w2) - 1j * hop
+    xi2 = lorentzian(w1) - 1j * hop.conjugate()
     omega_eff = (w1 - omega_opt[0], w2 - omega_opt[1])
     if w1 + w2 + 2.0 * d == 0.0:
         raise DomainError("n_opt undefined when omega_1 + omega_2 + 2 delta = 0")

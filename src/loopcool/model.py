@@ -8,11 +8,11 @@ fluctuation ordering everywhere is
 
 so the drift matrix has the conjugate block structure A = [[X, Y], [Y*, X*]].
 
-Drifts are built in stacks: `param_table` lays a spec's numbers out as arrays
-with a leading batch axis, `set_param` writes a sweep axis there under the
-spec's own rules, and `drift_stack` turns the table into (G, 2N+2, 2N+2)
-drift and noise stacks with elementwise arithmetic.  `build_drift` is the
-batch of one, so there is a single builder.
+`SPEC_FIELDS` and `DRIVE_FIELDS` declare a spec's numbers and their entry
+counts once.  `param_table` lays them out as arrays with a leading batch
+axis, `set_param` writes and checks a sweep axis or a `SystemSpec`'s own
+row there, and `drift_stack` turns the table into (G, 2N+2, 2N+2) drift and
+noise stacks.  `build_drift` is the batch of one: there is one builder.
 """
 
 import cmath
@@ -82,9 +82,18 @@ class Physical:
         _require_finite(self, "delta_c", "omega_drive_amp", "g_single")
 
 
+#: The numbers of a spec, then of a Linearized drive: parameter-table name -> k
+#: for a list of N - k entries at n_mech = N (N resonators, N - 1 links), None
+#: for a scalar.  Every reader of a spec's shape takes it from here.
+SPEC_FIELDS = {"omega_m": 0, "kappa": None, "gamma": 0, "nbar": 0, "eta": 1, "theta": 1}
+DRIVE_FIELDS = {"delta": None, "g_lin": 0}
+
+
 @dataclass(frozen=True)
 class SystemSpec:
-    """Full parameter set, all rates in units of the first mechanical frequency."""
+    """Full parameter set, all rates in units of the first mechanical frequency.
+    Checked on its one-row param_table by SPEC_FIELDS's counts and set_param; each
+    list is stored as a tuple of floats, theta mod 2 pi; kappa is kept as given."""
 
     n_mech: int
     omega_m: tuple
@@ -99,25 +108,19 @@ class SystemSpec:
         n = self.n_mech
         if n < 1:
             raise InvalidSpec("n_mech must be >= 1")
-        object.__setattr__(self, "omega_m", tuple(float(w) for w in self.omega_m))
-        object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
-        object.__setattr__(self, "nbar", tuple(float(x) for x in self.nbar))
-        object.__setattr__(self, "eta", tuple(float(e) for e in self.eta))
-        object.__setattr__(self, "theta", tuple(_phase([float(t) for t in self.theta]).tolist()))
-        for name, want in (("omega_m", n), ("gamma", n), ("nbar", n),
-                           ("eta", max(n - 1, 0)), ("theta", max(n - 1, 0))):
-            if len(getattr(self, name)) != want:
-                raise InvalidSpec("%s must have %d entries for n_mech=%d"
-                                  % (name, want, n))
-        _check_numbers(param_table(self))
-        if isinstance(self.drive, Linearized):
-            if len(self.drive.g_lin) != n:
-                raise InvalidSpec("drive.g_lin must have n_mech entries")
-        elif isinstance(self.drive, Physical):
-            if len(self.drive.g_single) != n:
-                raise InvalidSpec("drive.g_single must have n_mech entries")
-        else:
+        table = param_table(self)
+        lists = {name: n - k for name, k in SPEC_FIELDS.items() if k is not None}
+        for name, want in lists.items():
+            if table[name].shape[1:] != (want,):
+                raise InvalidSpec("%s must have %d entries for n_mech=%d" % (name, want, n))
+        set_param(table, "theta", None, table["theta"])
+        for name in lists:
+            object.__setattr__(self, name, tuple(table[name][0].tolist()))
+        if not isinstance(self.drive, (Linearized, Physical)):
             raise InvalidSpec("drive must be Linearized or Physical")
+        coupling = "g_lin" if isinstance(self.drive, Linearized) else "g_single"
+        if len(getattr(self.drive, coupling)) != n:
+            raise InvalidSpec("drive.%s must have n_mech entries" % coupling)
 
     def with_(self, **kw):
         return replace(self, **kw)
@@ -137,11 +140,6 @@ class DriftModel:
     a: np.ndarray
     q: np.ndarray
     spec: SystemSpec = None
-
-
-#: the numbers of a spec, then of a Linearized drive, as named in a parameter table
-SPEC_FIELDS = ("omega_m", "kappa", "gamma", "nbar", "eta", "theta")
-DRIVE_FIELDS = ("delta", "g_lin")
 
 
 def param_table(spec, size=1):
@@ -164,13 +162,6 @@ def param_table(spec, size=1):
     return table
 
 
-def _phase(theta):
-    """Loop phases mod 2 pi as a spec stores them (Python's float %); an
-    infinite one becomes NaN, for the finite rule, with no RuntimeWarning."""
-    with np.errstate(invalid="ignore"):
-        return np.remainder(theta, TWO_PI)
-
-
 def _check_numbers(table):
     """Raise InvalidSpec unless every row of a parameter table obeys a spec's value
     rules, in this order: kappa > 0; omega_m, gamma > 0; nbar, eta >= 0; finite."""
@@ -189,10 +180,12 @@ def _check_numbers(table):
 
 def set_param(table, name, index, values):
     """Write values to entry `index` (None for a scalar field) of field `name` in
-    every row of a parameter table, a loop phase reduced as a spec stores it,
-    then check the table by the spec's value rules (InvalidSpec)."""
+    every row of a parameter table, then check the table by the spec's value rules
+    (InvalidSpec).  A loop phase is reduced mod 2 pi (Python's float %); an
+    infinite one becomes NaN, for the finite rule, with no RuntimeWarning."""
     if name == "theta":
-        values = _phase(values)
+        with np.errstate(invalid="ignore"):
+            values = np.remainder(values, TWO_PI)
     column = table[name] if index is None else table[name][:, index]
     column[...] = values
     _check_numbers(table)

@@ -72,7 +72,6 @@ class LambdaEigen:
     p_e: np.ndarray
     dark_index: object  # the darkest state (argmin p_e) if it is dark, else None
     dark_indices: list  # every dark state (p_e <= DARK_P_E), in index order
-    cardano: dict
     analytic: bool
 
 
@@ -231,9 +230,8 @@ def lambda_eigensystem(sys):
     symmetric = sys.omega1 == sys.omega2 and sys.delta == 0.0
     if not symmetric:
         lambdas, vectors = _numeric_eigensystem(_lambda_matrix(sys))
-        card = {}
     else:
-        lambdas, card = _cardano_roots(eta, th)
+        lambdas, _ = _cardano_roots(eta, th)
         vectors = np.zeros((3, 3), complex)
         singular = [abs(lam * lam - 1.0) <= 1e-8 for lam in lambdas]
         for s, lam in enumerate(lambdas):
@@ -253,4 +251,4 @@ def lambda_eigensystem(sys):
     dark = np.flatnonzero(p_e <= DARK_P_E).tolist()
     return LambdaEigen(lambdas=lambdas, vectors=vectors, p_e=p_e,
                        dark_index=int(np.argmin(p_e)) if dark else None,
-                       dark_indices=dark, cardano=card, analytic=symmetric)
+                       dark_indices=dark, analytic=symmetric)

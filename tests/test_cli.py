@@ -916,6 +916,35 @@ def test_cool_at_opposite_detuning_reports_limit_unavailable(runner, tmp_path):
         "unavailable": "n_opt undefined when omega_1 + omega_2 + 2 delta = 0"}
 
 
+# 4 kappa^2 overflows for kappa above about 7e153: n_opt and the simplified limits are inf
+OVERFLOW = "cooling-limit quantities not finite: n_opt, simplified"
+
+
+def huge_kappa_config(tmp_path):
+    cfg = tmp_path / "huge.ini"
+    write_config(cfg)
+    cfg.write_text(cfg.read_text().replace("kappa = 0.2", "kappa = 1e300"))
+    return str(cfg)
+
+
+def test_limits_overflow_is_a_numerical_failure(runner, tmp_path):
+    res = runner.invoke(main, ["limits", "--config", huge_kappa_config(tmp_path)])
+    assert_one_line(res, 1, "error: FloatingPointError: " + OVERFLOW)
+    assert res.stdout == ""
+
+
+def test_cool_reports_overflowing_limits_unavailable(runner, tmp_path, monkeypatch):
+    # the eig verdict at kappa = 1e300 depends on the LAPACK build: patch in a stable report
+    report = steadystate.CoolingReport(n_f=np.array([1.0, 2.0]), n_cav=0.0, stable=True,
+                                       spectral_abscissa=-1e-5, residual=0.0, solver="eig")
+    monkeypatch.setattr(steadystate, "cool_or_flag", lambda drift: report)
+    res = runner.invoke(main, ["cool", "--config", huge_kappa_config(tmp_path)])
+    assert res.exit_code == 0, res.output
+    payload = strict_json(res.stdout)
+    assert payload["n_f"] == [1.0, 2.0] and payload["stable"]
+    assert payload["limits"] == {"unavailable": OVERFLOW}
+
+
 # --- non-finite input is rejected at the edge ------------------------------
 
 @pytest.mark.parametrize("command", ["cool", "stability", "spectrum", "sweep", "modes",
