@@ -9,8 +9,8 @@ cooling limits, and dark-mode structure.
 __version__ = "0.1.0"
 
 from .errors import (BlowUp, ConfigError, DimensionOverflow, DomainError,
-                     InvalidSpec, LoopcoolError, NoConvergence, NoFixedPoint,
-                     ShapeMismatch, SingularMatrix, Unstable)
+                     InvalidSpec, LoopcoolError, NoConvergence, ShapeMismatch,
+                     SingularMatrix, Unstable)
 from .model import (FULL, RWA, CouplingApprox, Linearized, Physical,
                     SystemSpec, build_drift, build_noise, linearize,
                     to_linearized)

@@ -125,13 +125,17 @@ def _limits_report(spec, full):
     effective-model quantities, the simplified limit formula and, if full, the
     full one, keyed as the reports name them, and the validity warnings as
     sorted distinct messages.  A non-finite quantity or limit (4 kappa^2
-    overflows above kappa ~ 7e153) is a numerical failure: FloatingPointError."""
+    overflows above kappa ~ 7e153), or an OverflowError from a float ** (at
+    delta = 1e200), is a numerical failure: FloatingPointError."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        eff = limits.effective_model(spec)
-        found = {"simplified": limits.cooling_limit_simplified(eff, spec)}
-        if full:
-            found["full"] = limits.cooling_limit_full(eff, spec)
+        try:
+            eff = limits.effective_model(spec)
+            found = {"simplified": limits.cooling_limit_simplified(eff, spec)}
+            if full:
+                found["full"] = limits.cooling_limit_full(eff, spec)
+        except OverflowError:
+            raise FloatingPointError("cooling-limit quantities not finite: a float overflows")
     effective = {name: getattr(eff, name) for name in (
         "xi1", "xi2", "gamma_eff", "omega_eff", "chi1", "chi2", "chi_plus", "chi_minus", "n_opt")}
     bad = [name for name, value in {**effective, **found}.items()

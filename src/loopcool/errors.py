@@ -25,10 +25,6 @@ class InvalidSpec(LoopcoolError):
     """Inconsistent or unphysical system specification."""
 
 
-class NoFixedPoint(LoopcoolError):
-    """Classical steady-state iteration failed to converge."""
-
-
 class Unstable(LoopcoolError):
     """Drift matrix is not Hurwitz; no steady state exists."""
 

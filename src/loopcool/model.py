@@ -13,6 +13,8 @@ counts once.  `param_table` lays them out as arrays with a leading batch
 axis, `set_param` writes and checks a sweep axis or a `SystemSpec`'s own
 row there, and `drift_stack` turns the table into (G, 2N+2, 2N+2) drift and
 noise stacks.  `build_drift` is the batch of one: there is one builder.
+A Physical drive enters as its Linearized equivalent (`to_linearized`), from
+the classical fixed point that `linearize` solves as one real cubic.
 """
 
 import cmath
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidSpec, NoFixedPoint
+from .errors import InvalidSpec
 
 TWO_PI = 2.0 * math.pi
 
@@ -132,7 +134,7 @@ class ClassicalSteadyState:
     beta: tuple
     delta_eff: float
     g_lin: tuple
-    iterations: int
+    fixed_points: int  # real roots of linearize's cubic: 1, or 3 if bistable
 
 
 @dataclass
@@ -216,50 +218,40 @@ def mechanical_matrix(spec):
     return mechanical_stack(param_table(spec))[0]
 
 
-#: damping factor of the Picard iteration for the classical fixed point
-_PICARD_DAMPING = 0.5
-_PICARD_TOL = 1e-12
-_PICARD_CAP = 10_000
-
-
 def linearize(spec):
-    """Classical steady state (alpha, beta_j, effective detuning) for a Physical drive.
+    """Classical steady state (alpha, beta_j, effective detuning) of a Physical drive.
 
-    Damped fixed-point iteration of {Delta from beta; alpha from Delta;
-    beta from alpha}.  Raises NoFixedPoint if it fails to settle, which
-    signals a multistable or unstable classical regime.
+    At fixed x = |alpha|^2, (H - i diag(gamma)) beta = -g x gives beta = c x, so
+    Delta = Delta_c + 2 g.Re(beta) = Delta_c + s x with s = 2 g.Re(c), and
+    x = |Omega|^2 / (kappa^2 + Delta^2) leaves one real cubic, the static
+    optomechanical bistability (Aspelmeyer et al., RMP 86, 1391 (2014)):
+    (Delta - Delta_c)(kappa^2 + Delta^2) = s |Omega|^2.  np.roots solves it; of
+    its one or three real roots (fixed_points), the one of largest |Delta|, so of
+    lowest |alpha|^2, is returned.  A number that overflows raises
+    FloatingPointError, with no RuntimeWarning.
     """
     if not isinstance(spec.drive, Physical):
         raise InvalidSpec("linearize needs a Physical drive")
-    g = np.array(spec.drive.g_single)
-    om_drive = complex(spec.drive.omega_drive_amp)
-    kappa = spec.kappa
-    hops = mechanical_matrix(spec)
-    np.fill_diagonal(hops, 0.0)
-    resp = -1j / (np.array(spec.gamma) + 1j * np.array(spec.omega_m))
-    alpha = 0.0 + 0.0j
-    beta = np.zeros(spec.n_mech, complex)
-    delta = spec.drive.delta_c
-    for it in range(1, _PICARD_CAP + 1):
-        delta_new = spec.drive.delta_c + float(np.sum(2.0 * g * beta.real))
-        alpha_new = -1j * np.conj(om_drive) / (kappa + 1j * delta_new)
-        beta_new = resp * (g * abs(alpha_new) ** 2 + hops @ beta)
-        change = (abs(delta_new - delta) + abs(alpha_new - alpha)
-                  + float(np.abs(beta_new - beta).sum()))
-        scale = 1.0 + abs(alpha) + abs(delta) + float(np.abs(beta).sum())
-        delta += _PICARD_DAMPING * (delta_new - delta)
-        alpha += _PICARD_DAMPING * (alpha_new - alpha)
-        beta += _PICARD_DAMPING * (beta_new - beta)
-        if not np.isfinite(abs(alpha)) or abs(alpha) > 1e15:
-            raise NoFixedPoint("classical amplitudes diverged")
-        if change < _PICARD_TOL * scale:
-            # polish: evaluate the defining equations once at the fixed point
-            delta = spec.drive.delta_c + float(np.sum(2.0 * g * beta.real))
-            alpha = -1j * np.conj(om_drive) / (kappa + 1j * delta)
-            return ClassicalSteadyState(
-                alpha=complex(alpha), beta=tuple(beta), delta_eff=delta,
-                g_lin=tuple(g * alpha), iterations=it)
-    raise NoFixedPoint("no classical fixed point after %d iterations" % _PICARD_CAP)
+    drive = spec.drive
+    g = np.array(drive.g_single)
+    c = np.linalg.solve(mechanical_matrix(spec) - 1j * np.diag(spec.gamma), -g)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
+        s = 2.0 * (g @ c.real)
+        om2 = np.abs(drive.omega_drive_amp) ** 2
+        k2 = np.float64(spec.kappa) ** 2
+        cubic = np.array([1.0, -drive.delta_c, k2, -(drive.delta_c * k2 + s * om2)])
+    if not np.isfinite(cubic).all():
+        raise FloatingPointError("classical fixed point not finite: its cubic overflows")
+    roots = np.roots(cubic)
+    real = roots.real[roots.imag == 0.0]  # LAPACK gives a real eigenvalue an exact 0 imag
+    delta = float(real[np.argmax(np.abs(real))])
+    alpha = -1j * complex(drive.omega_drive_amp).conjugate() / (spec.kappa + 1j * delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = c * np.abs(alpha) ** 2
+    if not np.isfinite(beta).all():
+        raise FloatingPointError("classical fixed point not finite: its amplitudes overflow")
+    return ClassicalSteadyState(alpha=alpha, beta=tuple(beta), delta_eff=delta,
+                                g_lin=tuple(g * alpha), fixed_points=len(real))
 
 
 def to_linearized(spec):

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from loopcool import cli, model, spectra, steadystate
 from loopcool.cli import main, parse_axis
 from loopcool.config import spec_to_dict
-from loopcool.errors import ConfigError, InvalidSpec, NoConvergence, NoFixedPoint
+from loopcool.errors import ConfigError, InvalidSpec, NoConvergence
 from loopcool.presets import _chain, get_preset
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -842,17 +842,37 @@ def test_sweep_numerical_failure_is_not_config_error(runner, tmp_path, monkeypat
     assert out.read_text() == "precious\n"
 
 
-def test_cool_no_fixed_point_is_one_line(runner, tmp_path, monkeypatch):
-    def fail(spec):
-        raise NoFixedPoint("classical amplitudes diverged")
+def physical_config(path, omega_amp, g_single="0.001, 0.001"):
+    """A fig2-like two-mode config with a physical drive at delta_c = 1."""
+    return write_config(path, drive_lines=(
+        "type = physical", "delta_c = 1.0", "omega_amp = " + omega_amp,
+        "g_single = " + g_single))
 
-    monkeypatch.setattr("loopcool.model.linearize", fail)
-    cfg = write_config(tmp_path / "phys.ini", drive_lines=(
-        "type = physical", "delta_c = 1.0", "omega_amp = 1000.0",
-        "g_single = 1e-4, 1e-4"))
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cool_overflowing_fixed_point_is_one_line(runner, tmp_path):
+    # |Omega|^2 = 1e400, then s = 2 g.Re(c) ~ 1e400: real inputs, no patched model
+    for omega_amp, g_single in [("1e200", "0.001, 0.001"), ("1000.0", "1e200, 1e200")]:
+        res = runner.invoke(main, ["cool", "--config",
+                                   physical_config(tmp_path / "big.ini", omega_amp, g_single)])
+        assert_one_line(res, 1, "error: FloatingPointError: classical fixed point not finite")
+        assert res.stdout == ""
+
+
+def test_cool_strong_physical_drive(runner, tmp_path):
+    # omega_amp = 600 has one classical fixed point, Delta_eff = -0.858, where a
+    # damped fixed-point iteration does not settle: unstable with the
+    # counter-rotating terms, cooled under --om-rwa
+    cfg = physical_config(tmp_path / "p600.ini", "600.0")
     res = runner.invoke(main, ["cool", "--config", cfg])
-    assert_one_line(res, 1, "error: NoFixedPoint: classical amplitudes diverged")
-    assert res.stdout == ""
+    assert res.exit_code == 3, res.output
+    payload = strict_json(res.stdout)
+    assert not payload["stable"] and payload["spectral_abscissa"] > 0.6
+    res = runner.invoke(main, ["cool", "--om-rwa", "--config", cfg])
+    assert res.exit_code == 0, res.output
+    payload = strict_json(res.stdout)
+    assert payload["stable"]
+    assert payload["n_f"] == pytest.approx([9.2711, 9.6637], rel=1e-4)
 
 
 def test_spectrum_zero_coupling_is_domain_error(runner, tmp_path):
@@ -933,16 +953,35 @@ def test_limits_overflow_is_a_numerical_failure(runner, tmp_path):
     assert res.stdout == ""
 
 
-def test_cool_reports_overflowing_limits_unavailable(runner, tmp_path, monkeypatch):
-    # the eig verdict at kappa = 1e300 depends on the LAPACK build: patch in a stable report
+def patch_in_a_stable_report(monkeypatch):
     report = steadystate.CoolingReport(n_f=np.array([1.0, 2.0]), n_cav=0.0, stable=True,
                                        spectral_abscissa=-1e-5, residual=0.0, solver="eig")
     monkeypatch.setattr(steadystate, "cool_or_flag", lambda drift: report)
+
+
+def test_cool_reports_overflowing_limits_unavailable(runner, tmp_path, monkeypatch):
+    # the eig verdict at kappa = 1e300 depends on the LAPACK build: patch in a stable report
+    patch_in_a_stable_report(monkeypatch)
     res = runner.invoke(main, ["cool", "--config", huge_kappa_config(tmp_path)])
     assert res.exit_code == 0, res.output
     payload = strict_json(res.stdout)
     assert payload["n_f"] == [1.0, 2.0] and payload["stable"]
     assert payload["limits"] == {"unavailable": OVERFLOW}
+
+
+def test_limits_float_power_overflow_names_the_limits(runner, tmp_path, monkeypatch):
+    # (delta - omega)^2 raises OverflowError at delta = 1e200 (a Python float **)
+    cfg = write_config(tmp_path / "far.ini", drive_lines=(
+        "type = linearized", "delta = 1e200", "g_lin = 0.1, 0.1"))
+    message = "cooling-limit quantities not finite: a float overflows"
+    res = runner.invoke(main, ["limits", "--config", cfg])
+    assert_one_line(res, 1, "error: FloatingPointError: " + message)
+    assert res.stdout == ""
+    # the verdict at |delta| = 1e200 is rounding noise: patch in a stable report
+    patch_in_a_stable_report(monkeypatch)
+    res = runner.invoke(main, ["cool", "--config", cfg])
+    assert res.exit_code == 0, res.output
+    assert strict_json(res.stdout)["limits"] == {"unavailable": message}
 
 
 # --- non-finite input is rejected at the edge ------------------------------

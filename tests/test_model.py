@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,12 +20,13 @@ def two_mode(eta=0.05, theta=np.pi / 2, g=0.1, kappa=0.2, delta=1.0,
                       drive=Linearized(delta=delta, g_lin=(g, g)))
 
 
-def physical_spec(g=1e-4, amp=1e3, eta=0.05, theta=np.pi / 2):
+def physical_spec(g=1e-4, amp=1e3, eta=0.05, theta=np.pi / 2, delta_c=1.0):
+    """Two-mode physical drive; g is both single-photon couplings, or a pair."""
     return SystemSpec(n_mech=2, omega_m=(1.0, 1.0), kappa=0.2,
                       gamma=(1e-5, 1e-5), nbar=(1e3, 1e3),
                       eta=(eta,), theta=(theta,),
-                      drive=Physical(delta_c=1.0, omega_drive_amp=amp,
-                                     g_single=(g, g)))
+                      drive=Physical(delta_c=delta_c, omega_drive_amp=amp,
+                                     g_single=np.broadcast_to(g, 2)))
 
 
 # --- validation ---------------------------------------------------------
@@ -122,8 +125,8 @@ def physical_chain(n, theta):
 def test_linearize_beta_phase_convention(n, theta):
     # (gamma_j + i w_j) beta_j = -i (g_j |alpha|^2 + sum_{k != j} H_jk beta_k)
     # with H_{j,j+1} = eta_j e^{i theta_j} written out here, not taken from
-    # the model.  The Picard iteration stops at 1e-12 of the amplitude scale
-    # (measured residual <= 1.1e-12); a flipped hop phase misses by >= 4e-2.
+    # the model.  The closed-form fixed point leaves a rounding-level residual
+    # (measured <= 6.5e-16); a flipped hop phase misses by >= 4e-2.
     spec = physical_chain(n, theta)
     st = linearize(spec)
     beta = np.array(st.beta)
@@ -134,6 +137,47 @@ def test_linearize_beta_phase_convention(n, theta):
     lhs = (np.array(spec.gamma) + 1j * np.array(spec.omega_m)) * beta
     rhs = -1j * (np.array(spec.drive.g_single) * abs(st.alpha) ** 2 + hops @ beta)
     assert np.abs(lhs - rhs).max() <= 1e-11 * np.abs(rhs).max()
+
+
+def test_linearize_counts_the_classical_fixed_points():
+    # fig2-like couplings at omega_amp = 200 are bistable: the three fixed points
+    # have |alpha|^2 = 78,537.5, 98,429.6 and 321,782.9, and the lowest is returned
+    st = linearize(physical_spec(g=1e-3, amp=200.0))
+    assert st.fixed_points == 3
+    assert abs(st.alpha) ** 2 == pytest.approx(78537.5, abs=0.05)
+    assert linearize(physical_spec(g=1e-3, amp=20.0)).fixed_points == 1
+    assert linearize(physical_spec()).fixed_points == 3
+
+
+AMPS = [0.0, 20.0, 100.0, 200.0, 300.0, 600.0, 1e3, 2e3, 1e3 * np.exp(0.7j)]
+G_PAIRS = [(1e-3, 1e-3), (1e-4, 1e-4), (1e-3, 5e-4), (2e-4, -1e-3)]
+
+
+def test_linearize_solves_the_defining_equations_on_a_grid():
+    # 108 fig2-like points, 26 of which a damped fixed-point iteration does not
+    # settle on, and 9 bistable.  The equations are written out here, each
+    # residual relative to its largest term (measured <= 2.5e-15):
+    #   Delta = Delta_c + 2 sum_j g_j Re beta_j,  (kappa + i Delta) alpha = -i Omega*,
+    #   (gamma_j + i w_j) beta_j = -i (g_j |alpha|^2 + sum_{k != j} H_jk beta_k)
+    hop = 0.05 * np.exp(0.5j * np.pi)
+    hops = np.array([[0.0, hop], [np.conj(hop), 0.0]])
+    for amp, delta_c, g in itertools.product(AMPS, (1.0, -1.0, 0.5), G_PAIRS):
+        st = linearize(physical_spec(g=g, amp=amp, delta_c=delta_c))
+        g, beta, delta = np.array(g), np.array(st.beta), st.delta_eff
+        shift = 2.0 * g * beta.real
+        scale = max(abs(delta), abs(delta_c), np.abs(shift).max())
+        assert abs(delta - delta_c - shift.sum()) <= 1e-14 * scale
+        assert abs((0.2 + 1j * delta) * st.alpha + 1j * np.conj(amp)) <= 1e-14 * abs(amp)
+        rhs = -1j * (g * abs(st.alpha) ** 2 + hops @ beta)
+        lhs = (1e-5 + 1j) * beta
+        assert np.abs(lhs - rhs).max() <= 1e-14 * np.abs(rhs).max()
+
+
+def test_linearize_overflowing_amplitudes_raise():
+    # a finite cubic (Delta = 0) whose |alpha|^2 = (|Omega|/kappa)^2 = 1e400 overflows
+    spec = physical_spec(g=0.0, amp=1.0, delta_c=0.0).with_(kappa=1e-200)
+    with pytest.raises(FloatingPointError, match="classical fixed point not finite"):
+        linearize(spec)
 
 
 def test_to_linearized_real_couplings():
