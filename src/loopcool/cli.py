@@ -243,12 +243,6 @@ def parse_axis(raw):
 BATCH = 64
 
 
-def _sweep_eval(task):
-    """Stacked report for one chunk's rows of the grid table; module-level for process pools."""
-    approx, table = task
-    return steadystate.cool_many(*drift_stack(table, approx))
-
-
 def _sweep_grid(grids):
     """(columns, prefixes) of the grid spanned by the axes' value arrays, in
     itertools.product's row order (the last axis varies fastest).
@@ -303,7 +297,7 @@ def _write_csv(out, spec, approx, header, lines):
               help="Sweep axis as path=start:stop:points (repeat for a 2-D grid).")
 @click.option("--out", type=click.Path(), required=True, help="Output CSV path.")
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Parallel worker processes.")
+              help="Parallel worker threads.")
 def sweep(spec, approx, axes, out, workers):
     """1-D or 2-D parameter sweep of the steady-state occupations (CSV).
     \f
@@ -316,23 +310,28 @@ def sweep(spec, approx, axes, out, workers):
         raise ConfigError("at most two --axis options")
     paths, grids = zip(*map(parse_axis, axes))
     entries = [_resolve(spec, p) for p in paths]
+    if len(set(entries)) < len(entries):  # two axes at most (above)
+        raise ConfigError("axes %r and %r sweep the same parameter" % axes)
     columns, prefixes = _sweep_grid(grids)
     table = param_table(spec, len(prefixes))
     for (name, i), values in zip(entries, columns):  # checks every value before any point runs
         set_param(table, name, i, values)
+
+    def chunk(s):
+        """CSV lines of the table's rows s:s + BATCH."""
+        rows = slice(s, s + BATCH)
+        batch = steadystate.cool_many(*drift_stack({n: c[rows] for n, c in table.items()}, approx))
+        return _sweep_lines(prefixes[rows], batch)
+
     starts = range(0, len(prefixes), BATCH)
-    tasks = [(approx, {name: column[s:s + BATCH] for name, column in table.items()})
-             for s in starts]
+    if workers > 1:  # threads overlap: the engine's LAPACK calls release the GIL
+        import concurrent.futures  # only threads need it; every other run skips its import cost
 
-    if workers > 1:
-        import concurrent.futures  # only a pool needs it; every other run skips its import cost
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_sweep_eval, tasks))
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(chunk, starts))
     else:
-        batches = map(_sweep_eval, tasks)  # lazy: one chunk's stacks alive at a time
-    lines = [line for s, batch in zip(starts, batches)
-             for line in _sweep_lines(prefixes[s:s + BATCH], batch)]
+        chunks = map(chunk, starts)  # lazy: one chunk's stacks alive at a time
+    lines = [line for part in chunks for line in part]
     header = list(paths) + ["n_f_%d" % (j + 1) for j in range(spec.n_mech)] + \
         ["n_cav", "stable", "spectral_abscissa"]
     _write_csv(out, spec, approx, header, lines)

@@ -330,36 +330,49 @@ def test_sweep_invalid_value_is_config_error(runner, tmp_path, axis, message):
     assert not out.exists()
 
 
-def test_sweep_chunks_and_workers_do_not_change_the_csv(runner, tmp_path, monkeypatch):
+@pytest.mark.parametrize("source, axes, verdicts", [
     # 81 points: more than one BATCH; the delta = 0 row sends points to Schur
-    axes = ["--axis", "drive.delta=-1:1:9", "--axis", "theta[0]=0:6.2832:9"]
+    (["--preset", "fig2"], ["drive.delta=-1:1:9", "theta[0]=0:6.2832:9"], {"true", "false"}),
+    # a uniform N = 4 chain: 65 points, one full BATCH and one row
+    (["--preset", "figS11"], ["theta[0]=0:6.283185307179586:65"], {"true"}),
+    # a nonuniform N = 3 chain, 81 points
+    ("NONUNIFORM_N3", ["drive.delta=-1:1:9", "theta[1]=-7:7:9"], {"true", "false"}),
+], ids=["fig2", "chain4", "n3"])
+def test_sweep_chunks_and_workers_do_not_change_the_csv(runner, tmp_path, monkeypatch,
+                                                        source, axes, verdicts):
+    if source == "NONUNIFORM_N3":
+        source = ["--config", write_config(tmp_path / "n3.ini", **NONUNIFORM_N3)]
 
     def run(name, *extra):
         out = tmp_path / name
-        res = runner.invoke(main, ["sweep", "--preset", "fig2", *axes,
+        res = runner.invoke(main, ["sweep", *source, *(a for x in axes for a in ("--axis", x)),
                                    "--out", str(out), *extra])
         assert res.exit_code == 0, res.output
         return body_lines(out)
 
     serial = run("serial.csv")
-    assert len(serial) == 1 + 81 > 1 + cli.BATCH
-    assert {row.split(",")[-2] for row in serial[1:]} == {"true", "false"}
-    assert run("parallel.csv", "--workers", "2") == serial
+    assert len(serial) > 1 + cli.BATCH
+    assert {row.split(",")[-2] for row in serial[1:]} == verdicts
+    for workers in ("2", "3"):
+        assert run("w%s.csv" % workers, "--workers", workers) == serial
     monkeypatch.setattr(cli, "BATCH", 1)
     assert run("single.csv") == serial
 
 
-def test_sweep_later_axis_on_one_entry_wins(runner, tmp_path):
-    # the sweep writes its axes in order, so a second axis on kappa overrides the first
-    def rows(*axes):
-        out = tmp_path / "s.csv"
-        res = runner.invoke(main, ["sweep", "--preset", "fig2", *axes, "--out", str(out)])
-        assert res.exit_code == 0, res.output
-        return [line.split(",") for line in body_lines(out)[1:]]
+@pytest.mark.parametrize("axes", [["kappa=0.1:0.2:2", "kappa=0.3:0.4:2"],
+                                  ["theta[0]=0:1:2", "theta[00]=0:1:3"]],
+                         ids=["kappa", "theta-index-spelling"])
+def test_sweep_refuses_a_repeated_axis(runner, tmp_path, monkeypatch, axes):
+    # the second axis would overwrite the first one's column: every row mislabelled
+    def no_point(*args):
+        raise AssertionError("a point ran")
 
-    both = rows("--axis", "kappa=0.1:0.5:3", "--axis", "kappa=0.2:0.3:2")
-    second = rows("--axis", "kappa=0.2:0.3:2")
-    assert [row[1:] for row in both] == second * 3
+    monkeypatch.setattr(cli, "drift_stack", no_point)
+    out = tmp_path / "s.csv"
+    res = runner.invoke(main, ["sweep", "--preset", "fig2", "--axis", axes[0],
+                               "--axis", axes[1], "--out", str(out)])
+    assert_one_line(res, 2, "config error: axes %r and %r sweep the same parameter" % tuple(axes))
+    assert not res.stdout and not out.exists()
 
 
 SPECS = {

@@ -245,7 +245,7 @@ def test_rk4_oracle_import_leaves_scipy_linalg_out():
 
 
 def test_serial_cli_never_imports_concurrent_futures():
-    # only sweep --workers > 1 starts a process pool
+    # only sweep --workers > 1 starts worker threads
     out = _fresh_python(
         "import sys\n"
         "from loopcool.cli import main\n"
@@ -263,6 +263,26 @@ def test_schur_route_imports_scipy_when_needed():
         "spec = spec.with_(drive=dataclasses.replace(spec.drive, delta=0.0))\n"
         "print(cool_or_flag(build_drift(spec)).solver)\n")
     assert out.splitlines() == ["schur"]
+
+
+def test_two_sweep_threads_import_the_schur_fallback_together(tmp_path):
+    # 128 points in two chunks, every one on the Schur route: both threads
+    # reach the first `import scipy.linalg` at once; no process is started
+    out = _fresh_python(
+        "import sys\n"
+        "from loopcool.cli import main\n"
+        "def body(workers):\n"
+        "    out = %r + '/w' + workers + '.csv'\n"
+        "    main.main(args=['sweep', '--preset', 'fig2', '--axis', 'drive.delta=0:0:2',\n"
+        "                    '--axis', 'theta[0]=0:6.283185307179586:64', '--out', out,\n"
+        "                    '--workers', workers], standalone_mode=False)\n"
+        "    with open(out) as fh:\n"
+        "        return [ln for ln in fh if not ln.startswith('#')]\n"
+        "parallel = body('2')\n"
+        "loaded = 'scipy.linalg' in sys.modules, 'multiprocessing' in sys.modules\n"
+        "serial = body('1')\n"
+        "print(*loaded, len(parallel), parallel == serial)\n" % str(tmp_path))
+    assert out.splitlines()[-1] == "True False 129 True"
 
 
 def _near_defective(split):
