@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, limits, modes, spectra, steadystate
 from .config import parse_spec, spec_to_dict
 from .errors import ConfigError, DomainError, InvalidSpec, LoopcoolError, Unstable
-from .model import (DRIVE_FIELDS, SPEC_FIELDS, CouplingApprox, build_drift, drift_stack,
+from .model import (SPEC_FIELDS, CouplingApprox, Physical, build_drift, drift_stack, linearize,
                     param_table, set_param, to_linearized)
 from .presets import get_preset
 
@@ -64,7 +64,18 @@ def _emit_json(payload):
 def _load_spec(config, preset):
     if (config is None) == (preset is None):
         raise ConfigError("provide exactly one of --config or --preset")
-    return to_linearized(parse_spec(config) if config is not None else get_preset(preset))
+    return parse_spec(config) if config is not None else get_preset(preset)
+
+
+def _spec_report(spec):
+    """The spec as given (spec_to_dict) and, for a Physical drive, the linearized
+    drive of its classical fixed point with the number of fixed points."""
+    report = spec_to_dict(spec)
+    if isinstance(spec.drive, Physical):
+        st = linearize(spec)
+        report["linearized_drive"] = {"delta": st.delta_eff, "g_lin": st.g_lin,
+                                      "fixed_points": st.fixed_points}
+    return report
 
 
 def _approx(om_rwa, mech_full):
@@ -152,7 +163,7 @@ def cool(spec, approx):
     drift = build_drift(spec, approx)
     report = steadystate.cool_or_flag(drift)
     payload = {
-        "spec": spec_to_dict(spec),
+        "spec": _spec_report(spec),
         "n_f": report.n_f,
         "n_cav": report.n_cav,
         "stable": report.stable,
@@ -162,7 +173,7 @@ def cool(spec, approx):
     }
     if spec.n_mech == 2 and report.stable:
         try:
-            _, found, caught = _limits_report(spec, full=False)
+            _, found, caught = _limits_report(drift.spec, full=False)
         except (DomainError, ArithmeticError) as exc:  # the steady state stands without its limit
             payload["limits"] = {"unavailable": str(exc)}
         else:
@@ -190,8 +201,8 @@ _PATH_RE = re.compile(r"^(drive\.)?([a-z_]+)(?:\[(\d+)\])?$")
 
 def _resolve(spec, path):
     """(name, index or None) of the parameter-table entry that a path of spec
-    names: kappa, eta[0], theta[0], omega_m[1], gamma[0], nbar[0], drive.delta,
-    drive.g_lin[0].  Any other path is a ConfigError."""
+    names: a number that SPEC_FIELDS or the drive's FIELDS declares, such as
+    kappa, theta[0], drive.delta or drive.g_single[1].  Else a ConfigError."""
     m = _PATH_RE.match(path)
     if not m:
         raise ConfigError("bad parameter path %r" % path)
@@ -208,7 +219,7 @@ def _resolve(spec, path):
             raise ConfigError("index out of range in %r" % path)
     elif idx is not None:
         raise ConfigError("%s is scalar; drop the index" % path)
-    if name not in (DRIVE_FIELDS if on_drive else SPEC_FIELDS):  # e.g. n_mech: the table's shape
+    if name not in (target.FIELDS if on_drive else SPEC_FIELDS):  # e.g. n_mech: the table's shape
         raise ConfigError("%s cannot be swept" % path)
     return name, idx
 
@@ -353,7 +364,7 @@ def spectrum(spec, approx, omega_min, omega_max, points, out):
     stable, abscissa = steadystate.stability_check(drift)
     if not stable:
         raise steadystate.unstable(abscissa)
-    coop = spectra.Cooperativities.from_spec(spec)
+    coop = spectra.Cooperativities.from_spec(drift.spec)
     lam_res = spectra.lambda_analytic(coop, spec.theta[0])
     tcols = ["T_%s%s" % vw for vw in itertools.product(["a", "b1", "b2"], repeat=2)]
     pt = spectra.scan_point(drift, omega, coop)
@@ -369,7 +380,8 @@ def spectrum(spec, approx, omega_min, omega_max, points, out):
 @_spec_options
 def modes_cmd(spec, approx):
     """Mode-structure report: bright/dark, hybrid transform, normal modes."""
-    payload = {"spec": spec_to_dict(spec), "provenance": _provenance(approx)}
+    payload = {"spec": _spec_report(spec), "provenance": _provenance(approx)}
+    spec = to_linearized(spec)
     if spec.n_mech == 2:
         if spec.eta[0] == 0.0:
             payload["bright_dark"] = dataclasses.asdict(modes.bright_dark(spec))
@@ -408,9 +420,9 @@ def limits_cmd(spec, approx):
     """Adiabatic-elimination effective model and analytic cooling limits."""
     if spec.n_mech != 2:
         raise ConfigError("cooling limits are defined for n_mech = 2")
-    effective, found, caught = _limits_report(spec, full=True)
+    effective, found, caught = _limits_report(to_linearized(spec), full=True)
     _emit_json({
-        "spec": spec_to_dict(spec),
+        "spec": _spec_report(spec),
         "effective": effective,
         **found,
         "warnings": caught,

@@ -8,7 +8,7 @@ physical (delta_c, omega_amp, g_single).  Lists are comma-separated.
 import configparser
 
 from .errors import ConfigError, InvalidSpec
-from .model import DRIVE_FIELDS, SPEC_FIELDS, Linearized, Physical, SystemSpec
+from .model import SPEC_FIELDS, Linearized, Physical, SystemSpec
 
 
 def _floats(raw, where):
@@ -25,6 +25,13 @@ def _float(raw, where):
         raise ConfigError("%s: expected a number, got %r" % (where, raw))
 
 
+def _complex(raw, where):
+    try:
+        return complex(raw.replace(" ", ""))
+    except ValueError:
+        raise ConfigError("%s: expected a (complex) number, got %r" % (where, raw))
+
+
 def _get(section, key, where):
     if key not in section:
         raise ConfigError("%s: missing required key %r" % (where, key))
@@ -32,10 +39,11 @@ def _get(section, key, where):
 
 
 def _numbers(section, fields, where):
-    """The numbers that a declaration (SPEC_FIELDS, DRIVE_FIELDS) names, read from
-    a config section: a scalar by _float, a list by _floats.  A list that
-    n_mech = 1 leaves empty (N - 1 entries) may be omitted."""
-    return {name: (_float if k is None else _floats)(
+    """The numbers that a declaration (SPEC_FIELDS, a drive's FIELDS) names, read
+    from a config section: a list by _floats, a drive amplitude by _complex, any
+    other scalar by _float.  A list that n_mech = 1 leaves empty (N - 1 entries)
+    may be omitted."""
+    return {name: (_floats if k is not None else _complex if name == "omega_amp" else _float)(
                 section.get(name, "") if k == 1 else _get(section, name, where),
                 "%s %s" % (where, name))
             for name, k in fields.items()}
@@ -65,37 +73,20 @@ def parse_spec(path):
     dr = cp["drive"]
     where = "%s [drive]" % path
     kind = dr.get("type", "linearized").strip().lower()
-    if kind == "linearized":
-        drive_type, drive_kw = Linearized, _numbers(dr, DRIVE_FIELDS, where)
-    elif kind == "physical":
-        raw = _get(dr, "omega_amp", where)
-        try:
-            amp = complex(raw.replace(" ", ""))
-        except ValueError:
-            raise ConfigError("%s: omega_amp must be a (complex) number, got %r"
-                              % (where, raw))
-        drive_type, drive_kw = Physical, dict(
-            delta_c=_float(_get(dr, "delta_c", where), where + " delta_c"),
-            omega_drive_amp=amp,
-            g_single=_floats(_get(dr, "g_single", where), where + " g_single"))
-    else:
+    drive = {cls.KIND: cls for cls in (Linearized, Physical)}.get(kind)
+    if drive is None:
         raise ConfigError("%s: type must be 'linearized' or 'physical', got %r"
                           % (where, kind))
     try:
-        return SystemSpec(n_mech=n_mech, drive=drive_type(**drive_kw), **numbers)
+        return SystemSpec(n_mech=n_mech, drive=drive(**_numbers(dr, drive.FIELDS, where)),
+                          **numbers)
     except InvalidSpec as exc:
         raise ConfigError("%s: %s" % (path, exc))
 
 
 def spec_to_dict(spec):
-    """Flat snapshot of a resolved spec: its own values (tuples, a complex drive
-    amplitude), for the CLI's JSON encoder."""
-    out = {name: getattr(spec, name) for name in ("n_mech", *SPEC_FIELDS)}
-    if isinstance(spec.drive, Linearized):
-        out["drive"] = {"type": "linearized",
-                        **{name: getattr(spec.drive, name) for name in DRIVE_FIELDS}}
-    else:
-        out["drive"] = {"type": "physical", "delta_c": spec.drive.delta_c,
-                        "omega_amp": complex(spec.drive.omega_drive_amp),
-                        "g_single": spec.drive.g_single}
-    return out
+    """Flat snapshot of a spec as given: its own values and its drive's, by their
+    declarations (tuples, a complex drive amplitude), for the CLI's JSON encoder."""
+    drive = spec.drive
+    return {**{name: getattr(spec, name) for name in ("n_mech", *SPEC_FIELDS)},
+            "drive": {"type": drive.KIND, **{name: getattr(drive, name) for name in drive.FIELDS}}}

@@ -8,13 +8,13 @@ fluctuation ordering everywhere is
 
 so the drift matrix has the conjugate block structure A = [[X, Y], [Y*, X*]].
 
-`SPEC_FIELDS` and `DRIVE_FIELDS` declare a spec's numbers and their entry
-counts once.  `param_table` lays them out as arrays with a leading batch
-axis, `set_param` writes and checks a sweep axis or a `SystemSpec`'s own
-row there, and `drift_stack` turns the table into (G, 2N+2, 2N+2) drift and
-noise stacks.  `build_drift` is the batch of one: there is one builder.
-A Physical drive enters as its Linearized equivalent (`to_linearized`), from
-the classical fixed point that `linearize` solves as one real cubic.
+`SPEC_FIELDS`, `DRIVE_FIELDS` and `PHYSICAL_FIELDS` declare the numbers of a
+spec and of its drive once.  `param_table` lays them out as arrays with a
+leading batch axis, `set_param` writes and checks a sweep axis or a spec's own
+row there, and `drift_stack`, the one builder, turns the table into
+(G, 2N+2, 2N+2) drift and noise stacks, linearizing a Physical drive's rows
+each at its own classical fixed point (`fixed_point_stack`, one real cubic per
+row).  `build_drift`, `linearize` and `to_linearized` are batches of one.
 """
 
 import cmath
@@ -59,9 +59,21 @@ class CouplingApprox:
                 raise InvalidSpec("approximation must be %r or %r, got %r" % (FULL, RWA, v))
 
 
+#: The numbers of a spec, of a Linearized and of a Physical drive: parameter-table
+#: name -> k for a list of N - k entries at n_mech = N (N resonators, N - 1
+#: links), None for a scalar.  Every reader of a spec's shape takes it from here,
+#: a drive's through its class's FIELDS.
+SPEC_FIELDS = {"omega_m": 0, "kappa": None, "gamma": 0, "nbar": 0, "eta": 1, "theta": 1}
+DRIVE_FIELDS = {"delta": None, "g_lin": 0}
+PHYSICAL_FIELDS = {"delta_c": None, "omega_amp": None, "g_single": 0}
+
+
 @dataclass(frozen=True)
 class Linearized:
     """Drive given directly by the effective detuning and linearized couplings."""
+
+    KIND = "linearized"  # the drive's `type` in config files and reports
+    FIELDS = DRIVE_FIELDS
 
     delta: float
     g_lin: tuple
@@ -75,26 +87,23 @@ class Linearized:
 class Physical:
     """Drive given by the bare detuning, drive amplitude, and single-photon couplings."""
 
+    KIND = "physical"
+    FIELDS = PHYSICAL_FIELDS
+
     delta_c: float
-    omega_drive_amp: complex
+    omega_amp: complex
     g_single: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "omega_amp", complex(self.omega_amp))
         object.__setattr__(self, "g_single", tuple(float(g) for g in self.g_single))
-        _require_finite(self, "delta_c", "omega_drive_amp", "g_single")
-
-
-#: The numbers of a spec, then of a Linearized drive: parameter-table name -> k
-#: for a list of N - k entries at n_mech = N (N resonators, N - 1 links), None
-#: for a scalar.  Every reader of a spec's shape takes it from here.
-SPEC_FIELDS = {"omega_m": 0, "kappa": None, "gamma": 0, "nbar": 0, "eta": 1, "theta": 1}
-DRIVE_FIELDS = {"delta": None, "g_lin": 0}
+        _require_finite(self, "delta_c", "omega_amp", "g_single")
 
 
 @dataclass(frozen=True)
 class SystemSpec:
     """Full parameter set, all rates in units of the first mechanical frequency.
-    Checked on its one-row param_table by SPEC_FIELDS's counts and set_param; each
+    Checked on its one-row param_table by the declared counts and set_param; each
     list is stored as a tuple of floats, theta mod 2 pi; kappa is kept as given."""
 
     n_mech: int
@@ -110,19 +119,18 @@ class SystemSpec:
         n = self.n_mech
         if n < 1:
             raise InvalidSpec("n_mech must be >= 1")
-        table = param_table(self)
-        lists = {name: n - k for name, k in SPEC_FIELDS.items() if k is not None}
-        for name, want in lists.items():
-            if table[name].shape[1:] != (want,):
-                raise InvalidSpec("%s must have %d entries for n_mech=%d" % (name, want, n))
-        set_param(table, "theta", None, table["theta"])
-        for name in lists:
-            object.__setattr__(self, name, tuple(table[name][0].tolist()))
         if not isinstance(self.drive, (Linearized, Physical)):
             raise InvalidSpec("drive must be Linearized or Physical")
-        coupling = "g_lin" if isinstance(self.drive, Linearized) else "g_single"
-        if len(getattr(self.drive, coupling)) != n:
-            raise InvalidSpec("drive.%s must have n_mech entries" % coupling)
+        table = param_table(self)
+        for prefix, fields in (("", SPEC_FIELDS), ("drive.", self.drive.FIELDS)):
+            for name, k in fields.items():
+                if k is not None and table[name].shape[1:] != (n - k,):
+                    raise InvalidSpec("%s%s must have %d entries for n_mech=%d"
+                                      % (prefix, name, n - k, n))
+        set_param(table, "theta", None, table["theta"])
+        for name, k in SPEC_FIELDS.items():
+            if k is not None:
+                object.__setattr__(self, name, tuple(table[name][0].tolist()))
 
     def with_(self, **kw):
         return replace(self, **kw)
@@ -131,10 +139,10 @@ class SystemSpec:
 @dataclass
 class ClassicalSteadyState:
     alpha: complex
-    beta: tuple
+    beta: list
     delta_eff: float
-    g_lin: tuple
-    fixed_points: int  # real roots of linearize's cubic: 1, or 3 if bistable
+    g_lin: list  # the linearized couplings G_j = g_j |alpha|
+    fixed_points: int  # real roots of the cubic: 1, or 3 if bistable
 
 
 @dataclass
@@ -148,17 +156,15 @@ def param_table(spec, size=1):
     """Parameter table of `size` copies of spec: field name -> float array.
 
     Each array has a leading batch axis: shape (size,) for a scalar field,
-    (size, len) for a tuple field.  The fields are SPEC_FIELDS and, for a
-    Linearized drive, DRIVE_FIELDS.  Each field's one row is converted once
-    and, for size > 1, repeated along the batch axis by ndarray.repeat, so no
-    Python list of size copies is built.  Every array is a fresh copy, so
-    set_param may write a field (e.g. a sweep's axis) without touching spec.
+    (size, len) for a tuple field.  The fields are SPEC_FIELDS and the drive's
+    FIELDS, all float but the complex omega_amp.  Each field's one row is
+    converted once and, for size > 1, repeated along the batch axis by
+    ndarray.repeat, so no Python list of size copies is built.  Every array is
+    a fresh copy, so set_param may write a field without touching spec.
     """
-    owners = [(spec, SPEC_FIELDS)]
-    if isinstance(spec.drive, Linearized):
-        owners.append((spec.drive, DRIVE_FIELDS))
-    table = {name: np.array([getattr(owner, name)], float)
-             for owner, names in owners for name in names}
+    table = {name: np.array([getattr(owner, name)], complex if name == "omega_amp" else float)
+             for owner, names in ((spec, SPEC_FIELDS), (spec.drive, spec.drive.FIELDS))
+             for name in names}
     if size != 1:  # size 1 is every SystemSpec check and build_drift: no repeat call there
         table = {name: row.repeat(size, axis=0) for name, row in table.items()}
     return table
@@ -218,40 +224,55 @@ def mechanical_matrix(spec):
     return mechanical_stack(param_table(spec))[0]
 
 
-def linearize(spec):
-    """Classical steady state (alpha, beta_j, effective detuning) of a Physical drive.
+def fixed_point_stack(table):
+    """Classical steady states (alpha, beta_j, effective detuning) of the rows of a
+    parameter table with a Physical drive's columns, as one ClassicalSteadyState
+    whose fields have a leading batch axis.
 
     At fixed x = |alpha|^2, (H - i diag(gamma)) beta = -g x gives beta = c x, so
     Delta = Delta_c + 2 g.Re(beta) = Delta_c + s x with s = 2 g.Re(c), and
     x = |Omega|^2 / (kappa^2 + Delta^2) leaves one real cubic, the static
     optomechanical bistability (Aspelmeyer et al., RMP 86, 1391 (2014)):
-    (Delta - Delta_c)(kappa^2 + Delta^2) = s |Omega|^2.  np.roots solves it; of
-    its one or three real roots (fixed_points), the one of largest |Delta|, so of
-    lowest |alpha|^2, is returned.  A number that overflows raises
-    FloatingPointError, with no RuntimeWarning.
+    (Delta - Delta_c)(kappa^2 + Delta^2) = s |Omega|^2.  Its roots are the
+    eigenvalues of its companion matrix, the one np.roots builds, one (3, 3)
+    matrix per row; of the one or three real roots (fixed_points), the one of
+    largest |Delta|, so of lowest |alpha|^2, is taken.  A number that overflows
+    raises FloatingPointError, with no RuntimeWarning.
     """
+    g, kappa, delta_c = table["g_single"], table["kappa"], table["delta_c"]
+    size, n = g.shape
+    m = mechanical_stack(table)
+    _diagonal(m, 0, 0, n)[:] -= 1j * table["gamma"]
+    c = np.linalg.solve(m, -g[..., None])[..., 0]
+    companion = np.zeros((size, 3, 3))
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
+        k2 = kappa ** 2
+        s = 2.0 * np.einsum("ij,ij->i", g, c.real)
+        companion[:, 0] = np.column_stack([delta_c, -k2,
+                                           delta_c * k2 + s * np.abs(table["omega_amp"]) ** 2])
+    if not np.isfinite(companion).all():
+        raise FloatingPointError("classical fixed point not finite: its cubic overflows")
+    roots = np.linalg.eigvals(companion)
+    real = roots.imag == 0.0  # LAPACK gives a real eigenvalue an exact 0 imag
+    pick = np.argmax(np.where(real, np.abs(roots.real), -1.0), axis=-1)
+    delta = roots.real[np.arange(size), pick]
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = -1j * table["omega_amp"].conj() / (kappa + 1j * delta)
+        amplitude = np.abs(alpha)[:, None]
+        beta, g_lin = c * amplitude ** 2, g * amplitude
+    if not (np.isfinite(beta).all() and np.isfinite(g_lin).all()):
+        raise FloatingPointError("classical fixed point not finite: its amplitudes overflow")
+    return ClassicalSteadyState(alpha=alpha, beta=beta, delta_eff=delta, g_lin=g_lin,
+                                fixed_points=real.sum(axis=-1))
+
+
+def linearize(spec):
+    """Classical steady state of a Physical drive: fixed_point_stack's batch of one."""
     if not isinstance(spec.drive, Physical):
         raise InvalidSpec("linearize needs a Physical drive")
-    drive = spec.drive
-    g = np.array(drive.g_single)
-    c = np.linalg.solve(mechanical_matrix(spec) - 1j * np.diag(spec.gamma), -g)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
-        s = 2.0 * (g @ c.real)
-        om2 = np.abs(drive.omega_drive_amp) ** 2
-        k2 = np.float64(spec.kappa) ** 2
-        cubic = np.array([1.0, -drive.delta_c, k2, -(drive.delta_c * k2 + s * om2)])
-    if not np.isfinite(cubic).all():
-        raise FloatingPointError("classical fixed point not finite: its cubic overflows")
-    roots = np.roots(cubic)
-    real = roots.real[roots.imag == 0.0]  # LAPACK gives a real eigenvalue an exact 0 imag
-    delta = float(real[np.argmax(np.abs(real))])
-    alpha = -1j * complex(drive.omega_drive_amp).conjugate() / (spec.kappa + 1j * delta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        beta = c * np.abs(alpha) ** 2
-    if not np.isfinite(beta).all():
-        raise FloatingPointError("classical fixed point not finite: its amplitudes overflow")
-    return ClassicalSteadyState(alpha=alpha, beta=tuple(beta), delta_eff=delta,
-                                g_lin=tuple(g * alpha), fixed_points=len(real))
+    st = fixed_point_stack(param_table(spec))
+    return ClassicalSteadyState(**{name: column[0].tolist() for name, column in vars(st).items()})
 
 
 def to_linearized(spec):
@@ -263,38 +284,45 @@ def to_linearized(spec):
     if isinstance(spec.drive, Linearized):
         return spec
     st = linearize(spec)
-    g_lin = tuple(g * abs(st.alpha) for g in spec.drive.g_single)
-    return spec.with_(drive=Linearized(delta=st.delta_eff, g_lin=g_lin))
+    return spec.with_(drive=Linearized(delta=st.delta_eff, g_lin=st.g_lin))
 
 
 def drift_stack(table, approx=CouplingApprox()):
     """Drift and noise stacks (A, Q) of a parameter table.
 
     The one drift builder: each is (size, 2N+2, 2N+2), row k built from row k
-    of every table field with elementwise arithmetic only, so a row does not
-    depend on the rest of the batch.  The table needs a Linearized drive.
+    of every table field, so a row does not depend on the rest of the batch.
+    A Physical drive's rows are linearized here, each at its own classical
+    fixed point (fixed_point_stack).  Raises FloatingPointError, with no
+    RuntimeWarning, if a number overflows in building them (a finite but huge
+    rate, such as kappa = 1e308, makes 2 kappa infinite), so neither stack has
+    a non-finite entry.
     """
-    h = mechanical_stack(table)
-    size, n, _ = h.shape
-    dim = n + 1
-    g = -1j * table["g_lin"]
-    a = np.zeros((size, 2 * dim, 2 * dim), complex)
-    x = a[:, :dim, :dim]  # annihilation block
-    y = a[:, :dim, dim:]  # cross block to daggered operators
-    x[:, 0, 0] = -(table["kappa"] + 1j * table["delta"])
-    x[:, 0, 1:] = x[:, 1:, 0] = g  # G_j is real (Linearized stores floats)
-    mech = -1j * h
-    mech.reshape(size, n * n)[:, ::n + 1] -= table["gamma"]  # -i H - diag(gamma)
-    x[:, 1:, 1:] = mech
-    if approx.optomechanical == FULL:
-        y[:, 0, 1:] = y[:, 1:, 0] = g
-    if approx.mechanical == FULL:
-        # counter-rotating part of eta (e^{i th} b_j^+ + e^{-i th} b_j)(b_{j+1} + b_{j+1}^+)
-        up = np.triu(h, 1)
-        y[:, 1:, 1:] = -1j * (up + up.swapaxes(-1, -2))
-    np.conjugate(y, out=a[:, dim:, :dim])
-    np.conjugate(x, out=a[:, dim:, dim:])
-    return a, noise_stack(table)
+    with np.errstate(over="raise", invalid="raise"):
+        if "g_single" in table:
+            st = fixed_point_stack(table)
+            table = {**table, "delta": st.delta_eff, "g_lin": st.g_lin}
+        h = mechanical_stack(table)
+        size, n, _ = h.shape
+        dim = n + 1
+        g = -1j * table["g_lin"]
+        a = np.zeros((size, 2 * dim, 2 * dim), complex)
+        x = a[:, :dim, :dim]  # annihilation block
+        y = a[:, :dim, dim:]  # cross block to daggered operators
+        x[:, 0, 0] = -(table["kappa"] + 1j * table["delta"])
+        x[:, 0, 1:] = x[:, 1:, 0] = g  # G_j is real
+        mech = -1j * h
+        mech.reshape(size, n * n)[:, ::n + 1] -= table["gamma"]  # -i H - diag(gamma)
+        x[:, 1:, 1:] = mech
+        if approx.optomechanical == FULL:
+            y[:, 0, 1:] = y[:, 1:, 0] = g
+        if approx.mechanical == FULL:
+            # counter-rotating part of eta (e^{i th} b_j^+ + e^{-i th} b_j)(b_{j+1} + b_{j+1}^+)
+            up = np.triu(h, 1)
+            y[:, 1:, 1:] = -1j * (up + up.swapaxes(-1, -2))
+        np.conjugate(y, out=a[:, dim:, :dim])
+        np.conjugate(x, out=a[:, dim:, dim:])
+        return a, noise_stack(table)
 
 
 def _diagonal(stack, row, col, length):
@@ -322,17 +350,10 @@ def noise_stack(table):
 
 
 def build_drift(spec, approx=CouplingApprox()):
-    """Drift and noise matrices for the spec.
-
-    The batch of one of drift_stack; a Physical drive is linearized first.
-    Raises FloatingPointError, with no RuntimeWarning, if a number overflows
-    in building them (a finite but huge rate, such as kappa = 1e308, makes
-    2 kappa infinite), so neither matrix has a non-finite entry.
-    """
-    spec = to_linearized(spec)
-    with np.errstate(over="raise", invalid="raise"):
-        a, q = drift_stack(param_table(spec), approx)
-    return DriftModel(a=a[0], q=q[0], spec=spec)
+    """Drift and noise matrices for the spec: the batch of one of drift_stack.
+    The model's spec is the Linearized one that the drift holds."""
+    a, q = drift_stack(param_table(spec), approx)
+    return DriftModel(a=a[0], q=q[0], spec=to_linearized(spec))
 
 
 def build_noise(spec):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import types
 
 import numpy as np
@@ -12,7 +13,7 @@ from click.testing import CliRunner
 
 from loopcool import cli, model, spectra, steadystate
 from loopcool.cli import main, parse_axis
-from loopcool.config import spec_to_dict
+from loopcool.config import parse_spec, spec_to_dict
 from loopcool.errors import ConfigError, InvalidSpec, NoConvergence
 from loopcool.presets import _chain, get_preset
 
@@ -89,8 +90,31 @@ def test_cool_physical_drive_config(runner, tmp_path):
     res = runner.invoke(main, ["cool", "--config", cfg])
     assert res.exit_code == 0, res.output
     payload = json.loads(res.output)
-    assert payload["spec"]["drive"]["type"] == "linearized"
+    assert payload["spec"]["drive"] == {"type": "physical", "delta_c": 1.0,
+                                        "omega_amp": [1000.0, 0.0], "g_single": [1e-4, 1e-4]}
+    lin = payload["spec"]["linearized_drive"]
+    assert lin["fixed_points"] == 3
+    # the couplings reported are the ones inside the drift that was solved, bit for bit
+    drift = model.build_drift(parse_spec(cfg))
+    assert [-g for g in drift.a[0, 1:3].imag.tolist()] == lin["g_lin"]
+    assert drift.a[0, 0].imag == -lin["delta"]
     assert payload["stable"]
+
+
+@pytest.mark.parametrize("command", ["cool", "modes", "limits"])
+def test_reports_show_the_given_drive_and_its_bistability(runner, tmp_path, command):
+    # omega_amp = 200 has three classical fixed points (test_model checks the branch taken)
+    cfg = physical_config(tmp_path / "p200.ini", "200.0")
+    res = runner.invoke(main, [command, "--config", cfg])
+    assert res.exit_code == 0, res.output
+    spec = strict_json(res.stdout)["spec"]
+    assert spec["drive"] == {"type": "physical", "delta_c": 1.0, "omega_amp": [200.0, 0.0],
+                             "g_single": [0.001, 0.001]}
+    drive = model.to_linearized(parse_spec(cfg)).drive
+    assert spec["linearized_drive"] == {"delta": drive.delta, "g_lin": list(drive.g_lin),
+                                        "fixed_points": 3}
+    res = runner.invoke(main, [command, "--preset", "fig2"])
+    assert "linearized_drive" not in strict_json(res.stdout)["spec"]
 
 
 def test_cool_malformed_config(runner, tmp_path):
@@ -124,7 +148,7 @@ def test_spec_to_dict_linearized_and_physical():
             "nbar": (1e3, 1e3), "eta": (0.05,), "theta": (math.pi / 2,)}
     assert spec_to_dict(spec) == {**base, "drive": {
         "type": "linearized", "delta": 1.0, "g_lin": (0.1, 0.1)}}
-    phys = spec.with_(drive=model.Physical(delta_c=1.5, omega_drive_amp=3 - 4j,
+    phys = spec.with_(drive=model.Physical(delta_c=1.5, omega_amp=3 - 4j,
                                            g_single=(1e-4, 2e-4)))
     snapshot = spec_to_dict(phys)
     assert snapshot == {**base, "drive": {
@@ -276,7 +300,7 @@ def test_set_param_invalid_value_is_config_error():
 
 def replaced(spec, name, i, value):
     """spec with entry i (None for a scalar) of field name set to value, by dataclasses.replace."""
-    owner = spec.drive if name in model.DRIVE_FIELDS else spec
+    owner = spec.drive if name in spec.drive.FIELDS else spec
     if i is not None:
         cur = getattr(owner, name)
         value = cur[:i] + (value,) + cur[i + 1:]
@@ -337,11 +361,15 @@ def test_sweep_invalid_value_is_config_error(runner, tmp_path, axis, message):
     (["--preset", "figS11"], ["theta[0]=0:6.283185307179586:65"], {"true"}),
     # a nonuniform N = 3 chain, 81 points
     ("NONUNIFORM_N3", ["drive.delta=-1:1:9", "theta[1]=-7:7:9"], {"true", "false"}),
-], ids=["fig2", "chain4", "n3"])
+    # a physical drive, linearized per row: 81 points
+    ("PHYSICAL", ["kappa=0.1:0.5:9", "drive.omega_amp=20:620:9"], {"true", "false"}),
+], ids=["fig2", "chain4", "n3", "physical"])
 def test_sweep_chunks_and_workers_do_not_change_the_csv(runner, tmp_path, monkeypatch,
                                                         source, axes, verdicts):
     if source == "NONUNIFORM_N3":
         source = ["--config", write_config(tmp_path / "n3.ini", **NONUNIFORM_N3)]
+    elif source == "PHYSICAL":
+        source = ["--config", physical_config(tmp_path / "p.ini", "20.0")]
 
     def run(name, *extra):
         out = tmp_path / name
@@ -380,10 +408,13 @@ SPECS = {
                                            nbar=(1e3,), eta=(), theta=(),
                                            drive=model.Linearized(delta=1.0, g_lin=(0.1,))),
     "chain16": lambda: _chain(16, 0.1, 0.1, math.pi / 2),
+    "physical": lambda: get_preset("fig2").with_(drive=model.Physical(
+        delta_c=1.0, omega_amp=200.0 * np.exp(0.3j), g_single=(1e-3, 1e-3))),
 }
 
 
-#: (spec, axis paths, rows of axis values): every kind of path, N = 4, 1 and 16
+#: (spec, axis paths, rows of axis values): every kind of path, N = 4, 1 and 16, and a
+#: physical drive, whose rows are linearized each at its own fixed point
 CHUNKS = [
     ("figS11", ["kappa"], [[0.05], [0.3], [1.0]]),
     ("figS11", ["eta[1]"], [[0.0], [0.02], [0.3]]),
@@ -399,6 +430,9 @@ CHUNKS = [
     ("figS11", ["drive.delta", "drive.g_lin[0]"], [[0.9, 0.2], [-0.5, 0.0]]),
     ("n1", ["drive.g_lin[0]", "kappa"], [[0.0, 0.1], [0.3, 0.5], [0.1, 2.0]]),
     ("chain16", ["theta[14]", "eta[3]"], [[-1.0, 0.0], [7.0, 0.3]]),
+    ("physical", ["drive.omega_amp"], [[0.0], [20.0], [200.0], [600.0]]),
+    ("physical", ["drive.delta_c", "drive.g_single[1]"], [[-1.0, 0.0], [0.5, 2e-3], [1.0, 1e-3]]),
+    ("physical", ["kappa", "theta[0]"], [[0.05, 0.0], [0.2, 2.0], [1.0, 4.0]]),
 ]
 
 
@@ -782,11 +816,19 @@ def test_every_json_output_is_strict(runner, tmp_path, args):
 ], ids=["sweep", "spectrum"])
 def test_csv_metadata_is_strict_json(runner, tmp_path, command):
     out = tmp_path / "x.csv"
-    res = runner.invoke(main, [command[0], "--preset", "fig2", *command[1:], "--out", str(out)])
-    assert res.exit_code == 0, res.output
-    meta = strict_json("\n".join(ln[2:] for ln in out.read_text().splitlines()
-                                  if ln.startswith("# ")))
-    assert meta["spec"]["drive"] == {"type": "linearized", "delta": 1.0, "g_lin": [0.1, 0.1]}
+
+    def meta(*source):
+        res = runner.invoke(main, [command[0], *source, *command[1:], "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        return strict_json("\n".join(ln[2:] for ln in out.read_text().splitlines()
+                                     if ln.startswith("# ")))
+
+    assert meta("--preset", "fig2")["spec"]["drive"] == {
+        "type": "linearized", "delta": 1.0, "g_lin": [0.1, 0.1]}
+    # a physical drive is shown as given
+    spec = meta("--config", physical_config(tmp_path / "p20.ini", "20.0"))["spec"]
+    assert spec["drive"] == {"type": "physical", "delta_c": 1.0, "omega_amp": [20.0, 0.0],
+                             "g_single": [0.001, 0.001]}
 
 
 def test_json_encoder_cases():
@@ -870,6 +912,37 @@ def test_cool_overflowing_fixed_point_is_one_line(runner, tmp_path):
                                    physical_config(tmp_path / "big.ini", omega_amp, g_single)])
         assert_one_line(res, 1, "error: FloatingPointError: classical fixed point not finite")
         assert res.stdout == ""
+
+
+@pytest.mark.parametrize("axis, n_f_1", [
+    # the base point's fixed point on every row read 3.059, 5.355, 7.940, 10.685
+    ("kappa=0.1:0.4:4", [2.966, 5.355, 8.328, 11.927]),
+    ("drive.omega_amp=20:620:4", None),
+    ("drive.delta_c=-1:1.5:6", None),
+    ("drive.g_single[1]=0:0.002:5", None),
+], ids=["kappa", "omega_amp", "delta_c", "g_single"])
+def test_physical_sweep_rows_equal_cool_on_their_own_config(runner, tmp_path, axis, n_f_1):
+    # every row is linearized at its own classical fixed point, as cool linearizes its point
+    base = physical_config(tmp_path / "p20.ini", "20.0")
+    out = tmp_path / "s.csv"
+    res = runner.invoke(main, ["sweep", "--config", base, "--axis", axis, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    key = axis.split("=")[0].split("[")[0].replace("drive.", "")
+    rows = [line.split(",") for line in body_lines(out)[1:]]
+    for row in rows:
+        line = "g_single = 0.001, " + row[0] if key == "g_single" else "%s = %s" % (key, row[0])
+        cfg = tmp_path / "row.ini"
+        cfg.write_text(re.sub(r"(?m)^%s = .*$" % key, line, pathlib.Path(base).read_text()))
+        res = runner.invoke(main, ["cool", "--config", str(cfg)])
+        payload = strict_json(res.stdout)
+        assert res.exit_code == (0 if payload["stable"] else 3)
+        assert row[4] == json.dumps(payload["stable"])
+        assert float(row[5]) == pytest.approx(payload["spectral_abscissa"], rel=1e-12)
+        if payload["stable"]:
+            assert [float(x) for x in row[1:4]] == pytest.approx(
+                payload["n_f"] + [payload["n_cav"]], rel=1e-12)
+    if n_f_1 is not None:
+        assert [float(row[1]) for row in rows] == pytest.approx(n_f_1, abs=5e-4)
 
 
 def test_cool_strong_physical_drive(runner, tmp_path):
@@ -1074,15 +1147,21 @@ def test_lambda_float_overflow_is_one_error_line(runner):
     assert res.stdout == ""
 
 
-@pytest.mark.parametrize("command", ["cool", "stability", "spectrum"])
-def test_overflowing_noise_matrix_is_numerical_error(runner, tmp_path, command):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, extra", [
+    ("cool", []), ("stability", []), ("spectrum", []),
+    ("sweep", ["--axis", "drive.delta=0.9:1.1:3"]),
+    ("sweep", ["--axis", "drive.delta=0.9:1.1:3", "--workers", "2"]),
+], ids=["cool", "stability", "spectrum", "sweep", "sweep-workers2"])
+def test_overflowing_noise_matrix_is_numerical_error(runner, tmp_path, command, extra):
     # kappa = 1e308 passes every spec rule, but 2 kappa overflows in the noise
-    # matrix: one error line and no report, not an unstable point
+    # matrix: one error line and no report, not an unstable point, for a single
+    # point and a sweep alike
     cfg = tmp_path / "huge.ini"
     write_config(cfg)
     cfg.write_text(cfg.read_text().replace("kappa = 0.2", "kappa = 1e308"))
     out = tmp_path / "out.csv"
-    extra = ["--out", str(out)] if command == "spectrum" else []
+    extra = extra + (["--out", str(out)] if command in ("spectrum", "sweep") else [])
     res = runner.invoke(main, [command, "--config", str(cfg)] + extra)
     assert_one_line(res, 1, "error: FloatingPointError: overflow")
     assert res.stdout == ""

@@ -1,7 +1,8 @@
 """The config reader and SystemSpec follow the one declaration of a spec's numbers.
 
-Every test is parametrized over model.SPEC_FIELDS and, for a linearized drive,
-model.DRIVE_FIELDS, so a field added there is covered here without an edit.
+Every test is parametrized over model.SPEC_FIELDS and the drives' declarations,
+model.DRIVE_FIELDS and model.PHYSICAL_FIELDS, so a field added there is covered
+here without an edit.
 """
 
 import numpy as np
@@ -9,11 +10,12 @@ import pytest
 
 from loopcool.config import parse_spec, spec_to_dict
 from loopcool.errors import ConfigError
-from loopcool.model import DRIVE_FIELDS, SPEC_FIELDS, Linearized, SystemSpec
+from loopcool.model import DRIVE_FIELDS, PHYSICAL_FIELDS, SPEC_FIELDS, Linearized, SystemSpec
 
+DRIVES = {"linearized": DRIVE_FIELDS, "physical": PHYSICAL_FIELDS}
 #: (section, name, k) of every declared number; a list has N - k entries
 FIELDS = ([("system", name, k) for name, k in SPEC_FIELDS.items()]
-          + [("drive", name, k) for name, k in DRIVE_FIELDS.items()])
+          + [("drive", name, k) for fields in DRIVES.values() for name, k in fields.items()])
 LINKS = [field for field in FIELDS if field[2] == 1]  # the lists that N = 1 leaves empty
 
 
@@ -21,12 +23,20 @@ def _ids(fields):
     return ["%s-%s" % (section, name) for section, name, _ in fields]
 
 
-def write(tmp_path, n, field=None, value=None):
-    """A valid linearized config at n_mech = n, every number 0.3; the (section,
-    name) `field` is left out if value is None, else written as value."""
-    sections = {"system": {"n_mech": str(n)}, "drive": {"type": "linearized"}}
+def kind_of(name):
+    """The drive type that declares a number (linearized for a [system] one)."""
+    return "physical" if name in PHYSICAL_FIELDS else "linearized"
+
+
+def write(tmp_path, n, field=None, value=None, kind=None):
+    """A valid config at n_mech = n with a drive of `kind` (by default the one that
+    declares `field`), every number 0.3; the (section, name) `field` is left out if
+    value is None, else written as value."""
+    kind = kind or kind_of(field[1] if field else "")
+    sections = {"system": {"n_mech": str(n)}, "drive": {"type": kind}}
     for section, name, k in FIELDS:
-        sections[section][name] = "0.3" if k is None else ", ".join(["0.3"] * (n - k))
+        if section == "system" or name in DRIVES[kind]:
+            sections[section][name] = "0.3" if k is None else ", ".join(["0.3"] * (n - k))
     if field is not None:
         section, name = field
         if value is None:
@@ -41,13 +51,17 @@ def write(tmp_path, n, field=None, value=None):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_every_list_has_its_declared_count(tmp_path, n):
-    spec = parse_spec(write(tmp_path, n))
-    snapshot = spec_to_dict(spec)
-    for section, name, k in FIELDS:
-        owner = spec if section == "system" else spec.drive
-        value = getattr(owner, name)
-        assert value == (0.3 if k is None else (0.3,) * (n - k)), name
-        assert (snapshot if section == "system" else snapshot["drive"])[name] == value
+    for kind in DRIVES:
+        spec = parse_spec(write(tmp_path, n, kind=kind))
+        snapshot = spec_to_dict(spec)
+        assert snapshot["drive"]["type"] == kind
+        for section, name, k in FIELDS:
+            if section == "drive" and name not in DRIVES[kind]:
+                continue
+            owner = spec if section == "system" else spec.drive
+            value = getattr(owner, name)
+            assert value == (0.3 if k is None else (0.3,) * (n - k)), name
+            assert (snapshot if section == "system" else snapshot["drive"])[name] == value
 
 
 @pytest.mark.parametrize("section, name, k", FIELDS, ids=_ids(FIELDS))

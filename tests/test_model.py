@@ -5,9 +5,10 @@ import pytest
 
 from loopcool import numkit
 from loopcool.errors import InvalidSpec
-from loopcool.model import (DRIVE_FIELDS, FULL, RWA, SPEC_FIELDS, CouplingApprox, Linearized,
-                            Physical, SystemSpec, build_drift, build_noise, drift_stack,
-                            linearize, mechanical_matrix, param_table, to_linearized)
+from loopcool.model import (DRIVE_FIELDS, FULL, PHYSICAL_FIELDS, RWA, SPEC_FIELDS,
+                            CouplingApprox, Linearized, Physical, SystemSpec, build_drift,
+                            build_noise, drift_stack, linearize, mechanical_matrix, param_table,
+                            to_linearized)
 from loopcool.presets import PRESETS
 
 APPROXES = [CouplingApprox(om, mech) for om in (FULL, RWA) for mech in (FULL, RWA)]
@@ -25,7 +26,7 @@ def physical_spec(g=1e-4, amp=1e3, eta=0.05, theta=np.pi / 2, delta_c=1.0):
     return SystemSpec(n_mech=2, omega_m=(1.0, 1.0), kappa=0.2,
                       gamma=(1e-5, 1e-5), nbar=(1e3, 1e3),
                       eta=(eta,), theta=(theta,),
-                      drive=Physical(delta_c=delta_c, omega_drive_amp=amp,
+                      drive=Physical(delta_c=delta_c, omega_amp=amp,
                                      g_single=np.broadcast_to(g, 2)))
 
 
@@ -38,6 +39,12 @@ def test_spec_list_length_checks():
                    drive=Linearized(delta=1.0, g_lin=(0.1, 0.1)))
     with pytest.raises(InvalidSpec):
         two_mode().with_(eta=(0.1, 0.2))
+    # a drive's lists are counted by its own declaration
+    for drive, name in ((Linearized(delta=1.0, g_lin=(0.1,)), "g_lin"),
+                        (Physical(delta_c=1.0, omega_amp=1.0, g_single=(1e-4,) * 3), "g_single")):
+        message = r"^drive\.%s must have 2 entries for n_mech=2$" % name
+        with pytest.raises(InvalidSpec, match=message):
+            two_mode().with_(drive=drive)
 
 
 def test_spec_positivity():
@@ -56,10 +63,10 @@ def test_spec_rejects_non_finite(bad):
                dict(delta=bad), dict(g=bad)):
         with pytest.raises(InvalidSpec):
             two_mode(**kw)
-    for kw in (dict(delta_c=bad), dict(omega_drive_amp=complex(1.0, bad)),
+    for kw in (dict(delta_c=bad), dict(omega_amp=complex(1.0, bad)),
                dict(g_single=(1e-4, bad))):
         with pytest.raises(InvalidSpec, match="must be finite"):
-            Physical(**{**dict(delta_c=1.0, omega_drive_amp=1e3, g_single=(1e-4, 1e-4)),
+            Physical(**{**dict(delta_c=1.0, omega_amp=1e3, g_single=(1e-4, 1e-4)),
                         **kw})
     with pytest.raises(InvalidSpec, match="must be finite"):
         Linearized(delta=bad, g_lin=(0.1, 0.1))
@@ -106,7 +113,7 @@ def test_linearize_fixed_point_self_consistent():
     st = linearize(spec)
     delta = spec.drive.delta_c + sum(2 * g * b.real
                                      for g, b in zip(spec.drive.g_single, st.beta))
-    alpha = -1j * np.conj(spec.drive.omega_drive_amp) / (spec.kappa + 1j * delta)
+    alpha = -1j * np.conj(spec.drive.omega_amp) / (spec.kappa + 1j * delta)
     assert abs(alpha - st.alpha) <= 1e-12 * abs(st.alpha)
     assert delta == pytest.approx(st.delta_eff, rel=1e-12)
 
@@ -116,7 +123,7 @@ def physical_chain(n, theta):
     return SystemSpec(n_mech=n, omega_m=(1.0, 1.03, 0.98)[:n], kappa=0.2,
                       gamma=(1e-5,) * n, nbar=(1e3,) * n,
                       eta=(0.05, 0.04)[:n - 1], theta=(theta, 2.1)[:n - 1],
-                      drive=Physical(delta_c=1.0, omega_drive_amp=1e3,
+                      drive=Physical(delta_c=1.0, omega_amp=1e3,
                                      g_single=(1e-4, 0.7e-4, 1.2e-4)[:n]))
 
 
@@ -305,12 +312,13 @@ def test_param_table_is_a_copy():
 
 
 def _param_table_from_lists(spec, size):
-    """The parameter table as first built: each column from a Python list of size copies."""
-    owners = [(spec, SPEC_FIELDS)]
-    if isinstance(spec.drive, Linearized):
-        owners.append((spec.drive, DRIVE_FIELDS))
-    return {name: np.array([getattr(owner, name)] * size, float)
-            for owner, names in owners for name in names}
+    """The parameter table as first built: each column from a Python list of size
+    copies, the drive's columns too (a Physical drive's amplitude is complex)."""
+    drive_fields = DRIVE_FIELDS if isinstance(spec.drive, Linearized) else PHYSICAL_FIELDS
+    return {name: np.array([getattr(owner, name)] * size,
+                           complex if name == "omega_amp" else float)
+            for owner, names in ((spec, SPEC_FIELDS), (spec.drive, drive_fields))
+            for name in names}
 
 
 def one_mode():
