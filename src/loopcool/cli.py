@@ -17,8 +17,8 @@ import numpy as np
 from . import __version__, limits, modes, spectra, steadystate
 from .config import parse_spec, spec_to_dict
 from .errors import ConfigError, DomainError, InvalidSpec, LoopcoolError, Unstable
-from .model import (SPEC_FIELDS, CouplingApprox, Physical, build_drift, drift_stack, linearize,
-                    param_table, set_param, to_linearized)
+from .model import (SPEC_FIELDS, CouplingApprox, Linearized, Physical, build_drift, drift_stack,
+                    linearize, param_table, set_param)
 from .presets import get_preset
 
 EXIT_ERROR = 1
@@ -67,15 +67,16 @@ def _load_spec(config, preset):
     return parse_spec(config) if config is not None else get_preset(preset)
 
 
-def _spec_report(spec):
-    """The spec as given (spec_to_dict) and, for a Physical drive, the linearized
-    drive of its classical fixed point with the number of fixed points."""
+def _given_and_linearized(spec):
+    """(report, spec to compute with), by at most one linearize call: spec_to_dict's
+    report plus a Physical drive's `linearized_drive`, and the Linearized spec."""
     report = spec_to_dict(spec)
     if isinstance(spec.drive, Physical):
         st = linearize(spec)
         report["linearized_drive"] = {"delta": st.delta_eff, "g_lin": st.g_lin,
                                       "fixed_points": st.fixed_points}
-    return report
+        spec = spec.with_(drive=Linearized(delta=st.delta_eff, g_lin=st.g_lin))
+    return report, spec
 
 
 def _approx(om_rwa, mech_full):
@@ -160,10 +161,11 @@ def _limits_report(spec, full):
 @_spec_options
 def cool(spec, approx):
     """Steady-state phonon occupations for a single parameter point."""
+    given, spec = _given_and_linearized(spec)
     drift = build_drift(spec, approx)
     report = steadystate.cool_or_flag(drift)
     payload = {
-        "spec": _spec_report(spec),
+        "spec": given,
         "n_f": report.n_f,
         "n_cav": report.n_cav,
         "stable": report.stable,
@@ -173,7 +175,7 @@ def cool(spec, approx):
     }
     if spec.n_mech == 2 and report.stable:
         try:
-            _, found, caught = _limits_report(drift.spec, full=False)
+            _, found, caught = _limits_report(spec, full=False)
         except (DomainError, ArithmeticError) as exc:  # the steady state stands without its limit
             payload["limits"] = {"unavailable": str(exc)}
         else:
@@ -380,8 +382,8 @@ def spectrum(spec, approx, omega_min, omega_max, points, out):
 @_spec_options
 def modes_cmd(spec, approx):
     """Mode-structure report: bright/dark, hybrid transform, normal modes."""
-    payload = {"spec": _spec_report(spec), "provenance": _provenance(approx)}
-    spec = to_linearized(spec)
+    given, spec = _given_and_linearized(spec)
+    payload = {"spec": given, "provenance": _provenance(approx)}
     if spec.n_mech == 2:
         if spec.eta[0] == 0.0:
             payload["bright_dark"] = dataclasses.asdict(modes.bright_dark(spec))
@@ -420,9 +422,10 @@ def limits_cmd(spec, approx):
     """Adiabatic-elimination effective model and analytic cooling limits."""
     if spec.n_mech != 2:
         raise ConfigError("cooling limits are defined for n_mech = 2")
-    effective, found, caught = _limits_report(to_linearized(spec), full=True)
+    given, spec = _given_and_linearized(spec)
+    effective, found, caught = _limits_report(spec, full=True)
     _emit_json({
-        "spec": _spec_report(spec),
+        "spec": given,
         "effective": effective,
         **found,
         "warnings": caught,

@@ -14,7 +14,8 @@ leading batch axis, `set_param` writes and checks a sweep axis or a spec's own
 row there, and `drift_stack`, the one builder, turns the table into
 (G, 2N+2, 2N+2) drift and noise stacks, linearizing a Physical drive's rows
 each at its own classical fixed point (`fixed_point_stack`, one real cubic per
-row).  `build_drift`, `linearize` and `to_linearized` are batches of one.
+row).  Their batches of one are `linearize`, `to_linearized` and `build_drift`,
+which builds from to_linearized's spec: one fixed-point solve per point.
 """
 
 import cmath
@@ -350,10 +351,11 @@ def noise_stack(table):
 
 
 def build_drift(spec, approx=CouplingApprox()):
-    """Drift and noise matrices for the spec: the batch of one of drift_stack.
-    The model's spec is the Linearized one that the drift holds."""
+    """Drift and noise matrices of the spec, built by drift_stack from the Linearized
+    spec (to_linearized: one fixed-point solve), which the model keeps as its spec."""
+    spec = to_linearized(spec)
     a, q = drift_stack(param_table(spec), approx)
-    return DriftModel(a=a[0], q=q[0], spec=to_linearized(spec))
+    return DriftModel(a=a[0], q=q[0], spec=spec)
 
 
 def build_noise(spec):

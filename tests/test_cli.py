@@ -864,6 +864,44 @@ def assert_one_line(res, code, prefix):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("args, message", [
+    (FIG2_SWEEP[:3] + ["--axis", "Kappa=0.1:0.2:2"], "bad parameter path 'Kappa'"),
+    (FIG2_SWEEP + ["--axis", "eta[0]=0:0.1:2", "--axis", "theta[0]=0:1:2"],
+     "at most two --axis options"),
+    (["limits", "--preset", "figS10"], "cooling limits are defined for n_mech = 2"),
+], ids=["bad-path", "three-axes", "limits-chain"])
+def test_refused_command_is_one_config_error_line(runner, tmp_path, args, message):
+    out = tmp_path / "s.csv"
+    res = runner.invoke(main, args + (["--out", str(out)] if args[0] == "sweep" else []))
+    assert_one_line(res, 2, "config error: " + message)
+    assert not res.stdout and not out.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (None, "cannot read config file {path}"),
+    (lambda text: text.replace("[system]", "[sys]"), "{path}: missing [system] section"),
+    (lambda text: text.replace("type = linearized", "type = foo"),
+     "{path} [drive]: type must be 'linearized' or 'physical', got 'foo'"),
+    (lambda text: text.replace("n_mech = 2", "n_mech = 0"), "{path}: n_mech must be >= 1"),
+], ids=["missing-file", "no-system-section", "drive-type", "n_mech-0"])
+def test_unreadable_config_is_one_config_error_line(runner, tmp_path, edit, message):
+    cfg = tmp_path / "c.ini"
+    if edit is not None:
+        cfg.write_text(edit(pathlib.Path(write_config(cfg)).read_text()))
+    res = runner.invoke(main, ["cool", "--config", str(cfg)])
+    assert_one_line(res, 2, "config error: " + message.format(path=cfg))
+
+
+def test_failed_eigensolve_is_one_error_line(runner, monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    res = runner.invoke(main, ["stability", "--preset", "fig2"])
+    assert_one_line(res, 1, "error: NoConvergence: eigenvalue iteration failed: no convergence")
+    assert res.stdout == ""
+
+
 def test_sweep_invalid_value_keeps_existing_file(runner, tmp_path):
     out = tmp_path / "keep.csv"
     out.write_text("precious\n")
@@ -959,6 +997,48 @@ def test_cool_strong_physical_drive(runner, tmp_path):
     payload = strict_json(res.stdout)
     assert payload["stable"]
     assert payload["n_f"] == pytest.approx([9.2711, 9.6637], rel=1e-4)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The parameter table of each model.fixed_point_stack call, in call order."""
+    tables = []
+    solve = model.fixed_point_stack
+
+    def counted(table):
+        tables.append(table)
+        return solve(table)
+
+    monkeypatch.setattr(model, "fixed_point_stack", counted)
+    return tables
+
+
+@pytest.mark.parametrize("command", ["cool", "stability", "spectrum", "modes", "limits"])
+def test_each_command_solves_a_fixed_point_once(runner, tmp_path, solves, command):
+    # the report and the computation share one linearization; a linearized spec needs none
+    out = ["--out", str(tmp_path / "s.csv")] if command == "spectrum" else []
+    res = runner.invoke(main, [command, "--config", physical_config(tmp_path / "p20.ini", "20.0")]
+                        + out)
+    assert res.exit_code == 0, res.output
+    assert len(solves) == 1
+    res = runner.invoke(main, [command, "--preset", "fig2"] + out)
+    assert res.exit_code == 0, res.output
+    assert len(solves) == 1
+
+
+def test_physical_sweep_solves_once_per_chunk(runner, tmp_path, solves):
+    # 81 rows: one solve for each chunk of cli.BATCH rows, on that chunk's rows
+    res = runner.invoke(main, ["sweep", "--config", physical_config(tmp_path / "p20.ini", "20.0"),
+                               "--axis", "kappa=0.1:0.5:9", "--axis", "drive.omega_amp=20:620:9",
+                               "--out", str(tmp_path / "s.csv")])
+    assert res.exit_code == 0, res.output
+    kappa, amp = (c.ravel() for c in np.meshgrid(np.linspace(0.1, 0.5, 9),
+                                                 np.linspace(20.0, 620.0, 9), indexing="ij"))
+    starts = range(0, kappa.size, cli.BATCH)
+    assert len(solves) == len(starts) == 2
+    for table, s in zip(solves, starts):
+        assert table["kappa"].tolist() == kappa[s:s + cli.BATCH].tolist()
+        assert table["omega_amp"].tolist() == amp[s:s + cli.BATCH].tolist()
 
 
 def test_spectrum_zero_coupling_is_domain_error(runner, tmp_path):

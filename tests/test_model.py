@@ -82,6 +82,15 @@ def test_theta_reduced():
         assert two_mode(theta=t).theta[0].hex() == (float(t) % (2 * np.pi)).hex()
 
 
+def test_refusals_name_their_rule():
+    with pytest.raises(InvalidSpec, match="^approximation must be 'full' or 'rwa', got 'x'$"):
+        CouplingApprox("x")
+    with pytest.raises(InvalidSpec, match="^drive must be Linearized or Physical$"):
+        PRESETS["fig2"]().with_(drive=None)
+    with pytest.raises(InvalidSpec, match="^linearize needs a Physical drive$"):
+        linearize(PRESETS["fig2"]())
+
+
 # --- linearization ------------------------------------------------------
 
 def test_linearize_decoupled_cavity():
@@ -428,6 +437,14 @@ def test_drift_from_physical_drive():
     d = build_drift(physical_spec())
     assert isinstance(d.spec.drive, Linearized)
     assert d.a.shape == (6, 6)
+    # built from, and keeping, the Linearized spec of its one fixed-point solve
+    for amp in (20.0, 200.0 * np.exp(0.3j), 600.0):
+        spec = physical_spec(g=1e-3, amp=amp)
+        lin = to_linearized(spec)
+        for approx in APPROXES:
+            d, ref = build_drift(spec, approx), build_drift(lin, approx)
+            assert d.spec == lin
+            assert d.a.tobytes() == ref.a.tobytes() and d.q.tobytes() == ref.q.tobytes()
 
 
 # --- noise --------------------------------------------------------------

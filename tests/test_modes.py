@@ -110,6 +110,11 @@ def test_hybrid_rejects_eta_zero():
         hybrid_transform(get_preset("fig2_eta0"))
 
 
+def test_hybrid_rejects_a_chain():
+    with pytest.raises(DomainError, match="^hybrid transform needs n_mech = 2$"):
+        hybrid_transform(get_preset("figS10"))
+
+
 # --- N-mode normal modes ------------------------------------------------
 
 def test_normal_modes_match_block_eigenvalues():

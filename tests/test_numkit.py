@@ -151,6 +151,8 @@ def test_integrate_input_checks():
     for a_, q_, x0_, dt in bad:
         with pytest.raises(ShapeMismatch):
             kernels.rk4_lyapunov_flow(a_, q_, x0_, 1.0, dt)
+    with pytest.raises(ShapeMismatch, match="^expected a 2-D array, got ndim=1$"):
+        kernels.rk4_lyapunov_flow(-np.ones(3), q, x0, 1.0, 0.01)
 
 
 def _rk4_per_step(a, q, x, n_steps, dt):
