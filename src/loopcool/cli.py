@@ -395,7 +395,7 @@ def modes_cmd(spec, approx):
         "coupling_abs": [abs(c) for c in nm.coupling_k],  # not np.abs: it differs in the last bit
         "dark_count": nm.dark_flags.sum(),
         "predicted_uncooled": nm.predicted_uncooled,
-        "closed_form": nm.closed_form,
+        "dark_ceiling": nm.dark_ceiling,
     }
     _emit_json(payload)
 

@@ -295,9 +295,12 @@ def drift_stack(table, approx=CouplingApprox()):
     of every table field, so a row does not depend on the rest of the batch.
     A Physical drive's rows are linearized here, each at its own classical
     fixed point (fixed_point_stack).  Raises FloatingPointError, with no
-    RuntimeWarning, if a number overflows in building them (a finite but huge
-    rate, such as kappa = 1e308, makes 2 kappa infinite), so neither stack has
-    a non-finite entry.
+    RuntimeWarning, if a number overflows in building them, so neither stack
+    has a non-finite entry.  Each drift entry is one of the table's numbers, or
+    a hop eta e^{i theta}, times 0, +-1 or +-i, so only the noise matrix can
+    overflow (a finite but huge rate, such as kappa = 1e308, makes 2 kappa
+    infinite), and its error says so: "overflow in the noise matrix: ...".
+    A fixed point's own refusal passes through as it is.
     """
     with np.errstate(over="raise", invalid="raise"):
         if "g_single" in table:
@@ -323,7 +326,10 @@ def drift_stack(table, approx=CouplingApprox()):
             y[:, 1:, 1:] = -1j * (up + up.swapaxes(-1, -2))
         np.conjugate(y, out=a[:, dim:, :dim])
         np.conjugate(x, out=a[:, dim:, dim:])
-        return a, noise_stack(table)
+        try:
+            return a, noise_stack(table)
+        except FloatingPointError as err:
+            raise FloatingPointError("overflow in the noise matrix: %s" % err) from None
 
 
 def _diagonal(stack, row, col, length):

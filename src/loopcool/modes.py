@@ -2,7 +2,10 @@
 
 Bright/dark decomposition (no phonon exchange), hybrid-mode transform (with
 exchange), N-mode normal modes with dark-mode counting, and the eigensystem
-of the analogous three-level Lambda configuration.
+of the analogous three-level Lambda configuration.  The normal modes and the
+numeric Lambda eigenstates come from one eigensolve, _aligned_eigh, whose
+degenerate eigenspaces are aligned with the couplings (g, or the excited
+state |e>), so each such eigenspace has at most one bright state.
 """
 
 import cmath
@@ -48,8 +51,7 @@ class NormalModeAnalysis:
     coupling_k: np.ndarray
     dark_flags: np.ndarray
     predicted_uncooled: float
-    norm_a: float
-    closed_form: bool
+    dark_ceiling: float
 
 
 @dataclass
@@ -128,44 +130,28 @@ def hybrid_transform(spec):
 def normal_modes(spec):
     """Normal modes of the mechanical chain and their cavity couplings.
 
-    The closed form assumes degenerate frequencies and uniform eta, G; in
-    that case Omega_k = w_m + 2 eta cos(k pi/(N+1)) and the coupling of the
-    k-th mode carries the accumulated-phase interference factor.  Nonuniform
-    specs fall back to numerical block diagonalization (closed_form = False).
-    The uncooled ceiling nbar (N-1)/N needs equal baths too (nbar, gamma); else NaN.
+    The modes are the eigenvectors of the phonon matrix H (mechanical_matrix),
+    aligned with the couplings g by _aligned_eigh, listed by descending
+    frequency and, inside a degenerate eigenspace, the bright combination
+    first; coupling_k = <mode k|g>.  On a uniform chain this is the sine
+    basis's k = 1..N order, Omega_k = w_m + 2 eta cos(k pi/(N+1)).  A mode is
+    dark when |coupling_k| <= DARK_TOL max|g|.  With equal baths (nbar, gamma)
+    the d dark modes hold the ceiling nbar d/N (dark_ceiling), and a uniform
+    chain has the no-exchange ceiling nbar (N-1)/N (predicted_uncooled); NaN
+    where undefined.
     """
     n = spec.n_mech
-    g = spec.drive.g_lin
-    uniform = (len(set(spec.omega_m)) == 1 and len(set(g)) == 1
-               and (n < 2 or len(set(spec.eta)) == 1))
-    if not uniform:
-        vals, vecs = np.linalg.eigh(mechanical_matrix(spec))
-        coupling = vecs.conj().T @ np.array(g, complex)
-        gmax = max(abs(x) for x in g) or 1.0
-        return NormalModeAnalysis(
-            n=n, omega_k=vals, coupling_k=coupling,
-            dark_flags=np.abs(coupling) <= DARK_TOL * gmax,
-            predicted_uncooled=math.nan, norm_a=math.nan, closed_form=False)
-
-    w_m = spec.omega_m[0]
-    eta = spec.eta[0] if n > 1 else 0.0
-    gval = g[0]
-    norm_a = math.sqrt((n + 1) / 2.0)
-    ks = np.arange(1, n + 1)
-    omega_k = w_m + 2.0 * eta * np.cos(ks * math.pi / (n + 1))
-    coupling = np.zeros(n, complex)
-    for ki, k in enumerate(ks):
-        acc = math.sin(k * math.pi / (n + 1))
-        phase = 0.0
-        for j in range(2, n + 1):
-            phase += spec.theta[j - 2]
-            acc += cmath.exp(1j * phase) * math.sin(j * k * math.pi / (n + 1))
-        coupling[ki] = gval / norm_a * acc
+    g = np.array(spec.drive.g_lin, complex)
+    vals, vecs = _aligned_eigh(mechanical_matrix(spec), g)
+    omega_k, coupling = vals[::-1], (vecs.conj() @ g)[::-1]
+    dark = np.abs(coupling) <= DARK_TOL * np.abs(g).max()
     nbar = spec.nbar[0] if len(set(spec.nbar)) == len(set(spec.gamma)) == 1 else math.nan
+    uniform = (len(set(spec.omega_m)) == 1 and len(set(spec.drive.g_lin)) == 1
+               and (n < 2 or len(set(spec.eta)) == 1))
     return NormalModeAnalysis(
-        n=n, omega_k=omega_k, coupling_k=coupling,
-        dark_flags=np.abs(coupling) <= DARK_TOL * abs(gval),
-        predicted_uncooled=nbar * (n - 1) / n, norm_a=norm_a, closed_form=True)
+        n=n, omega_k=omega_k, coupling_k=coupling, dark_flags=dark,
+        predicted_uncooled=nbar * (n - 1) / n if uniform else math.nan,
+        dark_ceiling=nbar * int(dark.sum()) / n)
 
 
 def _cardano_roots(eta, theta):
@@ -192,6 +178,9 @@ def _cardano_roots(eta, theta):
                      "imag_residue": float(np.abs(roots.imag).max())}
 
 
+_EXCITED = np.array([1.0, 0.0, 0.0])  # |e> in the (e, f, g) basis
+
+
 def _lambda_matrix(sys):
     eta, ratio = sys.eta_ratio, sys.omega2 / sys.omega1
     return np.array([
@@ -201,19 +190,21 @@ def _lambda_matrix(sys):
     ])  # basis (e, f, g), in units of Omega_1
 
 
-def _numeric_eigensystem(matrix):
-    """(ascending eigenvalues, eigenvectors as rows) of a Hermitian Lambda matrix.
+def _aligned_eigh(matrix, direction):
+    """(ascending eigenvalues, eigenvectors as rows) of a Hermitian matrix.
 
     One eigh call.  Its basis of a degenerate eigenspace (consecutive eigenvalues
-    within 1e-8 max(1, max |lambda|)) is arbitrary, so it is rotated to put the
-    combinations with no |e> amplitude first: else a dark state could be missed.
+    within 1e-8 max(1, max |lambda|)) is arbitrary, so one SVD per eigenspace
+    rotates it to concentrate the overlap with `direction` in its last vector:
+    the combinations with none come first.  Else a dark state could be missed.
     """
     vals, vecs = np.linalg.eigh(matrix)
+    overlap = direction.conj() @ vecs
     tol = 1e-8 * max(1.0, float(np.abs(vals).max()))
     for cols in np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > tol) + 1):
         if len(cols) > 1:
-            _, _, vh = np.linalg.svd(vecs[0:1, cols])
-            vecs[:, cols] = vecs[:, cols] @ vh.conj().T[:, ::-1]  # last->first: |e| ascending
+            _, _, vh = np.linalg.svd(overlap[None, cols])
+            vecs[:, cols] = vecs[:, cols] @ vh.conj().T[:, ::-1]  # last->first: overlap ascending
     return vals, vecs.T
 
 
@@ -223,13 +214,13 @@ def lambda_eigensystem(sys):
     For the symmetric resonant case (Omega_1 = Omega_2, Delta = 0) the
     eigenvalues come from the Cardano closed form and eigenvectors from the
     analytic expression, singular at lambda^2 = 1.  There, and in every other
-    case, _numeric_eigensystem gives them.
+    case, _aligned_eigh gives them, aligned with the excited state |e>.
     """
     eta = sys.eta_ratio
     th = sys.theta
     symmetric = sys.omega1 == sys.omega2 and sys.delta == 0.0
     if not symmetric:
-        lambdas, vectors = _numeric_eigensystem(_lambda_matrix(sys))
+        lambdas, vectors = _aligned_eigh(_lambda_matrix(sys), _EXCITED)
     else:
         lambdas, _ = _cardano_roots(eta, th)
         vectors = np.zeros((3, 3), complex)
@@ -241,7 +232,7 @@ def lambda_eigensystem(sys):
                 vec = np.array([c_e, c_f, 1.0])
                 vectors[s] = vec / np.linalg.norm(vec)
         if any(singular):
-            vals, numeric = _numeric_eigensystem(_lambda_matrix(sys))
+            vals, numeric = _aligned_eigh(_lambda_matrix(sys), _EXCITED)
             for lam in {round(lambdas[s], 8) for s in range(3) if singular[s]}:
                 members = [s for s in range(3) if singular[s]
                            and abs(lambdas[s] - lam) <= 1e-6]

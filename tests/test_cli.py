@@ -758,6 +758,23 @@ def test_modes_chain_dark_count(runner, tmp_path):
     assert payload["normal_modes"]["dark_count"] == 2
 
 
+@pytest.mark.parametrize("source, dark, ceiling", [
+    (["--preset", "fig2"], 0, 0.0), (["--preset", "fig2_eta0"], 1, 500.0),
+    (dict(n_mech=4, eta="0, 0, 0", theta="1.5707963267948966, 0, 0",
+          drive_lines=("type = linearized", "delta = 1.0", "g_lin = 0.1, 0.1, 0.1, 0.1")),
+     3, 750.0),
+], ids=["fig2", "fig2_eta0", "eta0-chain4"])
+def test_modes_reports_dark_ceiling(runner, tmp_path, source, dark, ceiling):
+    # nbar d/N: the d dark modes of N keep their bath's nbar = 1e3; at eta = 0
+    # a chain of four has three, whatever its loop phase
+    if isinstance(source, dict):
+        source = ["--config", write_config(tmp_path / "chain.ini", **source)]
+    res = runner.invoke(main, ["modes", *source])
+    assert res.exit_code == 0, res.output
+    nm = strict_json(res.stdout)["normal_modes"]
+    assert (nm["dark_count"], nm["dark_ceiling"]) == (dark, ceiling)
+
+
 def test_lambda_command(runner):
     res = runner.invoke(main, ["lambda", "--eta", "1.0", "--theta", "0.0"])
     assert res.exit_code == 0
@@ -806,9 +823,10 @@ def test_every_json_output_is_strict(runner, tmp_path, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 0, res.output
     payload = strict_json(res.stdout)
+    if args[0] == "modes":
+        assert "closed_form" not in payload["normal_modes"]
     if args[0] == "modes" and args[1] == "--config":
         assert payload["normal_modes"]["predicted_uncooled"] is None
-        assert payload["normal_modes"]["closed_form"] is False
 
 
 @pytest.mark.parametrize("command", [
@@ -1244,5 +1262,6 @@ def test_overflowing_noise_matrix_is_numerical_error(runner, tmp_path, command, 
     extra = extra + (["--out", str(out)] if command in ("spectrum", "sweep") else [])
     res = runner.invoke(main, [command, "--config", str(cfg)] + extra)
     assert_one_line(res, 1, "error: FloatingPointError: overflow")
+    assert "noise matrix" in res.stderr
     assert res.stdout == ""
     assert not out.exists()

@@ -196,6 +196,14 @@ def test_linearize_overflowing_amplitudes_raise():
         linearize(spec)
 
 
+def test_drift_stack_names_the_overflowing_matrix():
+    # 2 kappa overflows in the noise matrix; a fixed point's own refusal is not rewrapped
+    with pytest.raises(FloatingPointError, match="^overflow in the noise matrix: overflow"):
+        drift_stack(param_table(two_mode(kappa=1e308)))
+    with pytest.raises(FloatingPointError, match="^classical fixed point not finite"):
+        drift_stack(param_table(physical_spec(amp=1e200)))
+
+
 def test_to_linearized_real_couplings():
     spec = physical_spec(amp=1e3 * np.exp(0.7j))
     lin = to_linearized(spec)

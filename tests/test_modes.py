@@ -1,10 +1,11 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from loopcool import get_preset
+from loopcool import build_drift, cool, get_preset
 from loopcool.errors import DomainError
 from loopcool.model import Linearized, SystemSpec, mechanical_matrix
 from loopcool.modes import (LambdaSystem, _cardano_roots, _lambda_matrix,
@@ -121,12 +122,12 @@ def test_normal_modes_match_block_eigenvalues():
     for n, th in [(2, 0.0), (3, math.pi / 2), (4, 0.0), (4, math.pi / 2), (5, 1.0)]:
         spec = chain(n, theta1=th)
         nm = normal_modes(spec)
-        assert nm.closed_form
         vals = np.linalg.eigvalsh(mechanical_matrix(spec))
         assert np.allclose(np.sort(nm.omega_k), np.sort(vals), atol=1e-10)
 
 
 def test_normal_modes_frequencies_closed_form():
+    # the sine basis's Omega_k = w_m + 2 eta cos(k pi/(N+1)), in its k = 1..N order
     nm = normal_modes(chain(3))
     ks = np.arange(1, 4)
     assert np.allclose(nm.omega_k, 1.0 + 0.2 * np.cos(ks * math.pi / 4))
@@ -149,31 +150,51 @@ def test_four_chain_dark_count():
     assert int(nm.dark_flags.sum()) == 0
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("eta, theta1", [(0.0, 0.0), (0.0, math.pi / 2), (0.0, 1.3),
+                                         (0.1, 0.0), (0.1, math.pi / 2)])
+def test_dark_modes_agree_with_the_steady_state(n, eta, theta1):
+    # each of the d dark modes keeps its bath's nbar and the bright ones cool,
+    # so the mean occupation is nbar d/N; at eta = 0 the loop phase has no
+    # effect and N - 1 modes are dark
+    spec = chain(n, eta=eta, theta1=theta1)
+    nm = normal_modes(spec)
+    d = int(nm.dark_flags.sum())
+    if eta == 0.0:
+        assert d == n - 1
+    assert nm.dark_ceiling == 1e3 * d / n
+    if d > 0:
+        mean = float(np.mean(cool(build_drift(spec)).n_f))
+        assert abs(mean - nm.dark_ceiling) <= 0.01 * nm.dark_ceiling
+    assert abs(np.sum(np.abs(nm.coupling_k) ** 2) - n * 0.1 ** 2) <= 1e-12
+
+
 def test_three_chain_predicted_ceiling():
     nm = normal_modes(chain(3))
     assert nm.predicted_uncooled == pytest.approx(1e3 * 2 / 3)
-    assert nm.norm_a == pytest.approx(math.sqrt(2.0))
+    assert nm.dark_ceiling == 0.0  # theta_1 = pi/2: no dark mode
+    assert not {"closed_form", "norm_a"} & {f.name for f in dataclasses.fields(nm)}
 
 
 @pytest.mark.parametrize("baths", [dict(nbar=(1e3, 0.0)), dict(gamma=(1e-5, 2e-5))],
                          ids=["nbar", "gamma"])
 def test_predicted_ceiling_needs_equal_baths(baths):
     # with nbar = 1e3, 0 the steady state holds about 250 phonons in each mode,
-    # not the 500 of nbar (N-1)/N; the modes themselves stay closed-form
+    # not the 500 of nbar (N-1)/N; the modes themselves do not change
     base = get_preset("fig2_eta0")
     nm, ref = normal_modes(base.with_(**baths)), normal_modes(base)
-    assert nm.closed_form and math.isnan(nm.predicted_uncooled)
+    assert math.isnan(nm.predicted_uncooled) and math.isnan(nm.dark_ceiling)
     assert np.array_equal(nm.omega_k, ref.omega_k)
     assert np.array_equal(nm.coupling_k, ref.coupling_k)
-    assert ref.predicted_uncooled == 500.0
+    assert ref.predicted_uncooled == ref.dark_ceiling == 500.0
 
 
 def test_normal_modes_nonuniform_fallback():
     spec = chain(3, omega=(1.0, 1.05, 0.95))
     nm = normal_modes(spec)
-    assert nm.closed_form is False
+    assert math.isnan(nm.predicted_uncooled)
     vals = np.linalg.eigvalsh(mechanical_matrix(spec))
-    assert np.allclose(np.sort(nm.omega_k), np.sort(vals), atol=1e-10)
+    assert np.allclose(nm.omega_k, vals[::-1], atol=1e-10)  # descending
     # unitary transform preserves total coupling power
     assert np.sum(np.abs(nm.coupling_k) ** 2) == pytest.approx(3 * 0.1 ** 2)
 
@@ -181,13 +202,13 @@ def test_normal_modes_nonuniform_fallback():
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("theta", [0.4, 2.5])
 def test_normal_modes_fallback_couplings_from_mechanical_matrix(n, theta):
-    # the fallback's mode couplings are eigh(H) eigenvectors^dagger . g
+    # a nondegenerate chain's mode couplings are eigh(H) eigenvectors^dagger . g,
+    # listed by descending frequency
     spec = chain(n, theta1=theta, omega=(1.0, 1.05, 0.95)[:n], gs=(0.1, 0.08, 0.12)[:n])
     nm = normal_modes(spec)
-    assert nm.closed_form is False
     vals, vecs = np.linalg.eigh(mechanical_matrix(spec))
-    assert np.allclose(nm.omega_k, vals, rtol=0.0, atol=1e-14)
-    assert np.allclose(nm.coupling_k, vecs.conj().T @ np.array(spec.drive.g_lin),
+    assert np.allclose(nm.omega_k, vals[::-1], rtol=0.0, atol=1e-14)
+    assert np.allclose(nm.coupling_k, (vecs.conj().T @ np.array(spec.drive.g_lin))[::-1],
                        rtol=0.0, atol=1e-14)
 
 
