@@ -3,7 +3,7 @@
 Bright/dark decomposition (no phonon exchange), hybrid-mode transform (with
 exchange), N-mode normal modes with dark-mode counting, and the eigensystem
 of the analogous three-level Lambda configuration.  The normal modes and the
-numeric Lambda eigenstates come from one eigensolve, _aligned_eigh, whose
+Lambda eigenstates come from one eigensolve, _aligned_eigh, whose
 degenerate eigenspaces are aligned with the couplings (g, or the excited
 state |e>), so each such eigenspace has at most one bright state.
 """
@@ -194,13 +194,14 @@ def _aligned_eigh(matrix, direction):
     """(ascending eigenvalues, eigenvectors as rows) of a Hermitian matrix.
 
     One eigh call.  Its basis of a degenerate eigenspace (consecutive eigenvalues
-    within 1e-8 max(1, max |lambda|)) is arbitrary, so one SVD per eigenspace
-    rotates it to concentrate the overlap with `direction` in its last vector:
-    the combinations with none come first.  Else a dark state could be missed.
+    within 1e-8 max |lambda|, a tolerance that scales with the matrix) is
+    arbitrary, so one SVD per eigenspace rotates it to concentrate the overlap
+    with `direction` in its last vector: the combinations with none come first.
+    Else a dark state could be missed.
     """
     vals, vecs = np.linalg.eigh(matrix)
     overlap = direction.conj() @ vecs
-    tol = 1e-8 * max(1.0, float(np.abs(vals).max()))
+    tol = 1e-8 * float(np.abs(vals).max())
     for cols in np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > tol) + 1):
         if len(cols) > 1:
             _, _, vh = np.linalg.svd(overlap[None, cols])
@@ -211,33 +212,18 @@ def _aligned_eigh(matrix, direction):
 def lambda_eigensystem(sys):
     """Eigensystem of the loop-coupled Lambda three-level configuration.
 
-    For the symmetric resonant case (Omega_1 = Omega_2, Delta = 0) the
-    eigenvalues come from the Cardano closed form and eigenvectors from the
-    analytic expression, singular at lambda^2 = 1.  There, and in every other
-    case, _aligned_eigh gives them, aligned with the excited state |e>.
+    The eigenvectors come from _aligned_eigh, aligned with the excited state
+    |e>, for every system.  For the symmetric resonant case (Omega_1 =
+    Omega_2, Delta = 0) the eigenvalues are the Cardano roots, in their own
+    order, each paired with the eigenvector of its rank; roots equal to 8
+    decimals keep index order, so a degenerate eigenspace's dark state takes
+    its lowest index.
     """
-    eta = sys.eta_ratio
-    th = sys.theta
+    lambdas, vectors = _aligned_eigh(_lambda_matrix(sys), _EXCITED)
     symmetric = sys.omega1 == sys.omega2 and sys.delta == 0.0
-    if not symmetric:
-        lambdas, vectors = _aligned_eigh(_lambda_matrix(sys), _EXCITED)
-    else:
-        lambdas, _ = _cardano_roots(eta, th)
-        vectors = np.zeros((3, 3), complex)
-        singular = [abs(lam * lam - 1.0) <= 1e-8 for lam in lambdas]
-        for s, lam in enumerate(lambdas):
-            if not singular[s]:
-                c_f = (lam * eta * cmath.exp(1j * th) + 1.0) / (lam * lam - 1.0)
-                c_e = (eta * cmath.exp(1j * th) + lam) / (lam * lam - 1.0)
-                vec = np.array([c_e, c_f, 1.0])
-                vectors[s] = vec / np.linalg.norm(vec)
-        if any(singular):
-            vals, numeric = _aligned_eigh(_lambda_matrix(sys), _EXCITED)
-            for lam in {round(lambdas[s], 8) for s in range(3) if singular[s]}:
-                members = [s for s in range(3) if singular[s]
-                           and abs(lambdas[s] - lam) <= 1e-6]
-                nearest = np.sort(np.argsort(np.abs(vals - lam))[:len(members)])
-                vectors[members] = numeric[nearest]  # in eigenspace order: dark first
+    if symmetric:
+        lambdas, _ = _cardano_roots(sys.eta_ratio, sys.theta)
+        vectors = vectors[np.argsort(np.lexsort((np.arange(3), np.round(lambdas, 8))))]
     p_e = np.abs(vectors[:, 0]) ** 2
     dark = np.flatnonzero(p_e <= DARK_P_E).tolist()
     return LambdaEigen(lambdas=lambdas, vectors=vectors, p_e=p_e,

@@ -11,6 +11,7 @@ from loopcool.model import Linearized, SystemSpec, mechanical_matrix
 from loopcool.modes import (LambdaSystem, _cardano_roots, _lambda_matrix,
                             bright_dark, hybrid_transform, lambda_eigensystem,
                             normal_modes)
+from loopcool.presets import PRESETS
 
 
 def chain(n, g=0.1, eta=0.1, theta1=math.pi / 2, omega=None, gs=None):
@@ -222,6 +223,22 @@ def test_single_mode_trivial():
     assert not nm.dark_flags[0]
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_dark_count_is_scale_free(name):
+    # rates are in units of omega_1 only by convention: every rate times s
+    # (omega_m, kappa, gamma, eta, Delta, G) is the same physics, so the
+    # degeneracy tolerance must scale with the phonon matrix
+    spec = get_preset(name)
+    want = int(normal_modes(spec).dark_flags.sum())
+    for s in (1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9):
+        scaled = spec.with_(
+            omega_m=tuple(w * s for w in spec.omega_m), kappa=spec.kappa * s,
+            gamma=tuple(g * s for g in spec.gamma), eta=tuple(e * s for e in spec.eta),
+            drive=Linearized(delta=spec.drive.delta * s,
+                             g_lin=tuple(g * s for g in spec.drive.g_lin)))
+        assert int(normal_modes(scaled).dark_flags.sum()) == want, s
+
+
 # --- three-level Lambda configuration -----------------------------------
 
 def lam_sys(eta, theta):
@@ -257,11 +274,13 @@ def test_cardano_roots_and_vectors_at_extreme_exchange(eta):
 
 
 def test_lambda_dark_iff_phase_multiple_of_pi():
-    for eta in (0.1, 0.5, 1.0, 2.0):
+    # next to eta = 1, theta = 0 two of the three roots nearly coincide
+    for eta in (0.1, 0.5, 1.0, 2.0, 1 + 1e-6, 1 - 1e-6, 1 + 1e-7, 1 - 1e-7, 1 - 1e-8):
         for th, dark in [(0.0, True), (math.pi, True),
                          (math.pi / 4, False), (math.pi / 2, False),
                          (3 * math.pi / 4, False)]:
             res = lambda_eigensystem(lam_sys(eta, th))
+            assert abs(res.p_e.sum() - 1.0) <= 1e-12
             if dark:
                 assert res.dark_index is not None
                 assert res.p_e[res.dark_index] <= 1e-10
@@ -302,9 +321,8 @@ def test_lambda_quarter_phase_roots():
 
 
 def test_lambda_degenerate_subspace_dark_found():
-    # eta = 1, theta = 0: eigenvalue -1 is twofold degenerate and the
-    # analytic eigenvector expression is singular there; the dark state
-    # must still be exposed
+    # eta = 1, theta = 0: eigenvalue -1 is twofold degenerate, and the dark
+    # state must be exposed from its eigenspace
     res = lambda_eigensystem(lam_sys(1.0, 0.0))
     assert res.dark_index is not None
     assert res.p_e[res.dark_index] <= 1e-12
@@ -317,6 +335,7 @@ def test_lambda_degenerate_subspace_dark_found():
     (1e10, 0.3, [0, 1]),  # p_e = 2.0e-20, 4.5e-22, 1.0: the darkest is not the only dark state
     (1.0, 0.0, [1]),      # the degenerate lambda = -1 eigenspace holds one dark state
     (0.5, 0.3, []),
+    (1.0, math.pi, [0]),  # lambda = 1 twice, at indices 0 and 2: the lower index is the dark one
 ])
 def test_lambda_dark_indices_lists_every_dark_state(eta, theta, dark):
     res = lambda_eigensystem(lam_sys(eta, theta))
@@ -328,8 +347,8 @@ def test_lambda_dark_indices_lists_every_dark_state(eta, theta, dark):
 @pytest.mark.parametrize("eta", [0.3, 0.5])
 def test_lambda_detuned_degenerate_subspace_dark_found(eta):
     # theta = 0, Delta = (1 - eta^2)/eta: the e-bright pair also has eigenvalue
-    # -eta, so -eta is twofold degenerate on the numeric route and the dark
-    # state (0, 1, -1)/sqrt(2) must be exposed from its eigenspace
+    # -eta, so -eta is twofold degenerate and the dark state (0, 1, -1)/sqrt(2)
+    # must be exposed from its eigenspace
     res = lambda_eigensystem(LambdaSystem(omega1=1.0, omega2=1.0, omega_b=eta, theta=0.0,
                                           delta=(1.0 - eta * eta) / eta))
     assert not res.analytic
