@@ -112,12 +112,19 @@ def hybrid_transform(spec):
         raise DomainError("hybrid transform assumes eta > 0; use bright_dark at eta = 0")
     g1, g2 = spec.drive.g_lin
     w1, w2 = spec.omega_m
-    split = math.sqrt((w1 - w2) ** 2 + 4.0 * eta * eta)
+    split = math.hypot(w2 - w1, 2.0 * eta)
     wt_plus = 0.5 * (w1 + w2 + split)
     wt_minus = 0.5 * (w1 + w2 - split)
-    # wt_minus - w1 < 0 strictly for eta > 0, so f and h are well defined
-    f = abs(wt_minus - w1) / math.sqrt((wt_minus - w1) ** 2 + eta * eta)
-    h = eta * f / (wt_minus - w1)
+    # (f, -h) is the unit vector along (w1 - wt_minus, eta), which for w2 >= w1
+    # is eta (2 eta, w2 - w1 + split) / (w2 - w1 + split): no difference of
+    # nearly equal numbers, no division by one and no eta^2 to underflow, so f
+    # and h keep full precision however small eta > 0 is
+    if w2 >= w1:
+        x, y = 2.0 * eta, w2 - w1 + split
+    else:
+        x, y = split - (w2 - w1), 2.0 * eta
+    norm = math.hypot(x, y)
+    f, h = x / norm, -y / norm
     g_plus = f * g1 - cmath.exp(-1j * th) * h * g2
     g_minus = cmath.exp(1j * th) * h * g1 + f * g2
     total = math.sqrt(g1 * g1 + g2 * g2)

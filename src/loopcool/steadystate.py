@@ -49,6 +49,7 @@ class CoolingReport:
 
     n_f: np.ndarray
     n_cav: float
+    #: the verdict on the drift; None from phonon_numbers, which sees V alone
     stable: bool
     spectral_abscissa: float
     residual: float
@@ -146,15 +147,17 @@ def phonon_numbers(v, n_mech):
     """Extract per-mode occupations from the covariance matrix.
 
     n_j^f is the (db_j^+, db_j) element minus 1/2; the cavity occupation
-    comes from the analogous (da^+, da) element.  The report's spectral
-    abscissa and residual are NaN: they need the drift, not V alone.
+    comes from the analogous (da^+, da) element.  The report's stability
+    verdict is None and its spectral abscissa and residual are NaN: they
+    need the drift, not V alone (a V that lyapunov_solve gave with
+    require_stable=False may belong to an unstable drift).
     """
     dim = n_mech + 1
     if v.shape != (2 * dim, 2 * dim):
         raise ShapeMismatch("covariance shape %s does not match n_mech=%d"
                             % (v.shape, n_mech))
     n_f, n_cav = _occupations(v, n_mech)
-    return CoolingReport(n_f=n_f, n_cav=float(n_cav), stable=True,
+    return CoolingReport(n_f=n_f, n_cav=float(n_cav), stable=None,
                          spectral_abscissa=math.nan, residual=math.nan)
 
 

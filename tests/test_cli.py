@@ -30,12 +30,18 @@ def runner():
 
 
 def write_config(path, n_mech=2, eta="0.05", theta="1.5707963267948966",
-                 drive_lines=("type = linearized", "delta = 1.0", "g_lin = 0.1, 0.1")):
+                 drive_lines=("type = linearized", "delta = 1.0", "g_lin = 0.1, 0.1"),
+                 omega="1.0", kappa="0.2", gamma="1e-5"):
+    """A config file with nbar = 1e3; omega and gamma give every mode's value,
+    or each mode's if comma-separated."""
+    def per_mode(value):
+        return value if "," in value else ", ".join([value] * n_mech)
+
     lines = ["[system]",
              "n_mech = %d" % n_mech,
-             "omega_m = " + ", ".join(["1.0"] * n_mech),
-             "kappa = 0.2",
-             "gamma = " + ", ".join(["1e-5"] * n_mech),
+             "omega_m = " + per_mode(omega),
+             "kappa = " + kappa,
+             "gamma = " + per_mode(gamma),
              "nbar = " + ", ".join(["1e3"] * n_mech),
              "eta = " + eta,
              "theta = " + theta,
@@ -132,6 +138,7 @@ def test_percent_in_config_value_is_config_error(runner, tmp_path):
     res = runner.invoke(main, ["cool", "--config", str(cfg)])
     assert_one_line(res, 2, "config error: %s [system] kappa: expected a number, got '20%%'"
                     % cfg)
+    assert res.stdout == ""
 
 
 def test_config_that_is_not_utf8_is_config_error(runner, tmp_path):
@@ -363,13 +370,15 @@ def test_sweep_invalid_value_is_config_error(runner, tmp_path, axis, message):
     ("NONUNIFORM_N3", ["drive.delta=-1:1:9", "theta[1]=-7:7:9"], {"true", "false"}),
     # a physical drive, linearized per row: 81 points
     ("PHYSICAL", ["kappa=0.1:0.5:9", "drive.omega_amp=20:620:9"], {"true", "false"}),
-], ids=["fig2", "chain4", "n3", "physical"])
+    # the nonuniform N = 3 chain with unequal frequencies too, 81 points
+    ("UNEQUAL_N3", ["drive.delta=-1:1:9", "theta[1]=-7:7:9"], {"true", "false"}),
+], ids=["fig2", "chain4", "n3", "physical", "n3-unequal-omega"])
 def test_sweep_chunks_and_workers_do_not_change_the_csv(runner, tmp_path, monkeypatch,
                                                         source, axes, verdicts):
-    if source == "NONUNIFORM_N3":
-        source = ["--config", write_config(tmp_path / "n3.ini", **NONUNIFORM_N3)]
-    elif source == "PHYSICAL":
+    if source == "PHYSICAL":
         source = ["--config", physical_config(tmp_path / "p.ini", "20.0")]
+    elif isinstance(source, str):
+        source = ["--config", write_config(tmp_path / "n3.ini", **CONFIGS[source])]
 
     def run(name, *extra):
         out = tmp_path / name
@@ -464,7 +473,9 @@ def test_chunk_table_builds_the_drifts_of_set_param(spec, paths, rows):
                         "--axis", "drive.g_lin[0]=0.02:0.3:5"]),
     ("sweep_mech_full", "fig2", ["--mech-full", "--axis", "drive.delta=-1.2:1.2:9",
                                  "--axis", "theta[0]=-3:9:9"]),
-], ids=["n1", "mech_full"])
+    ("sweep_mech_full", "fig2", ["--mech-full", "--axis", "drive.delta=-1.2:1.2:9",
+                                 "--axis", "theta[0]=-3:9:9", "--workers", "2"]),
+], ids=["n1", "mech_full", "mech_full-workers2"])
 def test_sweep_matches_reference_csv(runner, tmp_path, name, source, args):
     # the reference CSVs come from the per-point implementation of sweep
     src = (["--config", write_config(tmp_path / "n1.ini", **N1_CONFIG)] if source == "n1"
@@ -763,7 +774,10 @@ def test_modes_chain_dark_count(runner, tmp_path):
     (dict(n_mech=4, eta="0, 0, 0", theta="1.5707963267948966, 0, 0",
           drive_lines=("type = linearized", "delta = 1.0", "g_lin = 0.1, 0.1, 0.1, 0.1")),
      3, 750.0),
-], ids=["fig2", "fig2_eta0", "eta0-chain4"])
+    # fig2 with every rate times 1e-9: the degeneracy tolerance scales with the phonon matrix
+    (dict(omega="1e-9", kappa="2e-10", gamma="1e-14", eta="5e-11", drive_lines=(
+        "type = linearized", "delta = 1e-9", "g_lin = 1e-10, 1e-10")), 0, 0.0),
+], ids=["fig2", "fig2_eta0", "eta0-chain4", "fig2-rates-x1e-9"])
 def test_modes_reports_dark_ceiling(runner, tmp_path, source, dark, ceiling):
     # nbar d/N: the d dark modes of N keep their bath's nbar = 1e3; at eta = 0
     # a chain of four has three, whatever its loop phase
@@ -786,12 +800,15 @@ def test_lambda_command(runner):
 
 @pytest.mark.parametrize("eta, theta, dark", [
     ("1e10", "0.3", [0, 1]), ("1.0", "0", [1]), ("0.5", "0.3", []),
+    # next to the degenerate eta = 1, and where the closed form's smallest root cancels
+    ("1.000001", "0", [1]), ("1e20", "0.3", [0, 1]),
 ])
 def test_lambda_reports_every_dark_state(runner, eta, theta, dark):
     res = runner.invoke(main, ["lambda", "--eta", eta, "--theta", theta])
     assert res.exit_code == 0, res.output
     payload = strict_json(res.output)
     assert payload["dark_indices"] == dark
+    assert abs(sum(payload["p_e"]) - 1) <= 1e-12  # the weights of an orthonormal eigenbasis
     assert payload["dark_index"] == (min(dark, key=payload["p_e"].__getitem__) if dark else None)
 
 
@@ -808,6 +825,16 @@ def test_limits_command(runner):
 
 NONUNIFORM_N3 = dict(n_mech=3, eta="0.05, 0.08", theta="1.0, 2.0", drive_lines=(
     "type = linearized", "delta = 1.0", "g_lin = 0.1, 0.12, 0.09"))
+#: write_config arguments by name
+CONFIGS = {
+    "NONUNIFORM_N3": NONUNIFORM_N3,
+    "UNEQUAL_N3": dict(NONUNIFORM_N3, omega="1.0, 1.1, 0.95"),
+    # fig2 with an exchange below the rounding of its frequencies
+    "ETA_1e-20": dict(eta="1e-20"),
+    # a physical drive with one classical fixed point (test_cool_strong_physical_drive)
+    "P600": dict(drive_lines=("type = physical", "delta_c = 1.0", "omega_amp = 600",
+                              "g_single = 0.001, 0.001")),
+}
 
 
 @pytest.mark.parametrize("args", [
@@ -816,16 +843,20 @@ NONUNIFORM_N3 = dict(n_mech=3, eta="0.05, 0.08", theta="1.0, 2.0", drive_lines=(
     ["modes", "--preset", "fig2"], ["modes", "--preset", "fig2_eta0"], ["modes", "NONUNIFORM_N3"],
     ["limits", "--preset", "fig4", "--om-rwa"], ["lambda", "--eta", "1.0", "--theta", "0.0"],
     ["lambda", "--eta", "0.5", "--theta", "1.0"],
+    ["cool", "UNEQUAL_N3"], ["stability", "UNEQUAL_N3"], ["modes", "UNEQUAL_N3"],
+    ["limits", "--preset", "fig2"], ["modes", "ETA_1e-20"],
+    ["stability", "P600", "--om-rwa"], ["modes", "P600"], ["limits", "P600"],
 ], ids=lambda args: "-".join(args).replace("--", ""))
 def test_every_json_output_is_strict(runner, tmp_path, args):
-    if "NONUNIFORM_N3" in args:
-        args = [args[0], "--config", write_config(tmp_path / "n3.ini", **NONUNIFORM_N3)]
+    name = args[1]
+    if name in CONFIGS:
+        args = [args[0], "--config", write_config(tmp_path / "c.ini", **CONFIGS[name])] + args[2:]
     res = runner.invoke(main, args)
     assert res.exit_code == 0, res.output
     payload = strict_json(res.stdout)
     if args[0] == "modes":
         assert "closed_form" not in payload["normal_modes"]
-    if args[0] == "modes" and args[1] == "--config":
+    if args[0] == "modes" and name.endswith("_N3"):
         assert payload["normal_modes"]["predicted_uncooled"] is None
 
 
@@ -1031,15 +1062,24 @@ def solves(monkeypatch):
     return tables
 
 
-@pytest.mark.parametrize("command", ["cool", "stability", "spectrum", "modes", "limits"])
-def test_each_command_solves_a_fixed_point_once(runner, tmp_path, solves, command):
+@pytest.mark.parametrize("command, omega_amp", [
+    ("cool", "20.0"), ("stability", "20.0"), ("spectrum", "20.0"), ("modes", "20.0"),
+    ("limits", "20.0"),
+    # one classical fixed point, cooled only under --om-rwa (test_cool_strong_physical_drive)
+    ("spectrum --om-rwa", "600.0"),
+], ids=["cool", "stability", "spectrum", "modes", "limits", "spectrum-om-rwa-600"])
+def test_each_command_solves_a_fixed_point_once(runner, tmp_path, solves, command, omega_amp):
     # the report and the computation share one linearization; a linearized spec needs none
-    out = ["--out", str(tmp_path / "s.csv")] if command == "spectrum" else []
-    res = runner.invoke(main, [command, "--config", physical_config(tmp_path / "p20.ini", "20.0")]
+    command = command.split()
+    csv = tmp_path / "s.csv"
+    out = ["--out", str(csv)] if command[0] == "spectrum" else []
+    res = runner.invoke(main, command + ["--config", physical_config(tmp_path / "p.ini", omega_amp)]
                         + out)
     assert res.exit_code == 0, res.output
     assert len(solves) == 1
-    res = runner.invoke(main, [command, "--preset", "fig2"] + out)
+    if out:
+        assert len(body_lines(csv)) > 1
+    res = runner.invoke(main, command + ["--preset", "fig2"] + out)
     assert res.exit_code == 0, res.output
     assert len(solves) == 1
 
@@ -1217,7 +1257,7 @@ def test_span_beyond_float_range_is_config_error(runner, tmp_path, command, args
     out = tmp_path / "o.csv"
     res = runner.invoke(main, [command, "--preset", "fig3", "--out", str(out)] + args)
     assert_one_line(res, 2, "config error: " + message)
-    assert not out.exists()
+    assert res.stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize("bound", [["--omega-min", "nan"], ["--omega-max", "inf"]])

@@ -67,6 +67,10 @@ def test_hybrid_degenerate_weights():
     assert hm.h == pytest.approx(-1 / math.sqrt(2))
     assert hm.omega_tilde_plus == pytest.approx(1.05)
     assert hm.omega_tilde_minus == pytest.approx(0.95)
+    # any exchange mixes degenerate modes equally, however weak
+    for eta in (1e-16, 1e-20, 1e-200):
+        hm = hybrid_transform(get_preset("fig2").with_(eta=(eta,)))
+        assert abs(hm.f - 1 / math.sqrt(2)) <= 1e-15 and hm.h == -hm.f
 
 
 def test_hybrid_dark_at_zero_phase():
@@ -105,6 +109,10 @@ def test_hybrid_frequency_sum_and_split():
     assert hm.omega_tilde_plus + hm.omega_tilde_minus == pytest.approx(2.1)
     split = math.sqrt(0.1 ** 2 + 4 * 0.05 ** 2)
     assert hm.omega_tilde_plus - hm.omega_tilde_minus == pytest.approx(split)
+    # an exchange far below the split mixes in the other mode by eta / (w2 - w1)
+    hm = hybrid_transform(spec.with_(eta=(1e-9,)))
+    assert hm.f == pytest.approx(1e-9 / (1.1 - 1.0), rel=1e-12)
+    assert abs(hm.f ** 2 + hm.h ** 2 - 1) <= 1e-15
 
 
 def test_hybrid_rejects_eta_zero():
