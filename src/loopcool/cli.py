@@ -282,8 +282,8 @@ def _sweep_lines(prefixes, batch):
 
 
 def _check_out(out):
-    """Refuse, before any work, an output path that is a directory or whose
-    directory is missing or not writable."""
+    """Refuse, before any work, an output path that is a directory, whose
+    directory is missing or not writable, or that names no file."""
     if os.path.isdir(out):
         raise ConfigError("output path %r is a directory" % out)
     directory = os.path.dirname(out) or "."
@@ -291,6 +291,8 @@ def _check_out(out):
         raise ConfigError("output directory %r does not exist" % directory)
     if not os.access(directory, os.W_OK):
         raise ConfigError("output directory %r is not writable" % directory)
+    if not os.path.basename(out):
+        raise ConfigError("output path %r names no file" % out)
 
 
 def _write_csv(out, spec, approx, header, lines):
