@@ -26,14 +26,13 @@ EXIT_CONFIG = 2
 EXIT_UNSTABLE = 3
 
 
-def _provenance(approx):
-    return {
-        "tool_version": __version__,
-        "optomechanical": approx.optomechanical,
-        "mechanical": approx.mechanical,
-        "lambda_normalizer": "resonant analytic maximum (reused at all probe frequencies)",
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
+def _provenance(approx=None):
+    """Tool version and timestamp, and the approximation of a drift that was built."""
+    found = {"tool_version": __version__,
+             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+    if approx is not None:
+        found.update(optomechanical=approx.optomechanical, mechanical=approx.mechanical)
+    return found
 
 
 def _plain(x):
@@ -79,11 +78,6 @@ def _given_and_linearized(spec):
     return report, spec
 
 
-def _approx(om_rwa, mech_full):
-    return CouplingApprox(optomechanical="rwa" if om_rwa else "full",
-                          mechanical="full" if mech_full else "rwa")
-
-
 def _reports_errors(fn):
     """Report a LoopcoolError from a command as one line on stderr and an exit code.
 
@@ -109,21 +103,30 @@ def _reports_errors(fn):
 
 
 def _spec_options(fn):
-    """Add spec and approximation options; run fn(spec, approx, **rest) under _reports_errors."""
+    """Add the spec options; run fn(spec, **rest) under _reports_errors."""
     @_reports_errors
     @functools.wraps(fn)
-    def command(config, preset, om_rwa, mech_rwa, **kwargs):
-        return fn(_load_spec(config, preset), _approx(om_rwa, not mech_rwa), **kwargs)
+    def command(config, preset, **kwargs):
+        return fn(_load_spec(config, preset), **kwargs)
 
     command = click.option("--config", type=click.Path(), default=None,
                            help="INI config file (see README for the grammar).")(command)
-    command = click.option("--preset", default=None,
-                           help="Named parameter preset (fig2, fig3, fig4, ...).")(command)
+    return click.option("--preset", default=None,
+                        help="Named parameter preset (fig2, fig3, fig4, ...).")(command)
+
+
+def _approx_options(fn):
+    """Add the approximation options of a command that builds a drift; run
+    fn(spec, approx, **rest).  Apply it below _spec_options."""
+    @functools.wraps(fn)
+    def command(spec, om_rwa, mech_rwa, **kwargs):
+        return fn(spec, CouplingApprox(optomechanical="rwa" if om_rwa else "full",
+                                       mechanical="rwa" if mech_rwa else "full"), **kwargs)
+
     command = click.option("--om-rwa/--om-full", "om_rwa", default=False,
                            help="Drop/keep cavity-mechanics counter-rotating terms.")(command)
-    command = click.option("--mech-rwa/--mech-full", "mech_rwa", default=True,
-                           help="Drop/keep phonon-exchange counter-rotating terms.")(command)
-    return command
+    return click.option("--mech-rwa/--mech-full", "mech_rwa", default=True,
+                        help="Drop/keep phonon-exchange counter-rotating terms.")(command)
 
 
 @click.group()
@@ -159,6 +162,7 @@ def _limits_report(spec, full):
 
 @main.command()
 @_spec_options
+@_approx_options
 def cool(spec, approx):
     """Steady-state phonon occupations for a single parameter point."""
     given, spec = _given_and_linearized(spec)
@@ -187,6 +191,7 @@ def cool(spec, approx):
 
 @main.command()
 @_spec_options
+@_approx_options
 def stability(spec, approx):
     """Stability verdict (spectral abscissa of the drift matrix)."""
     drift = build_drift(spec, approx)
@@ -295,9 +300,9 @@ def _check_out(out):
         raise ConfigError("output path %r names no file" % out)
 
 
-def _write_csv(out, spec, approx, header, lines):
+def _write_csv(out, spec, provenance, header, lines):
     """Write the header and the CSV lines under '# '-commented JSON metadata."""
-    meta = {"spec": spec_to_dict(spec), "provenance": _provenance(approx)}
+    meta = {"spec": spec_to_dict(spec), "provenance": provenance}
     with open(out, "w") as fh:
         for line in _json(meta).splitlines():
             fh.write("# %s\n" % line)
@@ -308,6 +313,7 @@ def _write_csv(out, spec, approx, header, lines):
 
 @main.command()
 @_spec_options
+@_approx_options
 @click.option("--axis", "axes", multiple=True, required=True,
               help="Sweep axis as path=start:stop:points (repeat for a 2-D grid).")
 @click.option("--out", type=click.Path(), required=True, help="Output CSV path.")
@@ -349,11 +355,12 @@ def sweep(spec, approx, axes, out, workers):
     lines = [line for part in chunks for line in part]
     header = list(paths) + ["n_f_%d" % (j + 1) for j in range(spec.n_mech)] + \
         ["n_cav", "stable", "spectral_abscissa"]
-    _write_csv(out, spec, approx, header, lines)
+    _write_csv(out, spec, _provenance(approx), header, lines)
 
 
 @main.command()
 @_spec_options
+@_approx_options
 @click.option("--omega-min", type=float, default=0.9, show_default=True)
 @click.option("--omega-max", type=float, default=1.1, show_default=True)
 @click.option("--points", type=int, default=801, show_default=True)
@@ -376,16 +383,18 @@ def spectrum(spec, approx, omega_min, omega_max, points, out):
                              pt.lambda_rel[:, 1, 2]])
     last = "," + repr(lam_res)  # the one value of the constant last column, formatted once
     header = ["omega"] + tcols + ["Lambda_b2b1", "Lambda_b1b2", "Lambda_analytic_resonant"]
-    _write_csv(out, spec, approx, header,
+    provenance = {**_provenance(approx), "lambda_normalizer":
+                  "resonant analytic maximum (reused at all probe frequencies)"}
+    _write_csv(out, spec, provenance, header,
                [",".join(map(repr, row)) + last for row in cells.tolist()])
 
 
 @main.command("modes")
 @_spec_options
-def modes_cmd(spec, approx):
+def modes_cmd(spec):
     """Mode-structure report: bright/dark, hybrid transform, normal modes."""
     given, spec = _given_and_linearized(spec)
-    payload = {"spec": given, "provenance": _provenance(approx)}
+    payload = {"spec": given, "provenance": _provenance()}
     if spec.n_mech == 2:
         if spec.eta[0] == 0.0:
             payload["bright_dark"] = dataclasses.asdict(modes.bright_dark(spec))
@@ -415,12 +424,12 @@ def lambda_cmd(eta, theta):
     eig = modes.lambda_eigensystem(sys_)
     _emit_json({"eta": eta, "theta": theta, "lambdas": eig.lambdas, "p_e": eig.p_e,
                 "dark_index": eig.dark_index, "dark_indices": eig.dark_indices,
-                "analytic": eig.analytic})
+                "analytic": eig.analytic, "provenance": _provenance()})
 
 
 @main.command("limits")
 @_spec_options
-def limits_cmd(spec, approx):
+def limits_cmd(spec):
     """Adiabatic-elimination effective model and analytic cooling limits."""
     if spec.n_mech != 2:
         raise ConfigError("cooling limits are defined for n_mech = 2")
@@ -431,7 +440,7 @@ def limits_cmd(spec, approx):
         "effective": effective,
         **found,
         "warnings": caught,
-        "provenance": _provenance(approx),
+        "provenance": _provenance(),
     })
 
 

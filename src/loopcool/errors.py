@@ -6,15 +6,15 @@ class LoopcoolError(Exception):
 
 
 class SingularMatrix(LoopcoolError):
-    """A linear solve hit a pivot below the singularity threshold."""
+    """A resolvent -i omega I - A has an exactly zero LU pivot."""
 
 
 class NoConvergence(LoopcoolError):
-    """An iterative routine ran out of iterations."""
+    """LAPACK's eig failed to converge on a drift matrix."""
 
 
 class DimensionOverflow(LoopcoolError):
-    """A Kronecker product would exceed the configured dimension cap."""
+    """The RK4 oracle's n^2 lift would exceed its cap, KRON_CAP."""
 
 
 class BlowUp(LoopcoolError):

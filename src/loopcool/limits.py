@@ -41,7 +41,6 @@ class EffectiveTwoMode:
     xi1_res: complex = 0.0
     xi2_res: complex = 0.0
     gamma_opt_res: tuple = (0.0, 0.0)
-    omega_opt_res: tuple = (0.0, 0.0)
 
 
 def _transfer_rates(spec, gamma_opt, xi1, xi2, n_opt):
@@ -102,15 +101,13 @@ def effective_model(spec):
     xi1_res = -(g1 * g2 / k + 1j * (hop - g1 * g2 / (2.0 * w2)))
     xi2_res = -(g1 * g2 / k + 1j * (hop.conjugate() - g1 * g2 / (2.0 * w1)))
     gamma_opt_res = (g1 * g1 / k, g2 * g2 / k)
-    omega_opt_res = (g1 * g1 / (2.0 * w1), g2 * g2 / (2.0 * w2))
 
     return EffectiveTwoMode(
         xi1=xi1, xi2=xi2, gamma_eff=gamma_eff, omega_eff=omega_eff,
         gamma_opt=gamma_opt, omega_opt=omega_opt,
         chi1=chi1, chi2=chi2, chi_plus=chi_plus, chi_minus=chi_minus,
         n_opt=n_opt, lambda1=lam1, lambda2=lam2,
-        xi1_res=xi1_res, xi2_res=xi2_res,
-        gamma_opt_res=gamma_opt_res, omega_opt_res=omega_opt_res)
+        xi1_res=xi1_res, xi2_res=xi2_res, gamma_opt_res=gamma_opt_res)
 
 
 def _warn_regime(spec):
@@ -130,9 +127,6 @@ def cooling_limit_simplified(eff, spec):
 
     out = []
     for l in (0, 1):
-        if abs(gamma_eff[l] + chi_minus) < 0.1 * gamma_eff[l]:
-            warnings.warn("transfer-term denominator Gamma_%d + chi_- is close to a pole"
-                          % (l + 1), ValidityWarning, stacklevel=2)
         chil = (chi1, chi2)[l]
         n = (spec.gamma[l] * spec.nbar[l] + gamma_opt[l] * n_opt) / (gamma_eff[l] + chi_plus)
         n += ((-1.0) ** l * math.sqrt(chil)

@@ -46,7 +46,6 @@ class HybridModes:
 
 @dataclass
 class NormalModeAnalysis:
-    n: int
     omega_k: np.ndarray
     coupling_k: np.ndarray
     dark_flags: np.ndarray
@@ -156,19 +155,20 @@ def normal_modes(spec):
     uniform = (len(set(spec.omega_m)) == 1 and len(set(spec.drive.g_lin)) == 1
                and (n < 2 or len(set(spec.eta)) == 1))
     return NormalModeAnalysis(
-        n=n, omega_k=omega_k, coupling_k=coupling, dark_flags=dark,
+        omega_k=omega_k, coupling_k=coupling, dark_flags=dark,
         predicted_uncooled=nbar * (n - 1) / n if uniform else math.nan,
         dark_ceiling=nbar * int(dark.sum()) / n)
 
 
 def _cardano_roots(eta, theta):
-    """Real roots of l^3 - (2 + eta^2) l - 2 eta cos(theta) = 0."""
+    """(real roots of l^3 - (2 + eta^2) l - 2 eta cos(theta) = 0, {"imag_residue":
+    the largest |Im| the closed form left on them})."""
     q = -(2.0 + eta * eta) / 3.0
     r = eta * math.cos(theta)
     disc = cmath.sqrt(q ** 3 + r * r)
-    s1 = (r + disc) ** (1.0 / 3.0)
+    s1 = (r + disc) ** (1.0 / 3.0)  # never 0: s1^3 = 0 would need q = 0, but q <= -2/3
     # conjugate pairing keeps the roots real regardless of the branch
-    s2 = -q / s1 if abs(s1) > 0 else 0.0j
+    s2 = -q / s1
     l1 = s1 + s2
     spread = 1j * math.sqrt(3.0) / 2.0 * (s1 - s2)
     l2 = -0.5 * (s1 + s2) + spread
@@ -181,8 +181,7 @@ def _cardano_roots(eta, theta):
     k = int(np.argmin(np.abs(lambdas)))
     big = np.delete(lambdas, k)
     lambdas[k] = 2.0 * r / (big[0] * big[1])
-    return lambdas, {"q": q, "r": r, "s1": s1, "s2": s2,
-                     "imag_residue": float(np.abs(roots.imag).max())}
+    return lambdas, {"imag_residue": float(np.abs(roots.imag).max())}
 
 
 _EXCITED = np.array([1.0, 0.0, 0.0])  # |e> in the (e, f, g) basis

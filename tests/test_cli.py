@@ -464,6 +464,16 @@ def test_sweep_rejects_workers_below_one(runner, tmp_path, workers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--om-rwa", "--om-full", "--mech-rwa", "--mech-full"])
+@pytest.mark.parametrize("command", ["modes", "limits"])
+def test_commands_that_build_no_drift_take_no_approximation_flag(runner, command, flag):
+    # the flags pick the drift's counter-rotating terms, and these two build none
+    res = runner.invoke(main, [command, "--preset", "fig2", flag])
+    assert res.exit_code == 2
+    assert "No such option '%s'" % flag in res.stderr
+    assert res.stdout == ""
+
+
 # --- spectrum -----------------------------------------------------------
 
 def test_every_command_flags_the_shifted_point(runner, tmp_path, monkeypatch):
@@ -628,7 +638,7 @@ CONFIGS = {
     ["cool", "--preset", "fig2"], ["cool", "--preset", "figS10", "--mech-full"],
     ["cool", "NONUNIFORM_N3"], ["stability", "--preset", "fig4"], ["stability", "NONUNIFORM_N3"],
     ["modes", "--preset", "fig2"], ["modes", "--preset", "fig2_eta0"], ["modes", "NONUNIFORM_N3"],
-    ["limits", "--preset", "fig4", "--om-rwa"], ["lambda", "--eta", "1.0", "--theta", "0.0"],
+    ["limits", "--preset", "fig4"], ["lambda", "--eta", "1.0", "--theta", "0.0"],
     ["lambda", "--eta", "0.5", "--theta", "1.0"],
     ["cool", "UNEQUAL_N3"], ["stability", "UNEQUAL_N3"], ["modes", "UNEQUAL_N3"],
     ["limits", "--preset", "fig2"], ["modes", "ETA_1e-20"],
@@ -642,6 +652,9 @@ def test_every_json_output_is_strict(runner, tmp_path, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 0, res.output
     payload = strict_json(res.stdout)
+    # only a command that builds a drift names the approximation it was built under
+    built = {"optomechanical", "mechanical"} if args[0] in ("cool", "stability") else set()
+    assert set(payload["provenance"]) == {"tool_version", "timestamp"} | built
     if args[0] == "modes":
         assert "closed_form" not in payload["normal_modes"]
     if args[0] == "modes" and name.endswith("_N3"):
@@ -660,8 +673,11 @@ def test_csv_metadata_is_strict_json(runner, tmp_path, command):
         return strict_json("\n".join(ln[2:] for ln in out.read_text().splitlines()
                                      if ln.startswith("# ")))
 
-    assert meta("--preset", "fig2")["spec"]["drive"] == {
-        "type": "linearized", "delta": 1.0, "g_lin": [0.1, 0.1]}
+    fig2 = meta("--preset", "fig2")
+    assert fig2["spec"]["drive"] == {"type": "linearized", "delta": 1.0, "g_lin": [0.1, 0.1]}
+    notes = {"lambda_normalizer"} if command[0] == "spectrum" else set()
+    assert set(fig2["provenance"]) == {"tool_version", "timestamp", "optomechanical",
+                                       "mechanical"} | notes
     # a physical drive is shown as given
     spec = meta("--config", physical_config(tmp_path / "p20.ini", "20.0"))["spec"]
     assert spec["drive"] == {"type": "physical", "delta_c": 1.0, "omega_amp": [20.0, 0.0],

@@ -3,106 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from loopcool import get_preset, kernels, numkit
-from loopcool.errors import BlowUp, DimensionOverflow, ShapeMismatch, SingularMatrix
+from loopcool import get_preset, kernels
+from loopcool.errors import BlowUp, DimensionOverflow, ShapeMismatch
 from loopcool.model import build_drift
-
-
-def test_solve_identity():
-    b = np.arange(6, dtype=complex).reshape(3, 2)
-    x = numkit.solve_linear(np.eye(3), b)
-    assert np.allclose(x, b)
-
-
-def test_solve_diagonal():
-    a = np.diag([2.0, 4.0j])
-    b = np.array([2.0, 4.0j])
-    x = numkit.solve_linear(a, b)
-    assert np.allclose(x, [1.0, 1.0])
-
-
-def test_solve_residual_random():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) + 3 * np.eye(6)
-    b = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
-    x = numkit.solve_linear(a, b)
-    resid = numkit.norm_inf(a @ x - b)
-    assert resid <= 1e-10 * (1 + numkit.norm_inf(b))
-
-
-def test_solve_singular():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrix):
-        numkit.solve_linear(a, np.ones(2))
-
-
-def test_solve_shape_checks():
-    with pytest.raises(ShapeMismatch):
-        numkit.solve_linear(np.ones((2, 3)), np.ones(2))
-    with pytest.raises(ShapeMismatch):
-        numkit.solve_linear(np.eye(2), np.ones(3))
-
-
-def test_eigenvalues_diagonal():
-    res = numkit.eigenvalues(np.diag([-1.0, -2.0 + 3.0j]))
-    assert sorted(res, key=lambda z: z.real) == pytest.approx([-2 + 3j, -1])
-
-
-def test_eigenvalues_symmetric():
-    res = numkit.eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert sorted(res.real) == pytest.approx([-1.0, 1.0])
-    assert np.allclose(res.imag, 0.0)
-
-
-def test_eigenvalues_companion():
-    # companion matrix of (l^2+1)(l^2+4) = l^4 + 5 l^2 + 4
-    comp = np.zeros((4, 4), complex)
-    comp[1:, :3] = np.eye(3)
-    comp[:, 3] = [-4.0, 0.0, -5.0, 0.0]
-    vals = numkit.eigenvalues(comp)
-    expect = np.array([1j, -1j, 2j, -2j])
-    got = sorted(vals, key=lambda z: (round(z.imag, 6), round(z.real, 6)))
-    want = sorted(expect, key=lambda z: (round(z.imag, 6), round(z.real, 6)))
-    assert np.allclose(got, want, atol=1e-8)
-
-
-def test_eigenvalues_trace_and_residual_random():
-    rng = np.random.default_rng(11)
-    for n in range(2, 13):
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        res = numkit.eigenvalues(a)
-        assert abs(res.sum() - np.trace(a)) <= 1e-8 * max(1.0, abs(np.trace(a)))
-        scale = numkit.norm_inf(a) ** n
-        for lam in res:
-            assert abs(np.linalg.det(a - lam * np.eye(n))) <= 1e-8 * scale
-
-
-def test_kron_block_identity():
-    b = np.arange(4, dtype=complex).reshape(2, 2)
-    k = numkit.kron(np.eye(2), b)
-    assert np.allclose(k[:2, :2], b) and np.allclose(k[2:, 2:], b)
-    assert np.allclose(k[:2, 2:], 0)
-
-
-def test_kron_diag():
-    k = numkit.kron(np.diag([2.0, 3.0]), np.eye(2))
-    assert np.allclose(np.diag(k), [2, 2, 3, 3])
-
-
-def test_kron_vec_identity():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    lhs = (b @ x @ a.T).flatten("F")
-    rhs = numkit.kron(a, b) @ x.flatten("F")
-    assert np.allclose(lhs, rhs)
-
-
-def test_kron_cap():
-    big = np.eye(70)
-    with pytest.raises(DimensionOverflow):
-        numkit.kron(big, big)
 
 
 def test_integrate_scalar_fixed_point():

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -113,6 +114,15 @@ def test_hybrid_frequency_sum_and_split():
     hm = hybrid_transform(spec.with_(eta=(1e-9,)))
     assert hm.f == pytest.approx(1e-9 / (1.1 - 1.0), rel=1e-12)
     assert abs(hm.f ** 2 + hm.h ** 2 - 1) <= 1e-15
+    # swapping the frequencies (the w2 < w1 branch) maps (f, h) to (-h, -f), bit for bit
+    for (w1, w2), eta in itertools.product(
+            [(1.0, 1.1), (1.0, 1.0 + 1e-9), (0.9, 1.3), (1.0, 2.0)],
+            [1e-200, 1e-20, 1e-8, 0.05, 1.0, 1e3]):
+        up = hybrid_transform(spec.with_(omega_m=(w1, w2), eta=(eta,)))
+        down = hybrid_transform(spec.with_(omega_m=(w2, w1), eta=(eta,)))
+        assert (down.f, down.h) == (-up.h, -up.f)
+        assert (down.omega_tilde_plus, down.omega_tilde_minus) == (
+            up.omega_tilde_plus, up.omega_tilde_minus)
 
 
 def test_hybrid_rejects_eta_zero():
