@@ -140,8 +140,9 @@ def _limits_report(spec, full):
     effective-model quantities, the simplified limit formula and, if full, the
     full one, keyed as the reports name them, and the validity warnings as
     sorted distinct messages.  A non-finite quantity or limit (4 kappa^2
-    overflows above kappa ~ 7e153), or an OverflowError from a float ** (at
-    delta = 1e200), is a numerical failure: FloatingPointError."""
+    overflows above kappa ~ 7e153), an OverflowError from a float ** (at
+    delta = 1e200) or a denominator that rounds to 0 (a transfer-rate pole at
+    eta = 0, gamma ~ 1e-300) is a numerical failure: FloatingPointError."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -151,6 +152,8 @@ def _limits_report(spec, full):
                 found["full"] = limits.cooling_limit_full(eff, spec)
         except OverflowError:
             raise FloatingPointError("cooling-limit quantities not finite: a float overflows")
+        except ZeroDivisionError:
+            raise FloatingPointError("cooling-limit quantities not finite: a denominator is 0")
     effective = {name: getattr(eff, name) for name in (
         "xi1", "xi2", "gamma_eff", "omega_eff", "chi1", "chi2", "chi_plus", "chi_minus", "n_opt")}
     bad = [name for name, value in {**effective, **found}.items()
@@ -424,7 +427,7 @@ def lambda_cmd(eta, theta):
     eig = modes.lambda_eigensystem(sys_)
     _emit_json({"eta": eta, "theta": theta, "lambdas": eig.lambdas, "p_e": eig.p_e,
                 "dark_index": eig.dark_index, "dark_indices": eig.dark_indices,
-                "analytic": eig.analytic, "provenance": _provenance()})
+                "provenance": _provenance()})
 
 
 @main.command("limits")

@@ -61,6 +61,18 @@ def _transfer_rates(spec, gamma_opt, xi1, xi2, n_opt):
     return gamma_eff, chi1, chi2, chi_plus, chi_minus, n_chi1, n_chi2
 
 
+def _lorentzian(gg, k, x):
+    """(gg k, gg x) / (k k + x x), with k and x first scaled by the power of two
+    that brings the larger into [0.5, 1) and the quotients scaled back: the plain
+    quotients bit for bit where every step is a normal float, and no sum that
+    underflows to 0 or overflows; a quotient too large for a float raises
+    OverflowError."""
+    e = math.frexp(max(k, abs(x)))[1]
+    ks, xs = math.ldexp(k, -e), math.ldexp(x, -e)
+    den = ks * ks + xs * xs
+    return math.ldexp(gg * ks / den, -e), math.ldexp(gg * xs / den, -e)
+
+
 def effective_model(spec):
     """Exact-Lorentzian effective two-mode quantities (plus resonant forms)."""
     if spec.n_mech != 2:
@@ -71,16 +83,14 @@ def effective_model(spec):
     w1, w2 = spec.omega_m
     hop = complex(mechanical_matrix(spec)[0, 1])
 
-    gamma_opt = tuple(
-        g * g * k / (k * k + (d - w) ** 2) - g * g * k / (k * k + (d + w) ** 2)
-        for g, w in ((g1, w1), (g2, w2)))
-    omega_opt = tuple(
-        g * g * (d + w) / (k * k + (d + w) ** 2) + g * g * (d - w) / (k * k + (d - w) ** 2)
-        for g, w in ((g1, w1), (g2, w2)))
+    lor = [[_lorentzian(g * g, k, x) for x in (d - w, d + w)] for g, w in ((g1, w1), (g2, w2))]
+    gamma_opt = tuple(minus[0] - plus[0] for minus, plus in lor)
+    omega_opt = tuple(plus[1] + minus[1] for minus, plus in lor)
 
     def lorentzian(w_other):
-        return (g1 * g2 * (k + 1j * (d + w_other)) / (k * k + (d + w_other) ** 2)
-                - g1 * g2 * (k - 1j * (d - w_other)) / (k * k + (d - w_other) ** 2))
+        (k_minus, x_minus), (k_plus, x_plus) = (_lorentzian(g1 * g2, k, x)
+                                                for x in (d - w_other, d + w_other))
+        return complex(k_plus, x_plus) - complex(k_minus, -x_minus)
 
     xi1 = lorentzian(w2) - 1j * hop
     xi2 = lorentzian(w1) - 1j * hop.conjugate()

@@ -73,14 +73,13 @@ class LambdaEigen:
     p_e: np.ndarray
     dark_index: object  # the darkest state (argmin p_e) if it is dark, else None
     dark_indices: list  # every dark state (p_e <= DARK_P_E), in index order
-    analytic: bool
 
 
 def bright_dark(spec):
     """Bright/dark collective modes for two degenerate-coupling-channel resonators.
 
     Defined only without phonon exchange (eta = 0); with exchange use
-    hybrid_transform instead.
+    hybrid_transform instead.  A dark mode exists iff normal_modes finds one.
     """
     if spec.n_mech != 2:
         raise DomainError("bright/dark decomposition needs n_mech = 2")
@@ -98,7 +97,7 @@ def bright_dark(spec):
     return BrightDarkModes(
         omega_plus=omega_plus, omega_minus=omega_minus, zeta=zeta,
         g_plus=g_plus, weights=(g1 / g_plus, g2 / g_plus),
-        dark_mode_exists=abs(zeta) <= DARK_TOL * max(abs(w1), abs(w2)))
+        dark_mode_exists=bool(normal_modes(spec).dark_flags.any()))
 
 
 def hybrid_transform(spec):
@@ -111,26 +110,32 @@ def hybrid_transform(spec):
         raise DomainError("hybrid transform assumes eta > 0; use bright_dark at eta = 0")
     g1, g2 = spec.drive.g_lin
     w1, w2 = spec.omega_m
-    split = math.hypot(w2 - w1, 2.0 * eta)
-    wt_plus = 0.5 * (w1 + w2 + split)
-    wt_minus = 0.5 * (w1 + w2 - split)
+    half, mean = 0.5 * (w2 - w1), 0.5 * w1 + 0.5 * w2  # in halves: no sum overflows
+    half_split = math.hypot(half, eta)
+    wt_plus, wt_minus = mean + half_split, mean - half_split
     # (f, -h) is the unit vector along (w1 - wt_minus, eta), which for w2 >= w1
-    # is eta (2 eta, w2 - w1 + split) / (w2 - w1 + split): no difference of
-    # nearly equal numbers, no division by one and no eta^2 to underflow, so f
-    # and h keep full precision however small eta > 0 is
+    # is eta (eta, half + half_split) / (half + half_split): no difference of
+    # nearly equal numbers, no division by one and no eta^2 to underflow.  Scaled
+    # by 2^-e, exactly, neither component nor their hypot overflows or underflows
+    e = math.frexp(half_split)[1]
+    half, eta_s, half_split = (math.ldexp(v, -e) for v in (half, eta, half_split))
     if w2 >= w1:
-        x, y = 2.0 * eta, w2 - w1 + split
+        x, y = eta_s, half + half_split
     else:
-        x, y = split - (w2 - w1), 2.0 * eta
+        x, y = half_split - half, eta_s
     norm = math.hypot(x, y)
     f, h = x / norm, -y / norm
     g_plus = f * g1 - cmath.exp(-1j * th) * h * g2
     g_minus = cmath.exp(1j * th) * h * g1 + f * g2
     total = math.sqrt(g1 * g1 + g2 * g2)
     darkness = min(abs(g_plus), abs(g_minus)) / total if total > 0 else 0.0
-    return HybridModes(
+    found = HybridModes(
         omega_tilde_plus=wt_plus, omega_tilde_minus=wt_minus, f=f, h=h,
         g_tilde_plus=g_plus, g_tilde_minus=g_minus, darkness=darkness)
+    bad = [name for name, value in vars(found).items() if not cmath.isfinite(value)]
+    if bad:
+        raise FloatingPointError("hybrid-mode quantities not finite: %s" % ", ".join(bad))
+    return found
 
 
 def normal_modes(spec):
@@ -148,7 +153,7 @@ def normal_modes(spec):
     """
     n = spec.n_mech
     g = np.array(spec.drive.g_lin, complex)
-    vals, vecs = _aligned_eigh(mechanical_matrix(spec), g)
+    vals, vecs, _ = _aligned_eigh(mechanical_matrix(spec), g)
     omega_k, coupling = vals[::-1], (vecs.conj() @ g)[::-1]
     dark = np.abs(coupling) <= DARK_TOL * np.abs(g).max()
     nbar = spec.nbar[0] if len(set(spec.nbar)) == len(set(spec.gamma)) == 1 else math.nan
@@ -162,7 +167,7 @@ def normal_modes(spec):
 
 def _cardano_roots(eta, theta):
     """(real roots of l^3 - (2 + eta^2) l - 2 eta cos(theta) = 0, {"imag_residue":
-    the largest |Im| the closed form left on them})."""
+    the largest |Im| the closed form left on them}).  Only the tests call it."""
     q = -(2.0 + eta * eta) / 3.0
     r = eta * math.cos(theta)
     disc = cmath.sqrt(q ** 3 + r * r)
@@ -197,41 +202,45 @@ def _lambda_matrix(sys):
 
 
 def _aligned_eigh(matrix, direction):
-    """(ascending eigenvalues, eigenvectors as rows) of a Hermitian matrix.
+    """(ascending eigenvalues, eigenvectors as rows, eigenspace labels 0, 1, ...).
 
-    One eigh call.  Its basis of a degenerate eigenspace (consecutive eigenvalues
-    within 1e-8 max |lambda|, a tolerance that scales with the matrix) is
-    arbitrary, so one SVD per eigenspace rotates it to concentrate the overlap
-    with `direction` in its last vector: the combinations with none come first.
-    Else a dark state could be missed.
+    One eigh call, and the one degeneracy rule: consecutive eigenvalues within
+    1e-8 max |lambda| (compared in units of max |lambda|) share an eigenspace.
+    One SVD per eigenspace rotates eigh's arbitrary basis of it to concentrate
+    the overlap with `direction` in its last vector, so no dark state is missed;
+    each rotated vector is then exact only to its eigenspace's spread (up to
+    1e-8 of the matrix norm), the price of an aligned dark state.
     """
     vals, vecs = np.linalg.eigh(matrix)
+    if not np.isfinite(vals).all():
+        raise FloatingPointError("eigenvalues not finite: the matrix's norm overflows")
     overlap = direction.conj() @ vecs
-    tol = 1e-8 * float(np.abs(vals).max())
-    for cols in np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > tol) + 1):
+    cut = np.diff(vals / np.abs(vals).max()) > 1e-8
+    for cols in np.split(np.arange(len(vals)), np.flatnonzero(cut) + 1):
         if len(cols) > 1:
             _, _, vh = np.linalg.svd(overlap[None, cols])
             vecs[:, cols] = vecs[:, cols] @ vh.conj().T[:, ::-1]  # last->first: overlap ascending
-    return vals, vecs.T
+    return vals, vecs.T, np.cumsum(np.r_[0, cut])
 
 
 def lambda_eigensystem(sys):
     """Eigensystem of the loop-coupled Lambda three-level configuration.
 
-    The eigenvectors come from _aligned_eigh, aligned with the excited state
-    |e>, for every system.  For the symmetric resonant case (Omega_1 =
-    Omega_2, Delta = 0) the eigenvalues are the Cardano roots, in their own
-    order, each paired with the eigenvector of its rank; roots equal to 8
-    decimals keep index order, so a degenerate eigenspace's dark state takes
-    its lowest index.
+    One _aligned_eigh call, aligned with |e>, gives every eigenvalue, eigenvector
+    and eigenspace, listed largest, smallest, middle (the Cardano roots' order);
+    inside an eigenspace the lower index takes the earlier, darker vector.  The
+    root of least modulus, which eigh gives only to eps ||M||, is det M over the
+    other two (Vieta): det M = eta (2 (Omega_2/Omega_1) cos(theta) - (Delta/Omega_1) eta).
     """
-    lambdas, vectors = _aligned_eigh(_lambda_matrix(sys), _EXCITED)
-    symmetric = sys.omega1 == sys.omega2 and sys.delta == 0.0
-    if symmetric:
-        lambdas, _ = _cardano_roots(sys.eta_ratio, sys.theta)
-        vectors = vectors[np.argsort(np.lexsort((np.arange(3), np.round(lambdas, 8))))]
+    vals, vecs, space = _aligned_eigh(_lambda_matrix(sys), _EXCITED)
+    rank = np.argsort(np.lexsort((np.arange(3), space[[2, 0, 1]])))
+    lambdas, vectors = vals[rank], vecs[rank]
+    k, i, j = np.argsort(np.abs(lambdas), kind="stable")
+    lambdas[k] = sys.eta_ratio / lambdas[i] * (
+        2.0 * (sys.omega2 / sys.omega1) * math.cos(sys.theta)
+        - sys.delta / sys.omega1 * sys.eta_ratio) / lambdas[j]
     p_e = np.abs(vectors[:, 0]) ** 2
     dark = np.flatnonzero(p_e <= DARK_P_E).tolist()
     return LambdaEigen(lambdas=lambdas, vectors=vectors, p_e=p_e,
                        dark_index=int(np.argmin(p_e)) if dark else None,
-                       dark_indices=dark, analytic=symmetric)
+                       dark_indices=dark)

@@ -31,16 +31,23 @@ class Cooperativities:
     def pi_ratio(self):
         if self.c1 * self.c2 == 0.0:
             raise DomainError("pi_ratio undefined when C1*C2 = 0")
-        return self.c3 / (self.c1 * self.c2)
+        pi = self.c3 / (self.c1 * self.c2)
+        if not math.isfinite(pi):
+            raise FloatingPointError("pi_ratio = C3/(C1*C2) not finite")
+        return pi
 
     @classmethod
     def from_spec(cls, spec):
         if spec.n_mech != 2:
             raise DomainError("cooperativities are defined for two mechanical modes")
         g = spec.drive.g_lin
-        c1 = abs(g[0]) ** 2 / (spec.gamma[0] * spec.kappa)
-        c2 = abs(g[1]) ** 2 / (spec.gamma[1] * spec.kappa)
-        c3 = spec.eta[0] ** 2 / (spec.gamma[0] * spec.gamma[1])
+        # products of quotients: a product of rates such as gamma_1 gamma_2 underflows
+        # to 0 at rates ~ 1e-300, and a float ** raises OverflowError
+        c1, c2 = ((g[j] / spec.gamma[j]) * (g[j] / spec.kappa) for j in (0, 1))
+        c3 = (spec.eta[0] / spec.gamma[0]) * (spec.eta[0] / spec.gamma[1])
+        bad = [name for name, c in (("C1", c1), ("C2", c2), ("C3", c3)) if not math.isfinite(c)]
+        if bad:
+            raise FloatingPointError("cooperativities not finite: %s" % ", ".join(bad))
         return cls(c1=c1, c2=c2, c3=c3)
 
 
@@ -92,10 +99,15 @@ def transmittances(u, n_mech):
 
 
 def t_max(coop):
-    """Analytic resonant maximum of the mechanical transmittance."""
-    num = 4.0 * (math.sqrt(coop.c1 * coop.c2) + math.sqrt(coop.c3)) ** 2
-    den = (coop.c1 + coop.c2 + coop.c3 + 1.0) ** 2
-    return num / den
+    """Analytic resonant maximum of the mechanical transmittance,
+    4 (sqrt(C1 C2) + sqrt(C3))^2 / (C1 + C2 + C3 + 1)^2.  Each term is first
+    scaled by the power of two 2^-e that brings C1 + C2 + C3 + 1 into [0.5, 1):
+    exact where every step is a normal float, and no product or square overflows."""
+    den = coop.c1 + coop.c2 + coop.c3 + 1.0
+    e = math.frexp(den)[1]
+    c1, c2, den = (math.ldexp(c, -e) for c in (coop.c1, coop.c2, den))
+    num = math.sqrt(c1 * c2) + math.ldexp(math.sqrt(coop.c3), -e)
+    return 4.0 * (num * num) / (den * den)
 
 
 def lambda_analytic(coop, theta):
@@ -104,9 +116,11 @@ def lambda_analytic(coop, theta):
     Valid at the resonant probe w = w_m with Delta = w_1 = w_2.
     """
     pi = coop.pi_ratio  # raises DomainError when C1*C2 = 0
-    lead = 4.0 * math.sqrt(pi) * math.sin(theta) / (1.0 + math.sqrt(pi)) ** 2
-    corr = 1.0 + (4.0 * pi * math.cos(theta) ** 2
-                  / ((coop.c1 + coop.c2 + 1.0) / (coop.c1 * coop.c2) + pi) ** 2)
+    root, cos, total = math.sqrt(pi), math.cos(theta), coop.c1 + coop.c2 + coop.c3 + 1.0
+    lead = 4.0 * root * math.sin(theta) / ((1.0 + root) * (1.0 + root))
+    # 4 Pi cos^2 / ((C1 + C2 + 1)/(C1 C2) + Pi)^2 = 4 cos^2 C3 (C1/total)(C2/total): no
+    # square to overflow (a float ** raises OverflowError) and no C1 C2 to divide by
+    corr = 1.0 + 4.0 * cos * cos * coop.c3 * (coop.c1 / total) * (coop.c2 / total)
     return lead / corr
 
 
@@ -124,11 +138,17 @@ def lambda_numeric(drift, omega, coop):
 def scan_point(drift, omega, coop=None):
     """U, T and Lambda at a scalar omega, or stacked over a 1-D array of them.
 
-    Same contract as `scattering_matrix`; coop defaults to the spec's.
+    Same contract as `scattering_matrix`; coop defaults to the spec's.  A T or
+    Lambda that is not finite (Lambda's normalizer t_max underflows, or U
+    overflows) raises FloatingPointError.
     """
     if coop is None:
         coop = Cooperativities.from_spec(drift.spec)
-    u = scattering_matrix(drift, omega)
-    t = transmittances(u, drift.spec.n_mech)
-    lam = (t - np.swapaxes(t, -1, -2)) / t_max(coop)
+    with np.errstate(all="ignore"):  # an overflow gives inf or NaN: caught below
+        u = scattering_matrix(drift, omega)
+        t = transmittances(u, drift.spec.n_mech)
+        lam = (t - np.swapaxes(t, -1, -2)) / t_max(coop)
+    bad = [name for name, x in (("T", t), ("Lambda", lam)) if not np.isfinite(x).all()]
+    if bad:
+        raise FloatingPointError("scattering quantities not finite: %s" % ", ".join(bad))
     return ScatteringPoint(omega=omega, u=u, t=t, lambda_rel=lam)

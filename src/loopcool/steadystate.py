@@ -90,7 +90,8 @@ def _residual(a, v, q):
 
 def _solve(a, q, lam, w):
     """(V, max-entry residual, solver per drift) for a stack with its eigensystems."""
-    with np.errstate(all="ignore"):  # a defective W gives inf or NaN: caught below
+    # a defective W gives inf or NaN, caught below; a V that overflows, caught by cool_many
+    with np.errstate(all="ignore"):
         try:
             w_inv = np.linalg.inv(w)
         except np.linalg.LinAlgError:  # an exactly singular W: Schur for the whole stack
@@ -99,12 +100,12 @@ def _solve(a, q, lam, w):
         v = w @ (f / (lam[:, :, None] + lam[:, None, :])) @ np.swapaxes(w, -1, -2)
         r, residual = _residual(a, v, q)
         backward = _norm(r) / (2.0 * _norm(a) * _norm(v) + _norm(q))
-    solver = ["eig"] * len(a)
-    for k in np.flatnonzero(~(backward <= BACKWARD_ERROR_TOL)):
-        import scipy.linalg  # here alone, off the cold start of a run with no Schur solve
-        v[k] = scipy.linalg.solve_sylvester(a[k], a[k].T, -q[k])
-        residual[k] = _residual(a[k], v[k], q[k])[1]
-        solver[k] = "schur"
+        solver = ["eig"] * len(a)
+        for k in np.flatnonzero(~(backward <= BACKWARD_ERROR_TOL)):
+            import scipy.linalg  # here alone, off the cold start of a run with no Schur solve
+            v[k] = scipy.linalg.solve_sylvester(a[k], a[k].T, -q[k])
+            residual[k] = _residual(a[k], v[k], q[k])[1]
+            solver[k] = "schur"
     return v, residual, solver
 
 
@@ -169,7 +170,8 @@ def cool_many(a, q):
     CoolingReport whose fields are arrays over the G drifts: n_f (G, N),
     n_cav, stable, spectral_abscissa, residual (G,), and solver, an object
     array of "eig", "schur" or None.  Unstable drifts get NaN occupations and
-    residual and no solver.
+    residual and no solver.  A stable drift whose occupations are not finite
+    (its V overflows) is a numerical failure: FloatingPointError.
     """
     a = np.asarray(a).astype(complex, copy=False)
     size, n_mech = len(a), a.shape[-1] // 2 - 1
@@ -182,6 +184,8 @@ def cool_many(a, q):
     if k.size:
         v, batch.residual[k], batch.solver[k] = _solve(a[k], q[k], lam[k], w[k])
         batch.n_f[k], batch.n_cav[k] = _occupations(v, n_mech)
+        if not (np.isfinite(batch.n_f[k]).all() and np.isfinite(batch.n_cav[k]).all()):
+            raise FloatingPointError("steady-state occupations not finite at a stable point")
     return batch
 
 

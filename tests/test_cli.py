@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import re
 import shlex
 import types
@@ -583,6 +584,19 @@ def test_modes_reports_dark_ceiling(runner, tmp_path, source, dark, ceiling):
     assert (nm["dark_count"], nm["dark_ceiling"]) == (dark, ceiling)
 
 
+@pytest.mark.parametrize("split", [1e-11, 3e-10, 1e-9, 5e-9, 2e-8])
+def test_modes_bright_dark_agrees_with_the_dark_count(runner, tmp_path, split):
+    # fig2_eta0 with omega_2 = 1 + split: the pair is one degenerate eigenspace, with a
+    # dark mode, while split < 1e-8 (_aligned_eigh's tolerance); one report, one answer
+    cfg = write_config(tmp_path / "c.ini", omega="1.0, %r" % (1.0 + split), eta="0.0",
+                       theta="0.0")
+    res = runner.invoke(main, ["modes", "--config", cfg])
+    assert res.exit_code == 0, res.output
+    payload = strict_json(res.stdout)
+    assert payload["bright_dark"]["dark_mode_exists"] == (payload["normal_modes"]["dark_count"] > 0)
+    assert payload["bright_dark"]["dark_mode_exists"] == (split < 1e-8)
+
+
 def test_lambda_command(runner):
     res = runner.invoke(main, ["lambda", "--eta", "1.0", "--theta", "0.0"])
     assert res.exit_code == 0
@@ -596,6 +610,7 @@ def test_lambda_command(runner):
     ("1e10", "0.3", [0, 1]), ("1.0", "0", [1]), ("0.5", "0.3", []),
     # next to the degenerate eta = 1, and where the closed form's smallest root cancels
     ("1.000001", "0", [1]), ("1e20", "0.3", [0, 1]),
+    ("1e100", "0", [0, 1]),
 ])
 def test_lambda_reports_every_dark_state(runner, eta, theta, dark):
     res = runner.invoke(main, ["lambda", "--eta", eta, "--theta", theta])
@@ -838,8 +853,11 @@ def test_cool_at_opposite_detuning_reports_limit_unavailable(runner, tmp_path):
 LIMITS_OVERFLOW = [
     # 4 kappa^2 overflows for kappa above about 7e153: n_opt and the simplified limits are inf
     (("kappa = 0.2", "kappa = 1e300"), "cooling-limit quantities not finite: n_opt, simplified"),
-    # (delta - omega)^2 raises OverflowError at delta = 1e200 (a Python float **)
+    # (w1 + w2 + 2 delta)^2 raises OverflowError at delta = 1e200 (a Python float **)
     (("delta = 1.0", "delta = 1e200"), "cooling-limit quantities not finite: a float overflows"),
+    # kappa^2 + (delta - omega_2)^2 = kappa^2 underflows to 0, but the Lorentzian is scaled, so
+    # what overflows is its value g^2/kappa ~ 2e321, not a division by zero
+    (("kappa = 0.2", "kappa = 5e-324"), "cooling-limit quantities not finite: a float overflows"),
 ]
 
 
@@ -890,6 +908,10 @@ PATCHES = {
     "no-set_param": (cli, "set_param", raising(AssertionError(
         "a value was checked before every path was resolved"))),
     "no-drift_stack": (cli, "drift_stack", raising(AssertionError("a grid point ran"))),
+    # a stable point whose covariance overflowed (fig2 at kappa = 1e300 under --mech-full,
+    # a verdict that is rounding noise and depends on the LAPACK build)
+    "nan-occupations": (steadystate, "_occupations", lambda v, n_mech: (
+        np.full(v.shape[:-2] + (n_mech,), math.nan), np.full(v.shape[:-2], math.nan))),
 }
 
 
@@ -1028,6 +1050,12 @@ REFUSALS = [
             "--axis eta[0]=1.7e308:-1.7e308:4", 2,
             "config error: axis span is wider than the float range in "
             "'eta[0]=1.7e308:-1.7e308:4'"),
+    Refusal("sweep-occupations-not-finite", SWEEP, 1,
+            "error: FloatingPointError: steady-state occupations not finite at a stable point",
+            patches=("nan-occupations",)),
+    Refusal("cool-occupations-not-finite", "cool --preset fig2", 1,
+            "error: FloatingPointError: steady-state occupations not finite at a stable point",
+            patches=("nan-occupations",)),
     Refusal("sweep-numerical-failure", "sweep --preset fig2 --axis kappa=0.1:0.3:4 --out {out}", 1,
             "error: NoConvergence: eigenvalue iteration failed", out="file",
             patches=("cool_many-fails",)),
@@ -1038,6 +1066,13 @@ REFUSALS = [
             "config error: spectrum scan is defined for n_mech = 2"),
     Refusal("spectrum-zero-coupling", "spectrum --config {cfg} --points 5 --out {out}", 2,
             "config error: pi_ratio undefined when C1*C2 = 0", CONFIGS["ZERO_COUPLING"]),
+    # C1 C2 = 2.5e-309 is subnormal, so Pi = C3/(C1 C2) overflows
+    Refusal("spectrum-pi-ratio-overflow", "spectrum --config {cfg} --points 5 --out {out}", 1,
+            "error: FloatingPointError: pi_ratio = C3/(C1*C2) not finite", dict(drive_lines=(
+                "type = linearized", "delta = 1.0", "g_lin = 1e-80, 1e-80"))),
+    # C3 = (eta/gamma_1)(eta/gamma_2) = 2.5e597 overflows; the drift itself is stable
+    Refusal("spectrum-cooperativity-overflow", "spectrum --config {cfg} --points 5 --out {out}", 1,
+            "error: FloatingPointError: cooperativities not finite: C3", dict(gamma="1e-300")),
     Refusal("spectrum-span-overflow", "spectrum --preset fig3 --out {out} "
             "--omega-min -1.7e308 --omega-max 1.7e308", 2,
             "config error: frequency span is wider than the float range"),
@@ -1073,15 +1108,16 @@ REFUSALS = [
     Refusal("limits-opposite-detuning", "limits --config {cfg}", 2,
             "config error: n_opt undefined when omega_1 + omega_2 + 2 delta = 0",
             OPPOSITE_DETUNING),
+    # no exchange and gamma ~ 1e-300: Gamma_1 + Gamma_2 + 2 chi_+ rounds to 0 in the simplified form
+    Refusal("limits-transfer-rate-pole", "limits --config {cfg}", 1,
+            "error: FloatingPointError: cooling-limit quantities not finite: a denominator is 0",
+            dict(eta="0.0", theta="0.0", gamma="1e-300, 5e-324")),
     *[Refusal("limits-overflow-" + edit[1].replace(" ", ""), "limits --config {cfg}", 1,
               "error: FloatingPointError: " + message, dict(edits=[edit]))
       for edit, message in LIMITS_OVERFLOW],
     *[Refusal("lambda-%s-%s" % (eta, theta), "lambda --eta %s --theta %s" % (eta, theta), 2,
               "config error: --eta and --theta must be finite")
       for eta, theta in (("nan", "0"), ("1.0", "inf"), ("-inf", "0"))],
-    # (2 + eta^2)^3 overflows a float in the Cardano roots
-    Refusal("lambda-overflow", "lambda --eta 1e100 --theta 0", 1,
-            "error: OverflowError: (34, 'Numerical result out of range')"),
 ]
 
 
@@ -1134,3 +1170,114 @@ def test_overflowing_noise_matrix_is_numerical_error(runner, tmp_path, monkeypat
 @pytest.mark.parametrize("row", NON_FINITE_AXES, ids=lambda row: row.id)
 def test_sweep_non_finite_axis_is_config_error(runner, tmp_path, monkeypatch, row):
     check_refusal(runner, tmp_path, monkeypatch, row)
+
+
+# --- a seeded contract fuzz: every command on range ends and bad values -----
+
+#: the fuzz's values: the float range's ends, a signed zero, non-finite values, no number
+FUZZ_POOL = ("0", "-0.0", "5e-324", "1e-300", "1e300", "1.7e308", "nan", "inf", "-inf", "two")
+#: fig2's config fields as text, in file order; a fuzz config edits one or two of them
+FUZZ_FIELDS = {"omega_m": "1.0, 1.0", "kappa": "0.2", "gamma": "1e-5, 1e-5", "nbar": "1e3, 1e3",
+               "eta": "0.05", "theta": "1.5707963267948966", "delta": "1.0", "g_lin": "0.1, 0.1"}
+FUZZ_COMMANDS = ("cool", "stability", "modes", "limits", "spectrum", "sweep", "lambda")
+FUZZ_RUNS = 40  # per command
+#: each command's arguments after its spec source
+FUZZ_TAIL = {"spectrum": " --points 5 --out {out}", "sweep": " --axis {axis} --out {out}"}
+FUZZ_APPROX = ("", " --om-rwa", " --mech-full")
+FUZZ_SPECTRUM = "spectrum --config {cfg} --points 5 --out {out}"
+#: the inputs the fuzz was built to reach, then what it found: (argv, config edits)
+FUZZ_FIXED = [
+    ("modes --config {cfg}", dict(eta="1e308")),  # 2 eta overflowed in the hybrid transform
+    (FUZZ_SPECTRUM, dict(gamma="1e-300, 1e-300")),  # gamma_1 gamma_2 underflowed in C3
+    (FUZZ_SPECTRUM + " --om-rwa", dict(gamma="1e300, 1.57", eta="1000")),  # a ** in Lambda
+    ("limits --config {cfg}", dict(kappa="5e-324")),  # kappa^2 underflowed in a Lorentzian
+    ("cool --config {cfg}", dict(kappa="5e-324")),
+    ("lambda --eta 1e100 --theta 0", None),  # (2 + eta^2)^3 overflowed in Cardano's roots
+    ("modes --config {cfg}", dict(eta="5e-324")),  # eta/2 underflowed in the hybrid direction
+    (FUZZ_SPECTRUM, dict(kappa="1e-300")),  # (C1 + C2 + 1)/(C1 C2) was 0 in Lambda
+    (FUZZ_SPECTRUM + " --om-rwa", dict(gamma="1e-5, 5e-324")),  # gamma_2 kappa underflowed
+    (FUZZ_SPECTRUM + " --om-rwa", dict(gamma="1e-300, 1e-5")),  # a ** in T_max
+    (FUZZ_SPECTRUM + " --om-rwa", dict(gamma="1e-300, 1e300")),  # T_max underflowed to 0
+    (FUZZ_SPECTRUM + " --om-rwa", dict(gamma="1e-5, 1e300")),  # Lambda overflowed
+    ("cool --config {cfg}", dict(gamma="1e300, 1e-300", omega_m="1.7e308, 1.0")),  # AV overflowed
+    ("sweep --config {cfg} --mech-full --axis 'drive.delta=0.9:1.7e308:3' --out {out}",
+     dict(kappa="1e300", g_lin="1e300, 5e-324")),  # NaN occupations at a stable point
+]
+
+
+def fuzz_value(rng, nominal):
+    return rng.choice(FUZZ_POOL) if rng.random() < 0.7 else nominal
+
+
+def fuzz_config_text(fields):
+    """fig2's config text with the given FUZZ_FIELDS entries replaced."""
+    fields = {**FUZZ_FIELDS, **fields}
+    return ("[system]\nn_mech = 2\n" + "".join("%s = %s\n" % (name, fields[name]) for name in
+                                              ("omega_m", "kappa", "gamma", "nbar", "eta", "theta"))
+            + "\n[drive]\ntype = linearized\ndelta = %s\ng_lin = %s\n"
+            % (fields["delta"], fields["g_lin"]))
+
+
+def fuzz_case(rng, command):
+    """(argv, config edits or None) of one fuzz run: for a spec command, one or two
+    of fig2's fields drawn entry by entry from FUZZ_POOL, one time in five at a
+    wrong list length; for lambda, --eta and --theta from the pool."""
+    if command == "lambda":
+        return "lambda --eta %s --theta %s" % (fuzz_value(rng, "0.5"), fuzz_value(rng, "0.3")), None
+    edits = {}
+    for name in rng.sample(sorted(FUZZ_FIELDS), rng.randint(1, 2)):
+        entries = FUZZ_FIELDS[name].split(", ")
+        length = len(entries) + rng.choice((0, 0, 0, 0, 1, -1))
+        edits[name] = ", ".join(fuzz_value(rng, entries[0]) for _ in range(length))
+    axis = rng.choice(("kappa=%s:0.3:3", "drive.delta=0.9:%s:3", "eta[0]=%s:0.1:3",
+                       "theta[0]=0:%s:3")) % fuzz_value(rng, "0.2")
+    approx = rng.choice(FUZZ_APPROX) if command in ("cool", "stability", "spectrum", "sweep") else ""
+    return (command + " --config {cfg}" + approx + FUZZ_TAIL.get(command, "")).replace(
+        "{axis}", shlex.quote(axis)), edits
+
+
+def check_contract(runner, tmp_path, argv, edits):
+    """The CLI contract, whatever the input: a known exit code and no escaped exception;
+    a refusal is one stderr line (or click's usage error) and no stdout, and no
+    numerical failure is a bare ZeroDivisionError or OverflowError; a report is
+    strict JSON, and a CSV holds no NaN or inf."""
+    cfg, out = tmp_path / "c.ini", tmp_path / "out.csv"
+    if edits is not None:
+        cfg.write_text(fuzz_config_text(edits))
+    if out.exists():
+        out.unlink()
+    res = runner.invoke(main, [a.format(cfg=cfg, out=out) for a in shlex.split(argv)])
+    case = (argv, edits, res.stdout, res.stderr, res.exception)
+    assert res.exception is None or isinstance(res.exception, SystemExit), case
+    assert res.exit_code in (0, cli.EXIT_ERROR, cli.EXIT_CONFIG, cli.EXIT_UNSTABLE), case
+    if res.exit_code == 0 and argv.split()[0] in ("spectrum", "sweep"):
+        text = out.read_text().splitlines()
+        strict_json("\n".join(ln[2:] for ln in text if ln.startswith("# ")))
+        rows = [ln for ln in text if not ln.startswith("#")][1:]  # below the header
+        for cell in ",".join(rows).split(","):
+            assert cell in ("", "true", "false") or math.isfinite(float(cell)), case
+    elif res.exit_code == 0 or res.stdout:  # cool reports an unstable point and exits 3
+        strict_json(res.stdout)
+    else:
+        assert res.stdout == "", case
+        lines = res.stderr.splitlines()
+        if lines[0].startswith("Usage:"):  # click refused an option value: text that is no number
+            assert res.exit_code == cli.EXIT_CONFIG and lines[-1].startswith("Error: "), case
+        else:
+            assert len(lines) == 1, case
+            assert lines[0].startswith(("config error: ", "error: ", "unstable: ")), case
+        assert not lines[0].startswith(("error: ZeroDivisionError", "error: OverflowError")), case
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", FUZZ_COMMANDS)
+def test_contract_fuzz(runner, tmp_path, command):
+    rng = random.Random("loopcool-fuzz-" + command)
+    for _ in range(FUZZ_RUNS):
+        check_contract(runner, tmp_path, *fuzz_case(rng, command))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, edits", FUZZ_FIXED, ids=[argv.split()[0] for argv, _ in FUZZ_FIXED])
+def test_contract_fixed_rows(runner, tmp_path, argv, edits):
+    check_contract(runner, tmp_path, argv, edits)

@@ -53,6 +53,17 @@ def test_exact_optical_decay_formula():
     assert eff.omega_opt[0] == pytest.approx(expect_w)
 
 
+def test_lorentzians_at_the_ends_of_the_float_range():
+    # kappa^2 + (delta - omega)^2 = 1e-400 and g^2 kappa = 1e-400 underflow to 0, but
+    # the Lorentzian g^2 kappa / kappa^2 = 1 does not
+    eff = effective_model(get_preset("fig2").with_(
+        kappa=1e-200, drive=Linearized(delta=1.0, g_lin=(1e-100, 1e-100))))
+    assert eff.gamma_opt[0] == pytest.approx(1.0, rel=1e-15)
+    # at kappa = 5e-324 it is 2e321: too large for a float, and not a division by zero
+    with pytest.raises(OverflowError):
+        effective_model(get_preset("fig2").with_(kappa=5e-324))
+
+
 def test_xi_without_exchange_symmetric():
     spec = get_preset("fig4").with_(eta=(0.0,), theta=(0.0,))
     eff = effective_model(spec)

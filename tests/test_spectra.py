@@ -78,6 +78,36 @@ def test_lambda_analytic_extremes():
         assert abs(lambda_analytic(coop, th)) <= 1e-12
 
 
+def test_closed_forms_at_the_ends_of_the_float_range():
+    # gamma_1 gamma_2 = 1e-340 underflows to 0, but (eta/gamma_1)(eta/gamma_2) = 1 does not
+    tiny = get_preset("fig3").with_(eta=(1e-170,), gamma=(1e-170, 1e-170))
+    assert Cooperativities.from_spec(tiny).c3 == 1.0
+    # C3 = 2.5e597 truly overflows: a failure that names it
+    with pytest.raises(FloatingPointError, match="^cooperativities not finite: C3$"):
+        Cooperativities.from_spec(get_preset("fig3").with_(gamma=(1e-300, 1e-300)))
+    # ((C1 + C2 + 1)/(C1 C2) + Pi)^2 overflows a float **, but the correction it divides is ~0
+    coop = Cooperativities.from_spec(get_preset("fig3").with_(gamma=(1e300, 1.57), eta=(1000.0,)))
+    root = math.sqrt(coop.pi_ratio)
+    assert lambda_analytic(coop, 0.3) == pytest.approx(
+        4.0 * root * math.sin(0.3) / (1.0 + root) ** 2, rel=1e-15)
+    # gamma_2 kappa = 1e-324 underflows to 0; C2 = (G_2/gamma_2)(G_2/kappa) truly overflows
+    with pytest.raises(FloatingPointError, match="^cooperativities not finite: C2, C3$"):
+        Cooperativities.from_spec(get_preset("fig3").with_(gamma=(1e-5, 5e-324)))
+    # C1 C2 = 1e606 overflows: Pi = 2.5e-599 and the (C1 + C2 + 1)/(C1 C2) it divides by
+    # are 0 as floats, and so is Lambda (~6e-300), with no 0/0
+    coop = Cooperativities.from_spec(get_preset("fig3").with_(kappa=1e-300))
+    assert lambda_analytic(coop, 0.3) == 0.0
+    # C1 C2 = 2.5e317 overflows, but T_max = 4 (sqrt(C1 C2) + 1)^2 / (C1 + C2 + 2)^2 = 1
+    assert t_max(Cooperativities(5e158, 5e158, 1.0)) == 1.0
+
+
+def test_scan_point_names_what_is_not_finite():
+    # T_max underflows to 0 with no coupling at all: Lambda = (T_vw - T_wv)/T_max is NaN
+    spec = fig3_spec().with_(eta=(0.0,), drive=Linearized(delta=1.0, g_lin=(0.0, 0.0)))
+    with pytest.raises(FloatingPointError, match="^scattering quantities not finite: Lambda$"):
+        scan_point(build_drift(spec), np.array([0.9, 1.1]))
+
+
 def test_lambda_analytic_odd_in_theta():
     coop = Cooperativities(2000.0, 3000.0, 1e7)
     for th in np.linspace(0.1, 3.0, 7):
