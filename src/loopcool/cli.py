@@ -260,8 +260,8 @@ def parse_axis(raw):
     return m.group(1).strip(), _grid(start, stop, points, "axis", " in %r" % raw)
 
 
-#: grid points per engine call; a sweep builds, solves and drops one chunk at a time
-BATCH = 64
+#: bytes of a chunk's complex (rows, 2N+2, 2N+2) stack: a sweep's memory per thread
+CHUNK_BYTES = 1 << 17
 
 
 def _sweep_grid(grids):
@@ -326,8 +326,9 @@ def sweep(spec, approx, axes, out, workers):
     """1-D or 2-D parameter sweep of the steady-state occupations (CSV).
     \f
     The grid's table (param_table, then set_param per axis) and every row's
-    axis text (_sweep_grid) are built once, before any point runs; each chunk
-    of BATCH rows then goes through the engine and _sweep_lines.
+    axis text (_sweep_grid) are built once, before any point runs; chunks of as
+    many rows as one CHUNK_BYTES stack holds (at least one, at most an even
+    share per worker) then go through the engine and _sweep_lines.
     """
     _check_out(out)
     if len(axes) > 2:
@@ -340,14 +341,16 @@ def sweep(spec, approx, axes, out, workers):
     table = param_table(spec, len(prefixes))
     for (name, i), values in zip(entries, columns):  # checks every value before any point runs
         set_param(table, name, i, values)
+    size = max(1, min(CHUNK_BYTES // (16 * (2 * spec.n_mech + 2) ** 2),  # rows per chunk
+                      math.ceil(len(prefixes) / workers)))
 
     def chunk(s):
-        """CSV lines of the table's rows s:s + BATCH."""
-        rows = slice(s, s + BATCH)
+        """CSV lines of the table's rows s:s + size."""
+        rows = slice(s, s + size)
         batch = steadystate.cool_many(*drift_stack({n: c[rows] for n, c in table.items()}, approx))
         return _sweep_lines(prefixes[rows], batch)
 
-    starts = range(0, len(prefixes), BATCH)
+    starts = range(0, len(prefixes), size)
     if workers > 1:  # threads overlap: the engine's LAPACK calls release the GIL
         import concurrent.futures  # only threads need it; every other run skips its import cost
 

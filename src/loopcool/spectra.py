@@ -29,8 +29,10 @@ class Cooperativities:
 
     @property
     def pi_ratio(self):
-        if self.c1 * self.c2 == 0.0:
+        if self.c1 == 0.0 or self.c2 == 0.0:
             raise DomainError("pi_ratio undefined when C1*C2 = 0")
+        if self.c1 * self.c2 == 0.0:  # two subnormal cooperativities: a numerical failure
+            raise FloatingPointError("pi_ratio = C3/(C1*C2): C1*C2 underflows to 0")
         pi = self.c3 / (self.c1 * self.c2)
         if not math.isfinite(pi):
             raise FloatingPointError("pi_ratio = C3/(C1*C2) not finite")
@@ -115,7 +117,7 @@ def lambda_analytic(coop, theta):
 
     Valid at the resonant probe w = w_m with Delta = w_1 = w_2.
     """
-    pi = coop.pi_ratio  # raises DomainError when C1*C2 = 0
+    pi = coop.pi_ratio  # raises DomainError when C1 or C2 = 0
     root, cos, total = math.sqrt(pi), math.cos(theta), coop.c1 + coop.c2 + coop.c3 + 1.0
     lead = 4.0 * root * math.sin(theta) / ((1.0 + root) * (1.0 + root))
     # 4 Pi cos^2 / ((C1 + C2 + 1)/(C1 C2) + Pi)^2 = 4 cos^2 C3 (C1/total)(C2/total): no

@@ -286,10 +286,28 @@ def test_set_param_and_spec_raise_the_same_message(path, value, message):
     assert str(from_table.value) == str(from_spec.value) == message
 
 
+@pytest.fixture
+def stacks(monkeypatch):
+    """The shape of each drift stack that steadystate.cool_many gets, in call order."""
+    shapes = []
+    engine = steadystate.cool_many
+
+    def recorded(a, q):
+        shapes.append(a.shape)
+        return engine(a, q)
+
+    monkeypatch.setattr(steadystate, "cool_many", recorded)
+    return shapes
+
+
+#: a budget of 64 rows at N = 2, 36 at N = 3 and 23 at N = 4
+SMALL_BUDGET = 64 * 16 * 6 ** 2
+
+
 @pytest.mark.parametrize("source, axes, verdicts", [
-    # 81 points: more than one BATCH; the delta = 0 row sends points to Schur
+    # 81 points; the delta = 0 row sends points to Schur
     (["--preset", "fig2"], ["drive.delta=-1:1:9", "theta[0]=0:6.2832:9"], {"true", "false"}),
-    # a uniform N = 4 chain: 65 points, one full BATCH and one row
+    # a uniform N = 4 chain: 65 points, two full chunks of SMALL_BUDGET and 19 rows
     (["--preset", "figS11"], ["theta[0]=0:6.283185307179586:65"], {"true"}),
     # a nonuniform N = 3 chain, 81 points
     ("NONUNIFORM_N3", ["drive.delta=-1:1:9", "theta[1]=-7:7:9"], {"true", "false"}),
@@ -298,7 +316,7 @@ def test_set_param_and_spec_raise_the_same_message(path, value, message):
     # the nonuniform N = 3 chain with unequal frequencies too, 81 points
     ("UNEQUAL_N3", ["drive.delta=-1:1:9", "theta[1]=-7:7:9"], {"true", "false"}),
 ], ids=["fig2", "chain4", "n3", "physical", "n3-unequal-omega"])
-def test_sweep_chunks_and_workers_do_not_change_the_csv(runner, tmp_path, monkeypatch,
+def test_sweep_chunks_and_workers_do_not_change_the_csv(runner, tmp_path, monkeypatch, stacks,
                                                         source, axes, verdicts):
     if source == "PHYSICAL":
         source = ["--config", physical_config(tmp_path / "p.ini", "20.0")]
@@ -312,13 +330,42 @@ def test_sweep_chunks_and_workers_do_not_change_the_csv(runner, tmp_path, monkey
         assert res.exit_code == 0, res.output
         return body_lines(out)
 
+    whole = run("whole.csv")  # the default budget: the grid is one chunk
+    assert len(stacks) == 1
+    monkeypatch.setattr(cli, "CHUNK_BYTES", SMALL_BUDGET)
+    del stacks[:]
     serial = run("serial.csv")
-    assert len(serial) > 1 + cli.BATCH
+    assert len(stacks) >= 2 and serial == whole
     assert {row.split(",")[-2] for row in serial[1:]} == verdicts
     for workers in ("2", "3"):
         assert run("w%s.csv" % workers, "--workers", workers) == serial
-    monkeypatch.setattr(cli, "BATCH", 1)
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 1)
+    del stacks[:]
     assert run("single.csv") == serial
+    assert len(stacks) == len(serial) - 1  # a chunk of one row per point
+
+
+@pytest.mark.parametrize("n_mech, axes, workers, rows", [
+    # fig2's 1,089-point landscape: 131072 // (16 * 6^2) = 227 rows, in 5 engine calls
+    (2, ["drive.delta=-1.5:1.5:33", "theta[0]=0:6.283185307179586:33"], 1, [227] * 4 + [181]),
+    # 131072 // (16 * 34^2) = 7 rows
+    (16, ["theta[0]=0:6.283185307179586:17"], 1, [7, 7, 3]),
+    # one 92 x 92 complex matrix is 135,424 bytes: one row per call
+    (45, ["theta[0]=0:6.283185307179586:3"], 1, [1, 1, 1]),
+    # no fewer chunks than threads: 100 points on 2 workers are 2 chunks of 50
+    (2, ["drive.delta=-1.5:1.5:10", "theta[0]=0:6.283185307179586:10"], 2, [50, 50]),
+], ids=["fig2-33x33", "chain16", "chain45", "fig2-100-workers2"])
+def test_no_engine_call_exceeds_the_budget(runner, tmp_path, stacks, n_mech, axes, workers, rows):
+    source = ["--preset", "fig2"] if n_mech == 2 else ["--config", write_config(  # a uniform chain
+        tmp_path / "c.ini", n_mech=n_mech, eta=", ".join(["0.05"] * (n_mech - 1)),
+        theta=", ".join(["1.5"] * (n_mech - 1)),
+        drive_lines=("type = linearized", "delta = 1.0", "g_lin = " + ", ".join(["0.1"] * n_mech)))]
+    res = runner.invoke(main, ["sweep", *source, *(a for x in axes for a in ("--axis", x)),
+                               "--out", str(tmp_path / "s.csv"), "--workers", str(workers)])
+    assert res.exit_code == 0, res.output
+    dim = 2 * n_mech + 2
+    assert sorted(stacks, reverse=True) == [(r, dim, dim) for r in rows]
+    assert all(r == 1 or 16 * r * dim * dim <= cli.CHUNK_BYTES for r in rows)
 
 
 SPECS = {
@@ -413,14 +460,15 @@ THETA_AXIS = np.linspace(-7.0, 7.0, 13)
 
 @pytest.mark.parametrize("grids", [
     [THETA_AXIS],
-    [np.linspace(-7.0, 7.0, 2 * cli.BATCH + 3)],
+    [np.linspace(-7.0, 7.0, 131)],
     [EDGE_AXIS, THETA_AXIS],
     [THETA_AXIS, EDGE_AXIS],
     [np.linspace(-1.5, 1.5, 33), EDGE_AXIS],
 ], ids=["theta_13", "theta_131", "edge_x_theta", "theta_x_edge", "delta_33_x_edge"])
 def test_sweep_lines_match_the_per_row_formatting(grids):
     points = np.array(list(itertools.product(*(grid.tolist() for grid in grids))))
-    assert len(points) % cli.BATCH != 0
+    chunk = 64  # _sweep_lines takes any chunk; 64 rows leave a short last chunk on every grid
+    assert len(points) % chunk != 0
     columns, prefixes = cli._sweep_grid(grids)
     assert np.column_stack(columns).tobytes() == points.tobytes()  # -0.0 kept, product order
     rng = np.random.default_rng(len(points))
@@ -431,8 +479,8 @@ def test_sweep_lines_match_the_per_row_formatting(grids):
     n_f[~stable], n_cav[~stable] = math.nan, math.nan  # as the engine leaves them
     n_f[0, 0], n_cav[-1] = 5e-324, 1e300
     abscissa = np.where(stable, -rng.lognormal(-5.0, 4.0, size), rng.lognormal(-5.0, 4.0, size))
-    for s in range(0, size, cli.BATCH):
-        rows = slice(s, s + cli.BATCH)
+    for s in range(0, size, chunk):
+        rows = slice(s, s + chunk)
         batch = types.SimpleNamespace(n_f=n_f[rows], n_cav=n_cav[rows], stable=stable[rows],
                                       spectral_abscissa=abscissa[rows])
         assert cli._sweep_lines(prefixes[rows], batch) == _sweep_lines_per_row(points[rows], batch)
@@ -808,19 +856,23 @@ def test_each_command_solves_a_fixed_point_once(runner, tmp_path, solves, comman
     assert len(solves) == 1
 
 
-def test_physical_sweep_solves_once_per_chunk(runner, tmp_path, solves):
-    # 81 rows: one solve for each chunk of cli.BATCH rows, on that chunk's rows
-    res = runner.invoke(main, ["sweep", "--config", physical_config(tmp_path / "p20.ini", "20.0"),
-                               "--axis", "kappa=0.1:0.5:9", "--axis", "drive.omega_amp=20:620:9",
-                               "--out", str(tmp_path / "s.csv")])
-    assert res.exit_code == 0, res.output
+def test_physical_sweep_solves_once_per_chunk(runner, tmp_path, monkeypatch, solves):
+    # 81 rows at N = 2: one solve for each chunk, on that chunk's rows; the default
+    # budget makes the grid one chunk, SMALL_BUDGET two
     kappa, amp = (c.ravel() for c in np.meshgrid(np.linspace(0.1, 0.5, 9),
                                                  np.linspace(20.0, 620.0, 9), indexing="ij"))
-    starts = range(0, kappa.size, cli.BATCH)
-    assert len(solves) == len(starts) == 2
-    for table, s in zip(solves, starts):
-        assert table["kappa"].tolist() == kappa[s:s + cli.BATCH].tolist()
-        assert table["omega_amp"].tolist() == amp[s:s + cli.BATCH].tolist()
+    for budget, rows, chunks in ((cli.CHUNK_BYTES, 81, 1), (SMALL_BUDGET, 64, 2)):
+        monkeypatch.setattr(cli, "CHUNK_BYTES", budget)
+        del solves[:]
+        res = runner.invoke(main, ["sweep", "--config", physical_config(tmp_path / "p.ini", "20.0"),
+                                   "--axis", "kappa=0.1:0.5:9", "--axis", "drive.omega_amp=20:620:9",
+                                   "--out", str(tmp_path / "s.csv")])
+        assert res.exit_code == 0, res.output
+        starts = range(0, kappa.size, rows)
+        assert len(solves) == len(starts) == chunks
+        for table, s in zip(solves, starts):
+            assert table["kappa"].tolist() == kappa[s:s + rows].tolist()
+            assert table["omega_amp"].tolist() == amp[s:s + rows].tolist()
 
 
 def test_cool_embeds_the_limits_report(runner, tmp_path):
@@ -1070,6 +1122,10 @@ REFUSALS = [
     Refusal("spectrum-pi-ratio-overflow", "spectrum --config {cfg} --points 5 --out {out}", 1,
             "error: FloatingPointError: pi_ratio = C3/(C1*C2) not finite", dict(drive_lines=(
                 "type = linearized", "delta = 1.0", "g_lin = 1e-80, 1e-80"))),
+    # C1 = C2 = 5e-315: no coupling is zero, but C1 C2 underflows to 0
+    Refusal("spectrum-pi-ratio-underflow", "spectrum --config {cfg} --points 5 --out {out}", 1,
+            "error: FloatingPointError: pi_ratio = C3/(C1*C2): C1*C2 underflows to 0",
+            dict(drive_lines=("type = linearized", "delta = 1.0", "g_lin = 1e-160, 1e-160"))),
     # C3 = (eta/gamma_1)(eta/gamma_2) = 2.5e597 overflows; the drift itself is stable
     Refusal("spectrum-cooperativity-overflow", "spectrum --config {cfg} --points 5 --out {out}", 1,
             "error: FloatingPointError: cooperativities not finite: C3", dict(gamma="1e-300")),
@@ -1273,8 +1329,11 @@ def check_contract(runner, tmp_path, argv, edits):
 @pytest.mark.parametrize("command", FUZZ_COMMANDS)
 def test_contract_fuzz(runner, tmp_path, command):
     rng = random.Random("loopcool-fuzz-" + command)
-    for _ in range(FUZZ_RUNS):
-        check_contract(runner, tmp_path, *fuzz_case(rng, command))
+    for run in range(FUZZ_RUNS):
+        argv, edits = fuzz_case(rng, command)
+        if command == "sweep" and run % 2:  # 3-point axes in chunks of 2 and 1 on two threads
+            argv += " --workers 2"
+        check_contract(runner, tmp_path, argv, edits)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -27,6 +27,8 @@ def test_cooperativities_from_spec():
 def test_pi_ratio_domain_error():
     with pytest.raises(DomainError):
         Cooperativities(0.0, 1.0, 1.0).pi_ratio
+    with pytest.raises(DomainError):  # an exact zero, not C1*C2 underflowing (a numerical failure)
+        Cooperativities(5e-315, 0.0, 1.0).pi_ratio
 
 
 def test_from_spec_needs_two_modes():
