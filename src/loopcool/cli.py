@@ -9,7 +9,6 @@ import math
 import os
 import re
 import sys
-import warnings
 
 import click
 import numpy as np
@@ -136,31 +135,29 @@ def main():
 
 
 def _limits_report(spec, full):
-    """(effective quantities, limits, warnings) of a two-mode spec: the reported
-    effective-model quantities, the simplified limit formula and, if full, the
-    full one, keyed as the reports name them, and the validity warnings as
-    sorted distinct messages.  A non-finite quantity or limit (4 kappa^2
-    overflows above kappa ~ 7e153), an OverflowError from a float ** (at
-    delta = 1e200) or a denominator that rounds to 0 (a transfer-rate pole at
-    eta = 0, gamma ~ 1e-300) is a numerical failure: FloatingPointError."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            eff = limits.effective_model(spec)
-            found = {"simplified": limits.cooling_limit_simplified(eff, spec)}
-            if full:
-                found["full"] = limits.cooling_limit_full(eff, spec)
-        except OverflowError:
-            raise FloatingPointError("cooling-limit quantities not finite: a float overflows")
-        except ZeroDivisionError:
-            raise FloatingPointError("cooling-limit quantities not finite: a denominator is 0")
+    """(effective quantities, limits, validity notes) of a two-mode spec: the
+    reported effective-model quantities, the simplified limit formula and, if
+    full, the full one, keyed as the reports name them, and their notes.  A
+    non-finite quantity, eigenvalue or limit (4 kappa^2 overflows above kappa ~
+    7e153, |xi|^2 below kappa ~ 1e-160), an OverflowError (a Lorentzian above the
+    float range at kappa = 5e-324) or a denominator that rounds to 0 (a
+    transfer-rate pole at eta = 0, gamma ~ 1e-300) is a FloatingPointError."""
+    try:
+        eff = limits.effective_model(spec)
+        found = {"simplified": limits.cooling_limit_simplified(eff, spec)}
+        if full:
+            found["full"] = limits.cooling_limit_full(eff, spec)
+    except OverflowError:
+        raise FloatingPointError("cooling-limit quantities not finite: a float overflows")
+    except ZeroDivisionError:
+        raise FloatingPointError("cooling-limit quantities not finite: a denominator is 0")
     effective = {name: getattr(eff, name) for name in (
         "xi1", "xi2", "gamma_eff", "omega_eff", "chi1", "chi2", "chi_plus", "chi_minus", "n_opt")}
-    bad = [name for name, value in {**effective, **found}.items()
-           if not np.isfinite(value).all()]
+    checked = {**effective, **found, "lambda": (eff.lambda1, eff.lambda2)}
+    bad = [name for name, value in checked.items() if not np.isfinite(value).all()]
     if bad:
         raise FloatingPointError("cooling-limit quantities not finite: %s" % ", ".join(bad))
-    return effective, found, sorted({str(w.message) for w in caught})
+    return effective, found, limits.validity_notes(eff, spec, full)
 
 
 @main.command()
@@ -182,11 +179,11 @@ def cool(spec, approx):
     }
     if spec.n_mech == 2 and report.stable:
         try:
-            _, found, caught = _limits_report(spec, full=False)
+            _, found, notes = _limits_report(spec, full=False)
         except (DomainError, ArithmeticError) as exc:  # the steady state stands without its limit
             payload["limits"] = {"unavailable": str(exc)}
         else:
-            payload["limits"] = {**found, "warnings": caught}
+            payload["limits"] = {**found, "warnings": notes}
     _emit_json(payload)
     if not report.stable:
         sys.exit(EXIT_UNSTABLE)
@@ -440,12 +437,12 @@ def limits_cmd(spec):
     if spec.n_mech != 2:
         raise ConfigError("cooling limits are defined for n_mech = 2")
     given, spec = _given_and_linearized(spec)
-    effective, found, caught = _limits_report(spec, full=True)
+    effective, found, notes = _limits_report(spec, full=True)
     _emit_json({
         "spec": given,
         "effective": effective,
         **found,
-        "warnings": caught,
+        "warnings": notes,
         "provenance": _provenance(),
     })
 

@@ -9,17 +9,12 @@ the simplified transfer-rate form built on the resonant approximations.
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .model import mechanical_matrix
-
-
-class ValidityWarning(UserWarning):
-    """Emitted when a formula is evaluated outside its stated validity regime."""
 
 
 @dataclass
@@ -51,8 +46,7 @@ def _transfer_rates(spec, gamma_opt, xi1, xi2, n_opt):
     """
     gamma_eff = (spec.gamma[0] + gamma_opt[0], spec.gamma[1] + gamma_opt[1])
     gg = gamma_eff[0] + gamma_eff[1]
-    chi1 = abs(xi1) ** 2 / gg
-    chi2 = abs(xi2) ** 2 / gg
+    chi1, chi2 = (abs(xi) * abs(xi) / gg for xi in (xi1, xi2))
     re_part = (xi1 * xi2 / gg).real
     chi_plus = -math.sqrt(chi1 * chi2) - re_part
     chi_minus = math.sqrt(chi1 * chi2) - re_part
@@ -95,9 +89,10 @@ def effective_model(spec):
     xi1 = lorentzian(w2) - 1j * hop
     xi2 = lorentzian(w1) - 1j * hop.conjugate()
     omega_eff = (w1 - omega_opt[0], w2 - omega_opt[1])
-    if w1 + w2 + 2.0 * d == 0.0:
+    s = w1 + w2 + 2.0 * d
+    if s == 0.0:
         raise DomainError("n_opt undefined when omega_1 + omega_2 + 2 delta = 0")
-    n_opt = 4.0 * k * k / (w1 + w2 + 2.0 * d) ** 2
+    n_opt = 4.0 * k * k / (s * s)
     gamma_eff, chi1, chi2, chi_plus, chi_minus, _, _ = _transfer_rates(
         spec, gamma_opt, xi1, xi2, n_opt)
     gg = gamma_eff[0] + gamma_eff[1]
@@ -120,66 +115,84 @@ def effective_model(spec):
         xi1_res=xi1_res, xi2_res=xi2_res, gamma_opt_res=gamma_opt_res)
 
 
-def _warn_regime(spec):
+def _apart(a, b):
+    """More than 20% of the larger magnitude apart: the validity notes' one threshold."""
+    return abs(a - b) > 0.2 * max(abs(a), abs(b))
+
+
+def validity_notes(eff, spec, full):
+    """Sorted messages of the conditions that the limits fail: omega >> kappa >> G >> gamma,
+    exact Gamma_opt ~ g^2/kappa (simplified) and, if full, Gamma_1 ~ Gamma_2 (full)."""
     g_max = max(abs(g) for g in spec.drive.g_lin)
+    notes = []
     if not (min(spec.omega_m) > spec.kappa > g_max > max(spec.gamma)):
-        warnings.warn("outside the validity regime omega >> kappa >> G >> gamma",
-                      ValidityWarning, stacklevel=3)
+        notes.append("outside the validity regime omega >> kappa >> G >> gamma")
+    if any(map(_apart, eff.gamma_opt, eff.gamma_opt_res)):
+        notes.append("exact optical decays differ from the resonant g^2/kappa by more than "
+                     "20%; the simplified formula is unreliable")
+    if full and _apart(*eff.gamma_eff):
+        notes.append("effective decays Gamma_1, Gamma_2 differ by more than 20%; "
+                     "the reduced formula is unreliable")
+    return sorted(notes)
+
+
+def _require_stable(eff):
+    """DomainError if a finite eigenvalue of the effective model does not decay."""
+    re_min = min(eff.lambda1.real, eff.lambda2.real)
+    if -math.inf < re_min <= 0:  # -inf is an overflow, named by the caller's finite check
+        raise DomainError("cooling limits undefined for an unstable effective model: "
+                          "min Re lambda = %.3g" % re_min)
 
 
 def cooling_limit_simplified(eff, spec):
     """Transfer-rate limit formula, built on the resonant approximations."""
-    _warn_regime(spec)
+    _require_stable(eff)
     gamma_opt = eff.gamma_opt_res
     n_opt = eff.n_opt
     gamma_eff, chi1, chi2, chi_plus, chi_minus, n_chi1, n_chi2 = _transfer_rates(
         spec, gamma_opt, eff.xi1_res, eff.xi2_res, n_opt)
 
     out = []
-    for l in (0, 1):
-        chil = (chi1, chi2)[l]
+    for l, chil in enumerate((chi1, chi2)):
         n = (spec.gamma[l] * spec.nbar[l] + gamma_opt[l] * n_opt) / (gamma_eff[l] + chi_plus)
         n += ((-1.0) ** l * math.sqrt(chil)
               * (math.sqrt(chi1) * n_chi1 - math.sqrt(chi2) * n_chi2)
               / (gamma_eff[l] + chi_minus))
         out.append(n)
-    return out[0], out[1]
+    return tuple(out)
 
 
 def cooling_limit_full(eff, spec):
     """Lambda-resolved limit formula (exact Lorentzian effective quantities).
 
-    Uses the reduction valid for Gamma_1 ~ Gamma_2; warns when the effective
-    decays differ by more than 20%.
+    Uses the reduction valid for Gamma_1 ~ Gamma_2 (see validity_notes); a value
+    that is not finite is returned as such, with no RuntimeWarning.
     """
     if eff.xi1 == 0 or eff.xi2 == 0:
         raise DomainError("full cooling limit undefined when xi1 or xi2 = 0")
-    _warn_regime(spec)
-    g1m, g2m = eff.gamma_eff
-    if abs(g1m - g2m) > 0.2 * max(g1m, g2m):
-        warnings.warn("effective decays Gamma_1, Gamma_2 differ by more than 20%%; "
-                      "the reduced formula is unreliable", ValidityWarning, stacklevel=2)
+    _require_stable(eff)
     l1, l2 = eff.lambda1, eff.lambda2
     k = spec.kappa
     d = spec.drive.delta
     g1, g2 = spec.drive.g_lin
 
-    a11 = 1.0 / (np.conj(l1) + l1)
-    a12 = 1.0 / (np.conj(l1) + l2)
-    a22 = 1.0 / (np.conj(l2) + l2)
-    c1 = 1.0 / (k + l1 + 1j * d) + 1.0 / (k + np.conj(l1) - 1j * d)
-    c2 = 1.0 / (k + l2 + 1j * d) + 1.0 / (k + np.conj(l1) - 1j * d)
-    c3 = 1.0 / (k + l2 + 1j * d) + 1.0 / (k + np.conj(l2) - 1j * d)
+    with np.errstate(all="ignore"):
+        a11 = 1.0 / (np.conj(l1) + l1)
+        a12 = 1.0 / (np.conj(l1) + l2)
+        a22 = 1.0 / (np.conj(l2) + l2)
+        c1 = 1.0 / (k + l1 + 1j * d) + 1.0 / (k + np.conj(l1) - 1j * d)
+        c2 = 1.0 / (k + l2 + 1j * d) + 1.0 / (k + np.conj(l1) - 1j * d)
+        c3 = 1.0 / (k + l2 + 1j * d) + 1.0 / (k + np.conj(l2) - 1j * d)
 
-    therm = (a11 + 2.0 * (a12).real + a22).real
-    drive = (a11 * c1 + 2.0 * (a12 * c2).real + a22 * c3).real
-    cross = (a11 * c1 - 2.0 * (a12 * c2).real + a22 * c3).real
-    heat = (a11 - 2.0 * (a12).real + a22).real
+        therm = (a11 + 2.0 * (a12).real + a22).real
+        drive = (a11 * c1 + 2.0 * (a12 * c2).real + a22 * c3).real
+        cross = (a11 * c1 - 2.0 * (a12 * c2).real + a22 * c3).real
+        heat = (a11 - 2.0 * (a12).real + a22).real
 
-    n1 = (spec.gamma[0] * spec.nbar[0] / 2.0 * therm + g1 * g1 / 4.0 * drive
-          + abs(eff.xi1) / (4.0 * abs(eff.xi2))
-          * (g2 * g2 * cross + 2.0 * spec.gamma[1] * spec.nbar[1] * heat))
-    n2 = (spec.gamma[1] * spec.nbar[1] / 2.0 * therm + g2 * g2 / 4.0 * drive
-          + abs(eff.xi2) / (4.0 * abs(eff.xi1))
-          * (g1 * g1 * cross + 2.0 * spec.gamma[0] * spec.nbar[0] * heat))
+        n1 = (spec.gamma[0] * spec.nbar[0] / 2.0 * therm + g1 * g1 / 4.0 * drive
+              + abs(eff.xi1) / (4.0 * abs(eff.xi2))
+              * (g2 * g2 * cross + 2.0 * spec.gamma[1] * spec.nbar[1] * heat))
+        n2 = (spec.gamma[1] * spec.nbar[1] / 2.0 * therm + g2 * g2 / 4.0 * drive
+              + abs(eff.xi2) / (4.0 * abs(eff.xi1))
+              * (g1 * g1 * cross + 2.0 * spec.gamma[0] * spec.nbar[0] * heat))
     return float(n1), float(n2)

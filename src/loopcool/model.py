@@ -18,7 +18,6 @@ row).  Their batches of one are `linearize`, `to_linearized` and `build_drift`,
 which builds from to_linearized's spec: one fixed-point solve per point.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -30,14 +29,6 @@ TWO_PI = 2.0 * math.pi
 
 FULL = "full"
 RWA = "rwa"
-
-
-def _require_finite(owner, *names):
-    """Raise InvalidSpec unless every number in the named fields is finite."""
-    for name in names:
-        value = getattr(owner, name)
-        if not all(map(cmath.isfinite, value if isinstance(value, tuple) else (value,))):
-            raise InvalidSpec("%s must be finite" % name)
 
 
 @dataclass(frozen=True)
@@ -81,7 +72,6 @@ class Linearized:
 
     def __post_init__(self):
         object.__setattr__(self, "g_lin", tuple(float(g) for g in self.g_lin))
-        _require_finite(self, "delta", "g_lin")
 
 
 @dataclass(frozen=True)
@@ -98,7 +88,6 @@ class Physical:
     def __post_init__(self):
         object.__setattr__(self, "omega_amp", complex(self.omega_amp))
         object.__setattr__(self, "g_single", tuple(float(g) for g in self.g_single))
-        _require_finite(self, "delta_c", "omega_amp", "g_single")
 
 
 @dataclass(frozen=True)

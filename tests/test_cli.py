@@ -691,6 +691,9 @@ CONFIGS = {
     # a physical drive with one classical fixed point (test_cool_strong_physical_drive)
     "P600": dict(drive_lines=("type = physical", "delta_c = 1.0", "omega_amp = 600",
                               "g_single = 0.001, 0.001")),
+    # a physical drive whose effective two-mode model is stable, with no validity note
+    "P50": dict(drive_lines=("type = physical", "delta_c = 1.0", "omega_amp = 50",
+                             "g_single = 0.001, 0.001")),
     # no exchange and one coupling zero: cool is stable, limits and spectrum refuse it
     "ZERO_COUPLING": dict(eta="0.0", theta="0.0", drive_lines=(
         "type = linearized", "delta = 1.0", "g_lin = 0.1, 0.0")),
@@ -705,7 +708,7 @@ CONFIGS = {
     ["lambda", "--eta", "0.5", "--theta", "1.0"],
     ["cool", "UNEQUAL_N3"], ["stability", "UNEQUAL_N3"], ["modes", "UNEQUAL_N3"],
     ["limits", "--preset", "fig2"], ["modes", "ETA_1e-20"],
-    ["stability", "P600", "--om-rwa"], ["modes", "P600"], ["limits", "P600"],
+    ["stability", "P600", "--om-rwa"], ["modes", "P600"], ["limits", "P50"],
     ["cool", "ZERO_COUPLING"],
 ], ids=lambda args: "-".join(args).replace("--", ""))
 def test_every_json_output_is_strict(runner, tmp_path, args):
@@ -876,7 +879,7 @@ def test_physical_sweep_solves_once_per_chunk(runner, tmp_path, monkeypatch, sol
 
 
 def test_cool_embeds_the_limits_report(runner, tmp_path):
-    # kappa = 0.05 < G = 0.1 is outside omega >> kappa >> G >> gamma: both commands warn
+    # kappa = 0.05 < G = 0.1 is outside omega >> kappa >> G >> gamma: both commands note it
     cfg = write_config(tmp_path / "narrow.ini", kappa="0.05")
     cooled = json.loads(runner.invoke(main, ["cool", "--config", cfg]).output)
     limited = json.loads(runner.invoke(main, ["limits", "--config", cfg]).output)
@@ -905,27 +908,43 @@ def test_cool_at_opposite_detuning_reports_limit_unavailable(runner, tmp_path):
 LIMITS_OVERFLOW = [
     # 4 kappa^2 overflows for kappa above about 7e153: n_opt and the simplified limits are inf
     (("kappa = 0.2", "kappa = 1e300"), "cooling-limit quantities not finite: n_opt, simplified"),
-    # (w1 + w2 + 2 delta)^2 raises OverflowError at delta = 1e200 (a Python float **)
-    (("delta = 1.0", "delta = 1e200"), "cooling-limit quantities not finite: a float overflows"),
     # kappa^2 + (delta - omega_2)^2 = kappa^2 underflows to 0, but the Lorentzian is scaled, so
     # what overflows is its value g^2/kappa ~ 2e321, not a division by zero
     (("kappa = 0.2", "kappa = 5e-324"), "cooling-limit quantities not finite: a float overflows"),
 ]
 
 
+#: the message that refuses the limits of fig2 at delta = -0.5, whose effective model is unstable
+UNSTABLE_LIMITS = "cooling limits undefined for an unstable effective model: min Re lambda = -0.00728"
+
+
 def test_cool_reports_overflowing_limits_unavailable(runner, tmp_path, monkeypatch):
-    # the eig verdict at kappa = 1e300 or |delta| = 1e200 is rounding noise that depends
-    # on the LAPACK build: patch in a stable report
+    # the eig verdict at kappa = 1e300 is rounding noise that depends on the LAPACK
+    # build, and at delta = -0.5 it is unstable: patch in a stable report
     report = steadystate.CoolingReport(n_f=np.array([1.0, 2.0]), n_cav=0.0, stable=True,
                                        spectral_abscissa=-1e-5, residual=0.0, solver="eig")
     monkeypatch.setattr(steadystate, "cool_or_flag", lambda drift: report)
-    for edit, message in LIMITS_OVERFLOW:
+    for edit, message in [*LIMITS_OVERFLOW, (("delta = 1.0", "delta = -0.5"), UNSTABLE_LIMITS)]:
         res = runner.invoke(main, ["cool", "--config",
                                    write_config(tmp_path / "far.ini", edits=[edit])])
         assert res.exit_code == 0, res.output
         payload = strict_json(res.stdout)
         assert payload["n_f"] == [1.0, 2.0] and payload["stable"]
         assert payload["limits"] == {"unavailable": message}
+
+
+def test_limits_far_detuned(runner, tmp_path):
+    # at delta = 1e200 the square of omega_1 + omega_2 + 2 delta overflows to inf, so
+    # n_opt = 4 kappa^2 / inf = 0: the full limit is the thermal nbar, and the simplified
+    # one, built on the resonant g^2/kappa, carries its note
+    cfg = write_config(tmp_path / "far.ini", edits=[("delta = 1.0", "delta = 1e200")])
+    res = runner.invoke(main, ["limits", "--config", cfg])
+    assert res.exit_code == 0, res.output
+    payload = strict_json(res.stdout)
+    assert payload["effective"]["n_opt"] == 0.0
+    assert payload["full"] == pytest.approx([1e3, 1e3], rel=1e-12)
+    assert payload["warnings"] == ["exact optical decays differ from the resonant g^2/kappa by "
+                                   "more than 20%; the simplified formula is unreliable"]
 
 
 # --- refusals: one line on stderr and one exit code per package error ------
@@ -1168,6 +1187,17 @@ REFUSALS = [
     Refusal("limits-transfer-rate-pole", "limits --config {cfg}", 1,
             "error: FloatingPointError: cooling-limit quantities not finite: a denominator is 0",
             dict(eta="0.0", theta="0.0", gamma="1e-300, 5e-324")),
+    # |xi|^2 ~ (g^2/kappa)^2 overflows: chi is inf, and so is Re lambda
+    Refusal("limits-transfer-rate-overflow", "limits --config {cfg}", 1,
+            "error: FloatingPointError: cooling-limit quantities not finite: "
+            "chi1, chi2, chi_plus, chi_minus, simplified, full, lambda",
+            dict(kappa="1e-200")),
+    # both limit formulas would report negative occupations
+    Refusal("limits-unstable-effective-model", "limits --config {cfg}", 2,
+            "config error: " + UNSTABLE_LIMITS, dict(edits=[("delta = 1.0", "delta = -0.5")])),
+    Refusal("limits-unstable-physical", "limits --config {cfg}", 2,
+            "config error: cooling limits undefined for an unstable effective model: "
+            "min Re lambda = -3.03", CONFIGS["P600"]),
     *[Refusal("limits-overflow-" + edit[1].replace(" ", ""), "limits --config {cfg}", 1,
               "error: FloatingPointError: " + message, dict(edits=[edit]))
       for edit, message in LIMITS_OVERFLOW],

@@ -1,22 +1,28 @@
 import cmath
+import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from loopcool import get_preset
 from loopcool.errors import DomainError
-from loopcool.limits import (ValidityWarning, cooling_limit_full,
-                             cooling_limit_simplified, effective_model)
+from loopcool.limits import (cooling_limit_full, cooling_limit_simplified, effective_model,
+                             validity_notes)
 from loopcool.model import Linearized, build_drift
-from loopcool.steadystate import cool
+from loopcool.presets import PRESETS
+from loopcool.steadystate import cool, cool_or_flag
+
+REGIME = "outside the validity regime omega >> kappa >> G >> gamma"
+RESONANT = ("exact optical decays differ from the resonant g^2/kappa by more than 20%; "
+            "the simplified formula is unreliable")
+MISMATCH = ("effective decays Gamma_1, Gamma_2 differ by more than 20%; "
+            "the reduced formula is unreliable")
 
 
-def quiet(fn, *args):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidityWarning)
-        return fn(*args)
+def fig2_at(delta):
+    spec = get_preset("fig2")
+    return spec.with_(drive=Linearized(delta=delta, g_lin=spec.drive.g_lin))
 
 
 def test_needs_two_modes():
@@ -101,7 +107,7 @@ def test_simplified_thermalizes_without_drive():
     spec = get_preset("fig4").with_(nbar=(40.0, 40.0),
                                     drive=Linearized(delta=1.0, g_lin=(0.0, 0.0)))
     eff = effective_model(spec)
-    n1, n2 = quiet(cooling_limit_simplified, eff, spec)
+    n1, n2 = cooling_limit_simplified(eff, spec)
     assert n1 == pytest.approx(40.0, rel=1e-6)
     assert n2 == pytest.approx(40.0, rel=1e-6)
 
@@ -137,19 +143,70 @@ def test_limit_plateau_without_exchange():
     # eta = 0: the dark mode pins both formulas near nbar/2 despite the drive
     spec = get_preset("fig4").with_(eta=(0.0,), theta=(0.0,))
     eff = effective_model(spec)
-    n1, n2 = quiet(cooling_limit_simplified, eff, spec)
+    n1, n2 = cooling_limit_simplified(eff, spec)
     assert n1 + n2 > 0.9 * spec.nbar[0]
 
 
 def test_gamma_mismatch_warning():
     spec = get_preset("fig4").with_(drive=Linearized(delta=1.0, g_lin=(0.05, 0.01)))
     eff = effective_model(spec)
-    with pytest.warns(ValidityWarning, match="Gamma"):
-        cooling_limit_full(eff, spec)
+    assert MISMATCH in validity_notes(eff, spec, full=True)
+    assert MISMATCH not in validity_notes(eff, spec, full=False)  # a note of the full formula
 
 
 def test_regime_warning():
     spec = get_preset("fig4").with_(kappa=2.0)
     eff = effective_model(spec)
-    with pytest.warns(ValidityWarning, match="validity regime"):
-        cooling_limit_simplified(eff, spec)
+    for full in (False, True):
+        assert REGIME in validity_notes(eff, spec, full)
+
+
+def test_presets_carry_no_note():
+    for spec in map(get_preset, PRESETS):
+        if spec.n_mech == 2:
+            assert validity_notes(effective_model(spec), spec, full=True) == []
+
+
+@pytest.mark.parametrize("decays, noted", [
+    ((-0.00601, -0.00601), False),  # equal and negative: fig2 at delta = -0.5
+    ((0.01, 0.01), False),
+    ((0.01, 0.0081), False),  # 19% apart
+    ((0.01, 0.007), True),  # 30% apart
+    ((-0.01, -0.007), True),
+])
+def test_mismatch_note_compares_magnitudes(decays, noted):
+    spec = get_preset("fig2")
+    eff = dataclasses.replace(effective_model(spec), gamma_eff=decays)
+    notes = validity_notes(eff, spec, full=True)
+    assert (MISMATCH in notes) == noted
+    assert not any("%%" in note for note in notes)
+
+
+@pytest.mark.parametrize("delta, noted", [(1.0, False), (1.2, True), (2.0, True), (5.0, True)])
+def test_resonant_note_off_resonance(delta, noted):
+    # the simplified formula takes Gamma_opt = g^2/kappa: on fig2 it gives n_1 = 0.206 at
+    # delta = 2, where the steady state is 6.06
+    spec = fig2_at(delta)
+    eff = effective_model(spec)
+    assert validity_notes(eff, spec, full=False) == ([RESONANT] if noted else [])
+    exact = cool(build_drift(spec)).n_f
+    simplified = cooling_limit_simplified(eff, spec)
+    assert (abs(simplified[0] - exact[0]) > 0.2 * exact[0]) == noted
+
+
+def test_notes_are_sorted():
+    spec = get_preset("fig2").with_(kappa=2.0, drive=Linearized(delta=2.0, g_lin=(0.1, 0.02)))
+    notes = validity_notes(effective_model(spec), spec, full=True)
+    assert notes == [MISMATCH, RESONANT, REGIME] == sorted(notes)
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.3, 0.0, -0.2, -0.5, -2.0])
+def test_effective_stability_matches_the_full_verdict(delta):
+    spec = fig2_at(delta)
+    eff = effective_model(spec)
+    stable = min(eff.lambda1.real, eff.lambda2.real) > 0
+    assert stable == cool_or_flag(build_drift(spec)).stable
+    if not stable:  # the limits of an unstable model would be negative occupations
+        for formula in (cooling_limit_simplified, cooling_limit_full):
+            with pytest.raises(DomainError, match="unstable effective model"):
+                formula(eff, spec)
