@@ -15,7 +15,8 @@ import numpy as np
 
 from . import __version__, limits, modes, spectra, steadystate
 from .config import parse_spec, spec_to_dict
-from .errors import ConfigError, DomainError, InvalidSpec, LoopcoolError, Unstable
+from .errors import (ConfigError, DomainError, InvalidSpec, LoopcoolError, Unstable,
+                     require_finite)
 from .model import (SPEC_FIELDS, CouplingApprox, Linearized, Physical, build_drift, drift_stack,
                     linearize, param_table, set_param)
 from .presets import get_preset
@@ -139,24 +140,22 @@ def _limits_report(spec, full):
     reported effective-model quantities, the simplified limit formula and, if
     full, the full one, keyed as the reports name them, and their notes.  A
     non-finite quantity, eigenvalue or limit (4 kappa^2 overflows above kappa ~
-    7e153, |xi|^2 below kappa ~ 1e-160), an OverflowError (a Lorentzian above the
-    float range at kappa = 5e-324) or a denominator that rounds to 0 (a
-    transfer-rate pole at eta = 0, gamma ~ 1e-300) is a FloatingPointError."""
+    7e153, |xi|^2 below kappa ~ 1e-160, a Lorentzian at kappa = 5e-324) or a
+    denominator that rounds to 0 (a transfer-rate pole at eta = 0, gamma ~
+    1e-300) is a FloatingPointError."""
     try:
         eff = limits.effective_model(spec)
         found = {"simplified": limits.cooling_limit_simplified(eff, spec)}
         if full:
             found["full"] = limits.cooling_limit_full(eff, spec)
-    except OverflowError:
-        raise FloatingPointError("cooling-limit quantities not finite: a float overflows")
     except ZeroDivisionError:
+        # a Python float quotient by 0; were it inf instead, the pole's effective model
+        # would read min Re lambda = 0 and be refused as unstable, a config error
         raise FloatingPointError("cooling-limit quantities not finite: a denominator is 0")
     effective = {name: getattr(eff, name) for name in (
         "xi1", "xi2", "gamma_eff", "omega_eff", "chi1", "chi2", "chi_plus", "chi_minus", "n_opt")}
     checked = {**effective, **found, "lambda": (eff.lambda1, eff.lambda2)}
-    bad = [name for name, value in checked.items() if not np.isfinite(value).all()]
-    if bad:
-        raise FloatingPointError("cooling-limit quantities not finite: %s" % ", ".join(bad))
+    require_finite("cooling-limit quantities", **checked)
     return effective, found, limits.validity_notes(eff, spec, full)
 
 
@@ -168,15 +167,7 @@ def cool(spec, approx):
     given, spec = _given_and_linearized(spec)
     drift = build_drift(spec, approx)
     report = steadystate.cool_or_flag(drift)
-    payload = {
-        "spec": given,
-        "n_f": report.n_f,
-        "n_cav": report.n_cav,
-        "stable": report.stable,
-        "spectral_abscissa": report.spectral_abscissa,
-        "residual": report.residual,
-        "provenance": _provenance(approx),
-    }
+    payload = {"spec": given, **vars(report), "provenance": _provenance(approx)}
     if spec.n_mech == 2 and report.stable:
         try:
             _, found, notes = _limits_report(spec, full=False)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule that names a
+numerical failure: require_finite."""
+
+import numpy as np
 
 
 class LoopcoolError(Exception):
@@ -28,10 +31,6 @@ class InvalidSpec(LoopcoolError):
 class Unstable(LoopcoolError):
     """Drift matrix is not Hurwitz; no steady state exists."""
 
-    def __init__(self, msg, abscissa=None):
-        super().__init__(msg)
-        self.abscissa = abscissa
-
 
 class ShapeMismatch(LoopcoolError):
     """Array shape inconsistent with the declared mode count."""
@@ -43,3 +42,11 @@ class DomainError(LoopcoolError):
 
 class ConfigError(LoopcoolError):
     """Malformed configuration file or parameter path."""
+
+
+def require_finite(what, **values):
+    """Raise FloatingPointError("<what> not finite: <names>"), naming in order each
+    of values (a number or an array of them) that holds a NaN or an infinity."""
+    bad = [name for name, value in values.items() if not np.isfinite(value).all()]
+    if bad:
+        raise FloatingPointError("%s not finite: %s" % (what, ", ".join(bad)))

@@ -59,12 +59,13 @@ def _lorentzian(gg, k, x):
     """(gg k, gg x) / (k k + x x), with k and x first scaled by the power of two
     that brings the larger into [0.5, 1) and the quotients scaled back: the plain
     quotients bit for bit where every step is a normal float, and no sum that
-    underflows to 0 or overflows; a quotient too large for a float raises
-    OverflowError."""
+    underflows to 0 or overflows.  The scaling back is np.ldexp's, exact as
+    math.ldexp's, so a quotient too large for a float is inf, with no warning."""
     e = math.frexp(max(k, abs(x)))[1]
     ks, xs = math.ldexp(k, -e), math.ldexp(x, -e)
     den = ks * ks + xs * xs
-    return math.ldexp(gg * ks / den, -e), math.ldexp(gg * xs / den, -e)
+    with np.errstate(over="ignore"):
+        return np.ldexp([gg * ks / den, gg * xs / den], -e).tolist()
 
 
 def effective_model(spec):
@@ -97,8 +98,8 @@ def effective_model(spec):
         spec, gamma_opt, xi1, xi2, n_opt)
     gg = gamma_eff[0] + gamma_eff[1]
 
-    u = cmath.sqrt(4.0 * xi1 * xi2
-                   + (gamma_eff[0] - gamma_eff[1] + 1j * (omega_eff[0] - omega_eff[1])) ** 2)
+    split = gamma_eff[0] - gamma_eff[1] + 1j * (omega_eff[0] - omega_eff[1])
+    u = cmath.sqrt(4.0 * xi1 * xi2 + split * split)  # a product: a complex ** raises OverflowError
     trace_half = 0.5 * (gg + 1j * (omega_eff[0] + omega_eff[1]))
     lam1 = trace_half - 0.5 * u
     lam2 = trace_half + 0.5 * u

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, require_finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -241,8 +241,7 @@ def fixed_point_stack(table):
         s = 2.0 * np.einsum("ij,ij->i", g, c.real)
         companion[:, 0] = np.column_stack([delta_c, -k2,
                                            delta_c * k2 + s * np.abs(table["omega_amp"]) ** 2])
-    if not np.isfinite(companion).all():
-        raise FloatingPointError("classical fixed point not finite: its cubic overflows")
+    require_finite("classical fixed point", cubic=companion)
     roots = np.linalg.eigvals(companion)
     real = roots.imag == 0.0  # LAPACK gives a real eigenvalue an exact 0 imag
     pick = np.argmax(np.where(real, np.abs(roots.real), -1.0), axis=-1)
@@ -251,8 +250,7 @@ def fixed_point_stack(table):
         alpha = -1j * table["omega_amp"].conj() / (kappa + 1j * delta)
         amplitude = np.abs(alpha)[:, None]
         beta, g_lin = c * amplitude ** 2, g * amplitude
-    if not (np.isfinite(beta).all() and np.isfinite(g_lin).all()):
-        raise FloatingPointError("classical fixed point not finite: its amplitudes overflow")
+    require_finite("classical fixed point", beta=beta, g_lin=g_lin)
     return ClassicalSteadyState(alpha=alpha, beta=beta, delta_eff=delta, g_lin=g_lin,
                                 fixed_points=real.sum(axis=-1))
 
@@ -283,15 +281,14 @@ def drift_stack(table, approx=CouplingApprox()):
     The one drift builder: each is (size, 2N+2, 2N+2), row k built from row k
     of every table field, so a row does not depend on the rest of the batch.
     A Physical drive's rows are linearized here, each at its own classical
-    fixed point (fixed_point_stack).  Raises FloatingPointError, with no
-    RuntimeWarning, if a number overflows in building them, so neither stack
-    has a non-finite entry.  Each drift entry is one of the table's numbers, or
-    a hop eta e^{i theta}, times 0, +-1 or +-i, so only the noise matrix can
+    fixed point (fixed_point_stack), whose own refusal passes through as it
+    is.  Each drift entry is one of the table's numbers, or a hop
+    eta e^{i theta}, times 0, +-1 or +-i, so only the noise matrix can
     overflow (a finite but huge rate, such as kappa = 1e308, makes 2 kappa
-    infinite), and its error says so: "overflow in the noise matrix: ...".
-    A fixed point's own refusal passes through as it is.
+    infinite): the stacks are built with no RuntimeWarning and Q is checked
+    once, "noise matrix not finite: Q" (FloatingPointError).
     """
-    with np.errstate(over="raise", invalid="raise"):
+    with np.errstate(over="ignore", invalid="ignore"):  # Q is refused below if not finite
         if "g_single" in table:
             st = fixed_point_stack(table)
             table = {**table, "delta": st.delta_eff, "g_lin": st.g_lin}
@@ -315,10 +312,9 @@ def drift_stack(table, approx=CouplingApprox()):
             y[:, 1:, 1:] = -1j * (up + up.swapaxes(-1, -2))
         np.conjugate(y, out=a[:, dim:, :dim])
         np.conjugate(x, out=a[:, dim:, dim:])
-        try:
-            return a, noise_stack(table)
-        except FloatingPointError as err:
-            raise FloatingPointError("overflow in the noise matrix: %s" % err) from None
+        q = noise_stack(table)
+    require_finite("noise matrix", Q=q)
+    return a, q
 
 
 def _diagonal(stack, row, col, length):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .model import mechanical_matrix
 
 #: a mode counts as dark when |coupling| <= DARK_TOL * max coupling strength
@@ -132,9 +132,7 @@ def hybrid_transform(spec):
     found = HybridModes(
         omega_tilde_plus=wt_plus, omega_tilde_minus=wt_minus, f=f, h=h,
         g_tilde_plus=g_plus, g_tilde_minus=g_minus, darkness=darkness)
-    bad = [name for name, value in vars(found).items() if not cmath.isfinite(value)]
-    if bad:
-        raise FloatingPointError("hybrid-mode quantities not finite: %s" % ", ".join(bad))
+    require_finite("hybrid-mode quantities", **vars(found))
     return found
 
 
@@ -212,8 +210,7 @@ def _aligned_eigh(matrix, direction):
     1e-8 of the matrix norm), the price of an aligned dark state.
     """
     vals, vecs = np.linalg.eigh(matrix)
-    if not np.isfinite(vals).all():
-        raise FloatingPointError("eigenvalues not finite: the matrix's norm overflows")
+    require_finite("eigenvalues", eigh=vals)  # the matrix's norm overflows
     overlap = direction.conj() @ vecs
     cut = np.diff(vals / np.abs(vals).max()) > 1e-8
     for cols in np.split(np.arange(len(vals)), np.flatnonzero(cut) + 1):

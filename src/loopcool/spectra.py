@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatch, SingularMatrix
+from .errors import DomainError, ShapeMismatch, SingularMatrix, require_finite
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,7 @@ class Cooperativities:
         if self.c1 * self.c2 == 0.0:  # two subnormal cooperativities: a numerical failure
             raise FloatingPointError("pi_ratio = C3/(C1*C2): C1*C2 underflows to 0")
         pi = self.c3 / (self.c1 * self.c2)
-        if not math.isfinite(pi):
-            raise FloatingPointError("pi_ratio = C3/(C1*C2) not finite")
+        require_finite("cooperativities", pi_ratio=pi)
         return pi
 
     @classmethod
@@ -47,9 +46,7 @@ class Cooperativities:
         # to 0 at rates ~ 1e-300, and a float ** raises OverflowError
         c1, c2 = ((g[j] / spec.gamma[j]) * (g[j] / spec.kappa) for j in (0, 1))
         c3 = (spec.eta[0] / spec.gamma[0]) * (spec.eta[0] / spec.gamma[1])
-        bad = [name for name, c in (("C1", c1), ("C2", c2), ("C3", c3)) if not math.isfinite(c)]
-        if bad:
-            raise FloatingPointError("cooperativities not finite: %s" % ", ".join(bad))
+        require_finite("cooperativities", C1=c1, C2=c2, C3=c3)
         return cls(c1=c1, c2=c2, c3=c3)
 
 
@@ -150,7 +147,5 @@ def scan_point(drift, omega, coop=None):
         u = scattering_matrix(drift, omega)
         t = transmittances(u, drift.spec.n_mech)
         lam = (t - np.swapaxes(t, -1, -2)) / t_max(coop)
-    bad = [name for name, x in (("T", t), ("Lambda", lam)) if not np.isfinite(x).all()]
-    if bad:
-        raise FloatingPointError("scattering quantities not finite: %s" % ", ".join(bad))
+    require_finite("scattering quantities", T=t, Lambda=lam)
     return ScatteringPoint(omega=omega, u=u, t=t, lambda_rel=lam)

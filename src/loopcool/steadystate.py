@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, ShapeMismatch, Unstable
+from .errors import NoConvergence, ShapeMismatch, Unstable, require_finite
 
 #: spectral abscissas at or above this are unstable; closer to zero the
 #: steady state is too ill-conditioned to report
@@ -59,8 +59,7 @@ class CoolingReport:
 
 def unstable(abscissa):
     """The Unstable error for a drift with this spectral abscissa."""
-    return Unstable("spectral abscissa %.3e >= %.0e" % (abscissa, STABILITY_MARGIN),
-                    abscissa=abscissa)
+    return Unstable("spectral abscissa %.3e >= %.0e" % (abscissa, STABILITY_MARGIN))
 
 
 def _eig(a):
@@ -171,7 +170,7 @@ def cool_many(a, q):
     n_cav, stable, spectral_abscissa, residual (G,), and solver, an object
     array of "eig", "schur" or None.  Unstable drifts get NaN occupations and
     residual and no solver.  A stable drift whose occupations are not finite
-    (its V overflows) is a numerical failure: FloatingPointError.
+    (its V overflows) is a numerical failure, named by require_finite.
     """
     a = np.asarray(a).astype(complex, copy=False)
     size, n_mech = len(a), a.shape[-1] // 2 - 1
@@ -184,8 +183,7 @@ def cool_many(a, q):
     if k.size:
         v, batch.residual[k], batch.solver[k] = _solve(a[k], q[k], lam[k], w[k])
         batch.n_f[k], batch.n_cav[k] = _occupations(v, n_mech)
-        if not (np.isfinite(batch.n_f[k]).all() and np.isfinite(batch.n_cav[k]).all()):
-            raise FloatingPointError("steady-state occupations not finite at a stable point")
+        require_finite("steady-state occupations", n_f=batch.n_f[k], n_cav=batch.n_cav[k])
     return batch
 
 

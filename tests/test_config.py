@@ -10,7 +10,8 @@ import pytest
 
 from loopcool.config import parse_spec, spec_to_dict
 from loopcool.errors import ConfigError
-from loopcool.model import DRIVE_FIELDS, PHYSICAL_FIELDS, SPEC_FIELDS, Linearized, SystemSpec
+from loopcool.model import (DRIVE_FIELDS, PHYSICAL_FIELDS, SPEC_FIELDS, Linearized, Physical,
+                            SystemSpec)
 
 DRIVES = {"linearized": DRIVE_FIELDS, "physical": PHYSICAL_FIELDS}
 #: (section, name, k) of every declared number; a list has N - k entries
@@ -94,13 +95,18 @@ def test_one_mode_link_list_may_be_omitted_or_empty(tmp_path, section, name, k, 
 @pytest.mark.parametrize("make", [tuple, list, np.array, lambda v: tuple(int(x) for x in v)],
                          ids=["tuple", "list", "array", "ints"])
 def test_spec_stores_lists_as_tuples_of_floats(make):
+    # and a drive its lists as tuples of floats, and a physical drive's amplitude as complex
     n = 3
     lists = {name: make([1 + j for j in range(n - k)])
              for name, k in SPEC_FIELDS.items() if k is not None}
-    spec = SystemSpec(n_mech=n, kappa=1, drive=Linearized(delta=1.0, g_lin=(0.1,) * n), **lists)
-    assert spec.kappa == 1 and type(spec.kappa) is int
-    for name, k in SPEC_FIELDS.items():
-        if k is not None:
-            value = getattr(spec, name)
-            assert type(value) is tuple and all(type(x) is float for x in value), name
-            assert value == tuple(float(1 + j) for j in range(n - k)), name
+    for drive in (Linearized(delta=1.0, g_lin=make([1, 2, 3])),
+                  Physical(delta_c=1.0, omega_amp=make([2])[0], g_single=make([1, 2, 3]))):
+        spec = SystemSpec(n_mech=n, kappa=1, drive=drive, **lists)
+        assert spec.kappa == 1 and type(spec.kappa) is int
+        for owner, fields in ((spec, SPEC_FIELDS), (drive, drive.FIELDS)):
+            for name, k in fields.items():
+                if k is not None:
+                    value = getattr(owner, name)
+                    assert type(value) is tuple and all(type(x) is float for x in value), name
+                    assert value == tuple(float(1 + j) for j in range(n - k)), name
+    assert type(drive.omega_amp) is complex and drive.omega_amp == 2

@@ -29,11 +29,22 @@ def test_integrate_blowup():
 
 
 def test_integrate_blowup_long_time_no_overflow():
-    # 1e8 steps: the powered step map must trip the limit before it overflows
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(BlowUp):
-            kernels.rk4_lyapunov_flow(np.eye(2), np.eye(2), np.eye(2), 1e6, 0.01)
+    # 1e8 steps: the powered step map must trip the limit before it overflows; and
+    # dt A = 1e200: the generator itself is refused, before a product overflows
+    for a, t_end in ((np.eye(2), 1e6), (1e202 * np.eye(2), 1.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUp):
+                kernels.rk4_lyapunov_flow(a, np.eye(2), np.eye(2), t_end, 0.01)
+
+
+@pytest.mark.parametrize("t_end", [0.0, 1.0])
+def test_integrate_real_inputs_give_their_complex_copies_bits(t_end):
+    a, q, x0 = -np.eye(3) + 0.1 * np.tri(3), np.eye(3), np.ones((3, 3))
+    x = kernels.rk4_lyapunov_flow(a, q, x0, t_end, 0.01)
+    ref = kernels.rk4_lyapunov_flow(a.astype(complex), q.astype(complex), x0.astype(complex),
+                                    t_end, 0.01)
+    assert x.dtype == ref.dtype == np.complex128 and np.array_equal(x, ref)
 
 
 def test_integrate_lift_cap():
@@ -99,8 +110,9 @@ def test_integrate_matches_per_step_rk4(n_steps):
     x = _close_to_per_step(a, q, x0, n_steps)
     if n_steps == 0:
         assert np.array_equal(x, x0)
-        # t_end below half a step also rounds to no step
-        assert np.array_equal(kernels.rk4_lyapunov_flow(a, q, x0, 0.004, 0.01), x0)
+        # t_end below half a step also rounds to no step, and so does a negative one
+        for t_end in (0.004, -1.0):
+            assert np.array_equal(kernels.rk4_lyapunov_flow(a, q, x0, t_end, 0.01), x0)
 
 
 def test_determinism():

@@ -58,6 +58,9 @@ def test_bright_dark_rejects_exchange():
         bright_dark(get_preset("fig2"))
     with pytest.raises(DomainError):
         bright_dark(get_preset("figS10"))
+    # a chain without exchange is refused for its length, not by unpacking its couplings
+    with pytest.raises(DomainError, match="^bright/dark decomposition needs n_mech = 2$"):
+        bright_dark(chain(3, eta=0.0))
 
 
 # --- hybrid modes -------------------------------------------------------
@@ -142,7 +145,7 @@ def test_hybrid_names_what_is_not_finite():
                        match="^hybrid-mode quantities not finite: omega_tilde_plus$"):
         hybrid_transform(spec)
     # a chain's frequencies 1 +- sqrt(2) eta truly overflow
-    with pytest.raises(FloatingPointError, match="^eigenvalues not finite: "):
+    with pytest.raises(FloatingPointError, match="^eigenvalues not finite: eigh$"):
         normal_modes(get_preset("figS10").with_(eta=(1.7e308, 1.7e308)))
 
 
@@ -357,6 +360,16 @@ def test_lambda_quarter_phase_roots():
         assert min(abs(lam - e) for e in expect) <= 1e-10
     izero = int(np.argmin(np.abs(res.lambdas)))
     assert res.p_e[izero] == pytest.approx(eta * eta / (2 + eta * eta))
+
+
+@pytest.mark.parametrize("eta", [0.05, 1.0, 3.0])
+def test_lambda_least_root_at_float_quarter_phase(eta):
+    # at theta = pi/2 as a float, cos(theta) = 6.1e-17 leaves a root of ~ 1e-17, below
+    # eigh's eps ||M||: eigh alone misses it by 112-369%, Vieta's det M over the other two
+    # roots keeps it to full precision (checked against a 60-digit solve)
+    res = lambda_eigensystem(lam_sys(eta, math.pi / 2))
+    expect = min(_cardano_roots(eta, math.pi / 2)[0], key=abs)
+    assert min(res.lambdas, key=abs) == pytest.approx(expect, rel=1e-14, abs=0.0)
 
 
 def test_lambda_degenerate_subspace_dark_found():

@@ -361,6 +361,17 @@ def test_batch_equals_batches_of_one():
                                                and math.isnan(batch.n_cav[i]))
 
 
+def test_real_stacks_give_the_bits_of_their_complex_copies():
+    # two real stable drifts (n_mech = 1), one with real and one with complex eigenvalues
+    a = np.stack([-np.eye(4) + 0.3 * np.tri(4, k=-1), -0.5 * np.eye(4) + np.diag([1.0, 0, 1.0], 1)
+                  - np.diag([1.0, 0, 1.0], -1)])
+    q = np.stack([np.eye(4)[::-1]] * 2)
+    real, ref = cool_many(a, q), cool_many(a.astype(complex), q)
+    assert real.stable.all()
+    for name, value in vars(ref).items():
+        assert np.array_equal(getattr(real, name), value), name
+
+
 def _random_chain(rng):
     """A linearized chain of 2 to 5 resonators; with the optomechanical
     counter-rotating terms kept, about a third are unstable."""
