@@ -31,6 +31,10 @@ class InvalidSpec(LoopcoolError):
 class Unstable(LoopcoolError):
     """Drift matrix is not Hurwitz; no steady state exists."""
 
+    def __init__(self, msg, abscissa=None):
+        super().__init__(msg)
+        self.abscissa = abscissa
+
 
 class ShapeMismatch(LoopcoolError):
     """Array shape inconsistent with the declared mode count."""

@@ -288,30 +288,30 @@ def drift_stack(table, approx=CouplingApprox()):
     infinite): the stacks are built with no RuntimeWarning and Q is checked
     once, "noise matrix not finite: Q" (FloatingPointError).
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # Q is refused below if not finite
-        if "g_single" in table:
-            st = fixed_point_stack(table)
-            table = {**table, "delta": st.delta_eff, "g_lin": st.g_lin}
-        h = mechanical_stack(table)
-        size, n, _ = h.shape
-        dim = n + 1
-        g = -1j * table["g_lin"]
-        a = np.zeros((size, 2 * dim, 2 * dim), complex)
-        x = a[:, :dim, :dim]  # annihilation block
-        y = a[:, :dim, dim:]  # cross block to daggered operators
-        x[:, 0, 0] = -(table["kappa"] + 1j * table["delta"])
-        x[:, 0, 1:] = x[:, 1:, 0] = g  # G_j is real
-        mech = -1j * h
-        mech.reshape(size, n * n)[:, ::n + 1] -= table["gamma"]  # -i H - diag(gamma)
-        x[:, 1:, 1:] = mech
-        if approx.optomechanical == FULL:
-            y[:, 0, 1:] = y[:, 1:, 0] = g
-        if approx.mechanical == FULL:
-            # counter-rotating part of eta (e^{i th} b_j^+ + e^{-i th} b_j)(b_{j+1} + b_{j+1}^+)
-            up = np.triu(h, 1)
-            y[:, 1:, 1:] = -1j * (up + up.swapaxes(-1, -2))
-        np.conjugate(y, out=a[:, dim:, :dim])
-        np.conjugate(x, out=a[:, dim:, dim:])
+    if "g_single" in table:
+        st = fixed_point_stack(table)
+        table = {**table, "delta": st.delta_eff, "g_lin": st.g_lin}
+    h = mechanical_stack(table)
+    size, n, _ = h.shape
+    dim = n + 1
+    g = -1j * table["g_lin"]
+    a = np.zeros((size, 2 * dim, 2 * dim), complex)
+    x = a[:, :dim, :dim]  # annihilation block
+    y = a[:, :dim, dim:]  # cross block to daggered operators
+    x[:, 0, 0] = -(table["kappa"] + 1j * table["delta"])
+    x[:, 0, 1:] = x[:, 1:, 0] = g  # G_j is real
+    mech = -1j * h
+    mech.reshape(size, n * n)[:, ::n + 1] -= table["gamma"]  # -i H - diag(gamma)
+    x[:, 1:, 1:] = mech
+    if approx.optomechanical == FULL:
+        y[:, 0, 1:] = y[:, 1:, 0] = g
+    if approx.mechanical == FULL:
+        # counter-rotating part of eta (e^{i th} b_j^+ + e^{-i th} b_j)(b_{j+1} + b_{j+1}^+)
+        up = np.triu(h, 1)
+        y[:, 1:, 1:] = -1j * (up + up.swapaxes(-1, -2))
+    np.conjugate(y, out=a[:, dim:, :dim])
+    np.conjugate(x, out=a[:, dim:, dim:])
+    with np.errstate(over="ignore"):  # refused below, with no RuntimeWarning
         q = noise_stack(table)
     require_finite("noise matrix", Q=q)
     return a, q

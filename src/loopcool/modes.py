@@ -210,7 +210,7 @@ def _aligned_eigh(matrix, direction):
     1e-8 of the matrix norm), the price of an aligned dark state.
     """
     vals, vecs = np.linalg.eigh(matrix)
-    require_finite("eigenvalues", eigh=vals)  # the matrix's norm overflows
+    require_finite("eigensystem", eigenvalues=vals)  # the matrix's norm overflows
     overlap = direction.conj() @ vecs
     cut = np.diff(vals / np.abs(vals).max()) > 1e-8
     for cols in np.split(np.arange(len(vals)), np.flatnonzero(cut) + 1):

@@ -59,7 +59,8 @@ class CoolingReport:
 
 def unstable(abscissa):
     """The Unstable error for a drift with this spectral abscissa."""
-    return Unstable("spectral abscissa %.3e >= %.0e" % (abscissa, STABILITY_MARGIN))
+    return Unstable("spectral abscissa %.3e >= %.0e" % (abscissa, STABILITY_MARGIN),
+                    abscissa=abscissa)
 
 
 def _eig(a):

@@ -145,7 +145,7 @@ def test_hybrid_names_what_is_not_finite():
                        match="^hybrid-mode quantities not finite: omega_tilde_plus$"):
         hybrid_transform(spec)
     # a chain's frequencies 1 +- sqrt(2) eta truly overflow
-    with pytest.raises(FloatingPointError, match="^eigenvalues not finite: eigh$"):
+    with pytest.raises(FloatingPointError, match="^eigensystem not finite: eigenvalues$"):
         normal_modes(get_preset("figS10").with_(eta=(1.7e308, 1.7e308)))
 
 
@@ -362,14 +362,20 @@ def test_lambda_quarter_phase_roots():
     assert res.p_e[izero] == pytest.approx(eta * eta / (2 + eta * eta))
 
 
-@pytest.mark.parametrize("eta", [0.05, 1.0, 3.0])
+#: eta -> the least root of M at theta = pi/2 as a float, from a 60-digit eigensolve
+#: (mpmath, dps = 60) rounded to a float
+LEAST_ROOT_QUARTER_PHASE = {0.05: -3.0577947544253512e-18, 1.0: -4.082155997157844e-17,
+                            3.0: -3.339945815856418e-17}
+
+
+@pytest.mark.parametrize("eta", sorted(LEAST_ROOT_QUARTER_PHASE))
 def test_lambda_least_root_at_float_quarter_phase(eta):
     # at theta = pi/2 as a float, cos(theta) = 6.1e-17 leaves a root of ~ 1e-17, below
     # eigh's eps ||M||: eigh alone misses it by 112-369%, Vieta's det M over the other two
-    # roots keeps it to full precision (checked against a 60-digit solve)
+    # roots keeps it to full precision
     res = lambda_eigensystem(lam_sys(eta, math.pi / 2))
-    expect = min(_cardano_roots(eta, math.pi / 2)[0], key=abs)
-    assert min(res.lambdas, key=abs) == pytest.approx(expect, rel=1e-14, abs=0.0)
+    assert min(res.lambdas, key=abs) == pytest.approx(LEAST_ROOT_QUARTER_PHASE[eta],
+                                                      rel=1e-14, abs=0.0)
 
 
 def test_lambda_degenerate_subspace_dark_found():

@@ -56,6 +56,13 @@ def test_lyapunov_rejects_near_singular():
         lyapunov_solve(manual_drift(np.diag([-1.0, -1e-14]), np.eye(2)))
 
 
+def test_unstable_carries_its_abscissa():
+    d = manual_drift(np.diag([-1.0, 0.5]), np.eye(2))
+    with pytest.raises(Unstable) as err:
+        lyapunov_solve(d)
+    assert err.value.abscissa == stability_check(d)[1] == 0.5
+
+
 def test_lyapunov_require_stable_false():
     d = manual_drift(np.diag([1.0]), np.diag([2.0]))
     v = lyapunov_solve(d, require_stable=False)
