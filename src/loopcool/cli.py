@@ -15,8 +15,7 @@ import numpy as np
 
 from . import __version__, limits, modes, spectra, steadystate
 from .config import parse_spec, spec_to_dict
-from .errors import (ConfigError, DomainError, InvalidSpec, LoopcoolError, Unstable,
-                     require_finite)
+from .errors import ConfigError, DomainError, InvalidSpec, LoopcoolError, Unstable
 from .model import (SPEC_FIELDS, CouplingApprox, Linearized, Physical, build_drift, drift_stack,
                     linearize, param_table, set_param)
 from .presets import get_preset
@@ -135,30 +134,6 @@ def main():
     """Steady-state cooling and nonreciprocal phonon transport calculations."""
 
 
-def _limits_report(spec, full):
-    """(effective quantities, limits, validity notes) of a two-mode spec: the
-    reported effective-model quantities, the simplified limit formula and, if
-    full, the full one, keyed as the reports name them, and their notes.  A
-    non-finite quantity, eigenvalue or limit (4 kappa^2 overflows above kappa ~
-    7e153, |xi|^2 below kappa ~ 1e-160, a Lorentzian at kappa = 5e-324) or a
-    denominator that rounds to 0 (a transfer-rate pole at eta = 0, gamma ~
-    1e-300) is a FloatingPointError."""
-    try:
-        eff = limits.effective_model(spec)
-        found = {"simplified": limits.cooling_limit_simplified(eff, spec)}
-        if full:
-            found["full"] = limits.cooling_limit_full(eff, spec)
-    except ZeroDivisionError:
-        # a Python float quotient by 0; were it inf instead, the pole's effective model
-        # would read min Re lambda = 0 and be refused as unstable, a config error
-        raise FloatingPointError("cooling-limit quantities not finite: a denominator is 0")
-    effective = {name: getattr(eff, name) for name in (
-        "xi1", "xi2", "gamma_eff", "omega_eff", "chi1", "chi2", "chi_plus", "chi_minus", "n_opt")}
-    checked = {**effective, **found, "lambda": (eff.lambda1, eff.lambda2)}
-    require_finite("cooling-limit quantities", **checked)
-    return effective, found, limits.validity_notes(eff, spec, full)
-
-
 @main.command()
 @_spec_options
 @_approx_options
@@ -170,7 +145,7 @@ def cool(spec, approx):
     payload = {"spec": given, **vars(report), "provenance": _provenance(approx)}
     if spec.n_mech == 2 and report.stable:
         try:
-            _, found, notes = _limits_report(spec, full=False)
+            _, found, notes = limits.report(spec, full=False)
         except (DomainError, ArithmeticError) as exc:  # the steady state stands without its limit
             payload["limits"] = {"unavailable": str(exc)}
         else:
@@ -428,7 +403,7 @@ def limits_cmd(spec):
     if spec.n_mech != 2:
         raise ConfigError("cooling limits are defined for n_mech = 2")
     given, spec = _given_and_linearized(spec)
-    effective, found, notes = _limits_report(spec, full=True)
+    effective, found, notes = limits.report(spec, full=True)
     _emit_json({
         "spec": given,
         "effective": effective,

@@ -5,6 +5,8 @@ mechanical modes with optically induced decay gamma_opt, frequency shifts
 omega_opt, and complex exchange couplings xi_1, xi_2.  Two limit formulas are
 provided: the lambda-resolved "full" form (valid for Gamma_1 ~ Gamma_2) and
 the simplified transfer-rate form built on the resonant approximations.
+Both refuse an effective model that is unstable by the engine's one margin,
+steadystate.STABILITY_MARGIN; `report` is what the commands print of them.
 """
 
 import cmath
@@ -13,8 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .model import mechanical_matrix
+from .steadystate import STABILITY_MARGIN
+
+#: (this mode, the other mode): the full limit's per-mode formula is one expression over both
+PAIRS = ((0, 1), (1, 0))
 
 
 @dataclass
@@ -38,21 +44,21 @@ class EffectiveTwoMode:
     gamma_opt_res: tuple = (0.0, 0.0)
 
 
-def _transfer_rates(spec, gamma_opt, xi1, xi2, n_opt):
-    """Gamma_eff, the transfer rates chi_1, chi_2, chi_+, chi_- and n_chi1, n_chi2.
+def _transfer_rates(spec, gamma_opt, xi1, xi2):
+    """Gamma_eff and the transfer rates chi_1, chi_2, chi_+, chi_-.
 
     effective_model passes the exact-Lorentzian xi, cooling_limit_simplified
-    the resonant ones.
+    the resonant ones.  Gamma_1 + Gamma_2 divides as a numpy float: where it is
+    0 the rates are inf or NaN, with no warning and no ZeroDivisionError.
     """
     gamma_eff = (spec.gamma[0] + gamma_opt[0], spec.gamma[1] + gamma_opt[1])
-    gg = gamma_eff[0] + gamma_eff[1]
-    chi1, chi2 = (abs(xi) * abs(xi) / gg for xi in (xi1, xi2))
-    re_part = (xi1 * xi2 / gg).real
-    chi_plus = -math.sqrt(chi1 * chi2) - re_part
-    chi_minus = math.sqrt(chi1 * chi2) - re_part
-    n_chi1 = 2.0 * (spec.gamma[1] * spec.nbar[1] + gamma_opt[1] * n_opt) / (gg + 2.0 * chi_plus)
-    n_chi2 = 2.0 * (spec.gamma[0] * spec.nbar[0] + gamma_opt[0] * n_opt) / (gg + 2.0 * chi_plus)
-    return gamma_eff, chi1, chi2, chi_plus, chi_minus, n_chi1, n_chi2
+    gg = np.float64(gamma_eff[0] + gamma_eff[1])
+    with np.errstate(all="ignore"):
+        chi1, chi2 = (abs(xi) * abs(xi) / gg for xi in (xi1, xi2))
+        re_part = (xi1 * xi2).real / gg  # = (xi1 * xi2 / gg).real, which raises at gg = 0
+        chi_plus = -math.sqrt(chi1 * chi2) - re_part
+        chi_minus = math.sqrt(chi1 * chi2) - re_part
+    return gamma_eff, chi1, chi2, chi_plus, chi_minus
 
 
 def _lorentzian(gg, k, x):
@@ -93,9 +99,9 @@ def effective_model(spec):
     s = w1 + w2 + 2.0 * d
     if s == 0.0:
         raise DomainError("n_opt undefined when omega_1 + omega_2 + 2 delta = 0")
-    n_opt = 4.0 * k * k / (s * s)
-    gamma_eff, chi1, chi2, chi_plus, chi_minus, _, _ = _transfer_rates(
-        spec, gamma_opt, xi1, xi2, n_opt)
+    with np.errstate(all="ignore"):  # s * s may underflow to 0: n_opt is then inf
+        n_opt = float(4.0 * k * k / np.float64(s * s))
+    gamma_eff, chi1, chi2, chi_plus, chi_minus = _transfer_rates(spec, gamma_opt, xi1, xi2)
     gg = gamma_eff[0] + gamma_eff[1]
 
     split = gamma_eff[0] - gamma_eff[1] + 1j * (omega_eff[0] - omega_eff[1])
@@ -138,29 +144,29 @@ def validity_notes(eff, spec, full):
 
 
 def _require_stable(eff):
-    """DomainError if a finite eigenvalue of the effective model does not decay."""
+    """DomainError if a finite eigenvalue of the effective model does not decay by the
+    margin that the engine applies to a drift's abscissa (its eigenvalues are
+    -lambda): min Re lambda <= -STABILITY_MARGIN."""
     re_min = min(eff.lambda1.real, eff.lambda2.real)
-    if -math.inf < re_min <= 0:  # -inf is an overflow, named by the caller's finite check
+    if -math.inf < re_min <= -STABILITY_MARGIN:  # -inf is an overflow, named by report's check
         raise DomainError("cooling limits undefined for an unstable effective model: "
                           "min Re lambda = %.3g" % re_min)
 
 
 def cooling_limit_simplified(eff, spec):
-    """Transfer-rate limit formula, built on the resonant approximations."""
+    """Transfer-rate limit formula, built on the resonant approximations.  Its
+    quotients divide as numpy floats (chi_+- are), so a pole gives inf or NaN."""
     _require_stable(eff)
-    gamma_opt = eff.gamma_opt_res
-    n_opt = eff.n_opt
-    gamma_eff, chi1, chi2, chi_plus, chi_minus, n_chi1, n_chi2 = _transfer_rates(
-        spec, gamma_opt, eff.xi1_res, eff.xi2_res, n_opt)
-
-    out = []
-    for l, chil in enumerate((chi1, chi2)):
-        n = (spec.gamma[l] * spec.nbar[l] + gamma_opt[l] * n_opt) / (gamma_eff[l] + chi_plus)
-        n += ((-1.0) ** l * math.sqrt(chil)
-              * (math.sqrt(chi1) * n_chi1 - math.sqrt(chi2) * n_chi2)
-              / (gamma_eff[l] + chi_minus))
-        out.append(n)
-    return tuple(out)
+    gamma_opt, n_opt = eff.gamma_opt_res, eff.n_opt
+    gamma_eff, *chi, chi_plus, chi_minus = _transfer_rates(
+        spec, gamma_opt, eff.xi1_res, eff.xi2_res)
+    bath = [spec.gamma[l] * spec.nbar[l] + gamma_opt[l] * n_opt for l in (0, 1)]
+    with np.errstate(all="ignore"):
+        pole = gamma_eff[0] + gamma_eff[1] + 2.0 * chi_plus
+        n_chi = [2.0 * b / pole for b in bath[::-1]]
+        transfer = math.sqrt(chi[0]) * n_chi[0] - math.sqrt(chi[1]) * n_chi[1]
+        return tuple(float(bath[l] / (gamma_eff[l] + chi_plus) + (-1.0) ** l * math.sqrt(chi[l])
+                           * transfer / (gamma_eff[l] + chi_minus)) for l in (0, 1))
 
 
 def cooling_limit_full(eff, spec):
@@ -175,7 +181,8 @@ def cooling_limit_full(eff, spec):
     l1, l2 = eff.lambda1, eff.lambda2
     k = spec.kappa
     d = spec.drive.delta
-    g1, g2 = spec.drive.g_lin
+    g = spec.drive.g_lin
+    xi = (eff.xi1, eff.xi2)
 
     with np.errstate(all="ignore"):
         a11 = 1.0 / (np.conj(l1) + l1)
@@ -190,10 +197,26 @@ def cooling_limit_full(eff, spec):
         cross = (a11 * c1 - 2.0 * (a12 * c2).real + a22 * c3).real
         heat = (a11 - 2.0 * (a12).real + a22).real
 
-        n1 = (spec.gamma[0] * spec.nbar[0] / 2.0 * therm + g1 * g1 / 4.0 * drive
-              + abs(eff.xi1) / (4.0 * abs(eff.xi2))
-              * (g2 * g2 * cross + 2.0 * spec.gamma[1] * spec.nbar[1] * heat))
-        n2 = (spec.gamma[1] * spec.nbar[1] / 2.0 * therm + g2 * g2 / 4.0 * drive
-              + abs(eff.xi2) / (4.0 * abs(eff.xi1))
-              * (g1 * g1 * cross + 2.0 * spec.gamma[0] * spec.nbar[0] * heat))
-    return float(n1), float(n2)
+        return tuple(float(spec.gamma[l] * spec.nbar[l] / 2.0 * therm + g[l] * g[l] / 4.0 * drive
+                           + abs(xi[l]) / (4.0 * abs(xi[o]))
+                           * (g[o] * g[o] * cross + 2.0 * spec.gamma[o] * spec.nbar[o] * heat))
+                     for l, o in PAIRS)
+
+
+def report(spec, full):
+    """(effective quantities, limits, validity notes) of a two-mode spec: the
+    reported effective-model quantities, the simplified limit formula and, if
+    full, the full one, keyed as the reports name them, and their notes.  An
+    unstable effective model is a DomainError; a non-finite quantity,
+    eigenvalue or limit (4 kappa^2 overflows above kappa ~ 7e153, |xi|^2 below
+    kappa ~ 1e-160, a Lorentzian at kappa = 5e-324, n_opt where (omega_1 +
+    omega_2 + 2 delta)^2 underflows) is a FloatingPointError."""
+    eff = effective_model(spec)
+    found = {"simplified": cooling_limit_simplified(eff, spec)}
+    if full:
+        found["full"] = cooling_limit_full(eff, spec)
+    effective = {name: getattr(eff, name) for name in (
+        "xi1", "xi2", "gamma_eff", "omega_eff", "chi1", "chi2", "chi_plus", "chi_minus", "n_opt")}
+    require_finite("cooling-limit quantities", **effective, **found,
+                   **{"lambda": (eff.lambda1, eff.lambda2)})
+    return effective, found, validity_notes(eff, spec, full)

@@ -6,7 +6,8 @@ caller.  It takes a stack of drifts and their symmetric noise matrices Q (as
 `model.drift_stack` builds them) and runs one eigendecomposition
 A = W diag(lambda) W^-1 per drift.  The eigenvalues give the verdict, in
 `_verdict` alone: a drift is stable iff its spectral abscissa is below
-STABILITY_MARGIN, the one margin used everywhere.  For the stable drifts the
+STABILITY_MARGIN, the one margin used everywhere; `limits` refuses an
+effective two-mode model by it too.  For the stable drifts the
 eigenvectors give V by the diagonalisation form of the Bartels-Stewart method
 (Golub & Van Loan, Matrix Computations, sec. 7.6; Bartels & Stewart, CACM 15,
 1972), batched at O(n^3) per drift:

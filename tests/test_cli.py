@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import itertools
 import json
@@ -1187,10 +1188,16 @@ REFUSALS = [
     Refusal("limits-opposite-detuning", "limits --config {cfg}", 2,
             "config error: n_opt undefined when omega_1 + omega_2 + 2 delta = 0",
             OPPOSITE_DETUNING),
-    # no exchange and gamma ~ 1e-300: Gamma_1 + Gamma_2 + 2 chi_+ rounds to 0 in the simplified form
-    Refusal("limits-transfer-rate-pole", "limits --config {cfg}", 1,
-            "error: FloatingPointError: cooling-limit quantities not finite: a denominator is 0",
-            dict(eta="0.0", theta="0.0", gamma="1e-300, 5e-324")),
+    # omega_1 + omega_2 + 2 delta = -1e-200 is not 0, but its square underflows: n_opt is inf
+    Refusal("limits-n-opt-underflow", "limits --config {cfg}", 1,
+            "error: FloatingPointError: cooling-limit quantities not finite: n_opt, simplified",
+            dict(omega="1e-200", drive_lines=(
+                "type = linearized", "delta = -1.5e-200", "g_lin = 0.1, 0.1"))),
+    # no exchange and gamma ~ 1e-300: the dark mode's decay cancels to 0, a transfer-rate pole
+    # of the simplified form, and the margin refuses it first
+    Refusal("limits-transfer-rate-pole", "limits --config {cfg}", 2,
+            "config error: cooling limits undefined for an unstable effective model: "
+            "min Re lambda = 0", dict(eta="0.0", theta="0.0", gamma="1e-300, 5e-324")),
     # |xi|^2 ~ (g^2/kappa)^2 overflows: chi is inf, and so is Re lambda
     Refusal("limits-transfer-rate-overflow", "limits --config {cfg}", 1,
             "error: FloatingPointError: cooling-limit quantities not finite: "
@@ -1292,6 +1299,8 @@ FUZZ_FIXED = [
     ("cool --config {cfg}", dict(gamma="1e300, 1e-300", omega_m="1.7e308, 1.0")),  # AV overflowed
     ("sweep --config {cfg} --mech-full --axis 'drive.delta=0.9:1.7e308:3' --out {out}",
      dict(kappa="1e300", g_lin="1e300, 5e-324")),  # NaN occupations at a stable point
+    ("limits --config {cfg}", dict(eta="0", gamma="3e-3, 3e-3",
+                                   delta="-0.33115287381420005")),  # Gamma_1 + Gamma_2 = 0
 ]
 
 
@@ -1374,3 +1383,16 @@ def test_contract_fuzz(runner, tmp_path, command):
 @pytest.mark.parametrize("argv, edits", FUZZ_FIXED, ids=[argv.split()[0] for argv, _ in FUZZ_FIXED])
 def test_contract_fixed_rows(runner, tmp_path, argv, edits):
     check_contract(runner, tmp_path, argv, edits)
+
+
+def test_no_module_renames_a_python_float_error():
+    # _reports_errors is the one place where an exception becomes a message: a float
+    # quotient that may meet 0 divides as numpy's, and an overflow is named by its value
+    caught = []
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                caught += ["%s:%d %s" % (path.name, node.lineno, name) for name in
+                           sorted(names & {"ZeroDivisionError", "OverflowError"})]
+    assert caught == []

@@ -9,7 +9,7 @@ from loopcool import get_preset
 from loopcool.errors import DomainError
 from loopcool.limits import (cooling_limit_full, cooling_limit_simplified, effective_model,
                              validity_notes)
-from loopcool.model import Linearized, build_drift
+from loopcool.model import Linearized, SystemSpec, build_drift
 from loopcool.presets import PRESETS
 from loopcool.steadystate import cool, cool_or_flag
 
@@ -140,6 +140,30 @@ def test_full_matches_simplified():
     assert abs(f2 - s2) / s2 <= 0.05
 
 
+def test_full_matches_the_steady_state_of_the_cooled_mode():
+    # G << kappa and equal G (Gamma_1 ~ Gamma_2), with unequal baths, at n ~ 0.1, where
+    # the cavity's own noise (the g^2/4 drive term) is 9% of the occupation: mode 1 is
+    # 0.57% from the steady state (mode 2, near the backaction limit, 7%)
+    spec = get_preset("fig2").with_(nbar=(20.0, 5.0), gamma=(1e-5, 3e-5), eta=(0.002,),
+                                    drive=Linearized(delta=1.0, g_lin=(0.02, 0.02)))
+    eff = effective_model(spec)
+    assert validity_notes(eff, spec, full=True) == []
+    exact = cool(build_drift(spec)).n_f
+    assert cooling_limit_full(eff, spec)[0] == pytest.approx(exact[0], rel=0.01)
+
+
+def test_both_limits_agree_on_unequal_baths():
+    # the two formulas are written apart, and each mode's reads the other mode's bath:
+    # with n̄ = (100, 10) they agree to 1.4e-4, and a mode that read its own bath
+    # instead would put mode 2 near 0.13 (the steady state reads 1.05)
+    spec = get_preset("fig2").with_(nbar=(100.0, 10.0), eta=(0.002,),
+                                    drive=Linearized(delta=1.0, g_lin=(0.02, 0.02)))
+    eff = effective_model(spec)
+    assert validity_notes(eff, spec, full=True) == []
+    assert cooling_limit_simplified(eff, spec) == pytest.approx(
+        cooling_limit_full(eff, spec), rel=1e-3)
+
+
 def test_limit_plateau_without_exchange():
     # eta = 0: the dark mode pins both formulas near nbar/2 despite the drive
     spec = get_preset("fig4").with_(eta=(0.0,), theta=(0.0,))
@@ -201,13 +225,77 @@ def test_notes_are_sorted():
     assert notes == [MISMATCH, RESONANT, REGIME] == sorted(notes)
 
 
-@pytest.mark.parametrize("delta", [1.0, 0.3, 0.0, -0.2, -0.5, -2.0])
-def test_effective_stability_matches_the_full_verdict(delta):
-    spec = fig2_at(delta)
+#: fig2 at eta = 0 at three points that cool_or_flag calls unstable, by its margin
+#: alone at the first, whose effective model has min Re lambda = 1e-11 > 0
+NO_EXCHANGE = get_preset("fig2").with_(eta=(0.0,), theta=(0.0,))
+AT_THE_MARGIN = {
+    # min Re lambda = 1e-11, inside the margin: the limits would read 2.5e7 phonons
+    "gamma1e-11": NO_EXCHANGE.with_(gamma=(1e-11, 1e-11)),
+    # the dark mode's decay cancels to min Re lambda = 0: a transfer-rate pole
+    "gamma1e-300": NO_EXCHANGE.with_(gamma=(1e-300, 5e-324)),
+    # Gamma_1 + Gamma_2 = 0 exactly: the transfer rates divide by it
+    "decays-cancel": NO_EXCHANGE.with_(gamma=(3e-3, 3e-3), drive=Linearized(
+        delta=-0.33115287381420005, g_lin=NO_EXCHANGE.drive.g_lin)),
+}
+DELTAS = [1.0, 0.3, 0.0, -0.2, -0.5, -2.0]
+
+
+@pytest.mark.parametrize("spec", [*map(fig2_at, DELTAS), *AT_THE_MARGIN.values()],
+                         ids=[*map(str, DELTAS), *AT_THE_MARGIN])
+def test_effective_stability_matches_the_full_verdict(spec):
+    # both formulas refuse exactly the points that the engine calls unstable: the
+    # limits of an unstable model would be negative occupations
+    stable = cool_or_flag(build_drift(spec)).stable
     eff = effective_model(spec)
-    stable = min(eff.lambda1.real, eff.lambda2.real) > 0
-    assert stable == cool_or_flag(build_drift(spec)).stable
-    if not stable:  # the limits of an unstable model would be negative occupations
-        for formula in (cooling_limit_simplified, cooling_limit_full):
+    for formula in (cooling_limit_simplified, cooling_limit_full):
+        if stable:
+            assert min(formula(eff, spec)) > 0
+        else:
             with pytest.raises(DomainError, match="unstable effective model"):
                 formula(eff, spec)
+
+
+def relabelled(spec):
+    """spec with its two resonators' labels swapped: omega, gamma, nbar and G trade
+    places, and the hop from 2 to 1 is the old one's conjugate, so theta -> -theta."""
+    return spec.with_(omega_m=spec.omega_m[::-1], gamma=spec.gamma[::-1], nbar=spec.nbar[::-1],
+                      theta=(-spec.theta[0],), drive=Linearized(
+                          delta=spec.drive.delta, g_lin=spec.drive.g_lin[::-1]))
+
+
+def _random_pair(rng):
+    """A linearized two-mode spec with unequal frequencies, baths and couplings."""
+    return SystemSpec(
+        n_mech=2, omega_m=tuple(rng.uniform(0.8, 1.2, 2)), kappa=float(rng.uniform(0.05, 0.5)),
+        gamma=tuple(rng.uniform(1e-6, 1e-4, 2)), nbar=tuple(rng.uniform(10.0, 1e3, 2)),
+        eta=(float(rng.uniform(0.0, 0.2)),), theta=(float(rng.uniform(0.0, 2 * math.pi)),),
+        drive=Linearized(delta=float(rng.uniform(0.5, 1.5)),
+                         g_lin=tuple(rng.uniform(0.01, 0.2, 2))))
+
+
+def _limits(spec):
+    """(simplified, full) limits of spec, or None where its effective model is unstable."""
+    eff = effective_model(spec)
+    try:
+        return cooling_limit_simplified(eff, spec), cooling_limit_full(eff, spec)
+    except DomainError:
+        return None
+
+
+def test_relabelling_the_resonators_swaps_both_limits():
+    # each formula's two modes are one expression read with its labels swapped
+    rng = np.random.default_rng(32)
+    for _ in range(100):
+        spec = _random_pair(rng)
+        ref, got = _limits(spec), _limits(relabelled(spec))
+        assert (got is None) == (ref is None), spec
+        for want, have in zip(ref or (), got or ()):
+            assert have == pytest.approx(want[::-1], rel=1e-9), spec
+
+
+def test_full_limit_refuses_one_zero_xi():
+    spec = get_preset("fig4")
+    eff = effective_model(spec)
+    for zeroed in (dict(xi1=0j), dict(xi2=0j)):
+        with pytest.raises(DomainError, match="xi1 or xi2 = 0"):
+            cooling_limit_full(dataclasses.replace(eff, **zeroed), spec)

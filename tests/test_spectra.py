@@ -114,6 +114,9 @@ def test_lambda_analytic_odd_in_theta():
     coop = Cooperativities(2000.0, 3000.0, 1e7)
     for th in np.linspace(0.1, 3.0, 7):
         assert lambda_analytic(coop, -th) == pytest.approx(-lambda_analytic(coop, th))
+        # and symmetric under C1 <-> C2
+        assert lambda_analytic(Cooperativities(3000.0, 2000.0, 1e7), th) == pytest.approx(
+            lambda_analytic(coop, th), rel=1e-12)
 
 
 def test_lambda_numeric_antisymmetric():
