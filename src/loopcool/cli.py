@@ -174,27 +174,27 @@ _PATH_RE = re.compile(r"^(drive\.)?([a-z_]+)(?:\[(\d+)\])?$")
 
 def _resolve(spec, path):
     """(name, index or None) of the parameter-table entry that a path of spec
-    names: a number that SPEC_FIELDS or the drive's FIELDS declares, such as
-    kappa, theta[0], drive.delta or drive.g_single[1].  Else a ConfigError."""
+    names: a number that SPEC_FIELDS or the drive's FIELDS declares, shaped by
+    that declaration alone (kappa, theta[0], drive.g_single[1]).  Else a ConfigError."""
     m = _PATH_RE.match(path)
     if not m:
         raise ConfigError("bad parameter path %r" % path)
     on_drive, name, idx = bool(m.group(1)), m.group(2), m.group(3)
-    target = spec.drive if on_drive else spec
-    if not hasattr(target, name):
+    owner = spec.drive if on_drive else spec
+    fields = owner.FIELDS if on_drive else SPEC_FIELDS
+    if name not in fields:
+        if hasattr(owner, name):  # e.g. n_mech: the table's shape
+            raise ConfigError("%s cannot be swept" % path)
         raise ConfigError("unknown parameter %r" % path)
-    cur = getattr(target, name)
-    if isinstance(cur, tuple):
-        if idx is None:
-            raise ConfigError("%s is a list; use %s[i]" % (path, path))
-        idx = int(idx)
-        if not 0 <= idx < len(cur):
-            raise ConfigError("index out of range in %r" % path)
-    elif idx is not None:
-        raise ConfigError("%s is scalar; drop the index" % path)
-    if name not in (target.FIELDS if on_drive else SPEC_FIELDS):  # e.g. n_mech: the table's shape
-        raise ConfigError("%s cannot be swept" % path)
-    return name, idx
+    k = fields[name]  # None for a scalar, else a list of N - k entries
+    if k is None:
+        if idx is not None:
+            raise ConfigError("%s is scalar; drop the index" % path)
+    elif idx is None:
+        raise ConfigError("%s is a list; use %s[i]" % (path, path))
+    elif int(idx) >= spec.n_mech - k:
+        raise ConfigError("index out of range in %r" % path)
+    return name, None if idx is None else int(idx)
 
 
 def _grid(start, stop, points, what, where=""):
@@ -338,13 +338,11 @@ def spectrum(spec, approx, omega_min, omega_max, points, out):
     """Probe-frequency scan of transmittances and relative scattering rates."""
     _check_out(out)
     omega = _grid(omega_min, omega_max, points, "frequency")
-    if spec.n_mech != 2:
-        raise ConfigError("spectrum scan is defined for n_mech = 2")
     drift = build_drift(spec, approx)
+    coop = spectra.Cooperativities.from_spec(drift.spec)  # refuses a chain before any eigensolve
     stable, abscissa = steadystate.stability_check(drift)
     if not stable:
         raise steadystate.unstable(abscissa)
-    coop = spectra.Cooperativities.from_spec(drift.spec)
     lam_res = spectra.lambda_analytic(coop, spec.theta[0])
     tcols = ["T_%s%s" % vw for vw in itertools.product(["a", "b1", "b2"], repeat=2)]
     pt = spectra.scan_point(drift, omega, coop)
@@ -400,8 +398,6 @@ def lambda_cmd(eta, theta):
 @_spec_options
 def limits_cmd(spec):
     """Adiabatic-elimination effective model and analytic cooling limits."""
-    if spec.n_mech != 2:
-        raise ConfigError("cooling limits are defined for n_mech = 2")
     given, spec = _given_and_linearized(spec)
     effective, found, notes = limits.report(spec, full=True)
     _emit_json({

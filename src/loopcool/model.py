@@ -189,6 +189,13 @@ def set_param(table, name, index, values):
     _check_numbers(table)
 
 
+def _diagonal(stack, row, col, length):
+    """Writable view of `length` diagonal entries from (row, col) on, in each
+    matrix of a C-contiguous (size, m, m) stack (a block's diagonal)."""
+    size, m, _ = stack.shape
+    return stack.reshape(size, m * m)[:, row * m + col::m + 1][:, :length]
+
+
 def mechanical_stack(table):
     """Hermitian N x N phonon matrices H, one per row of a parameter table.
 
@@ -201,11 +208,10 @@ def mechanical_stack(table):
     omega = table["omega_m"]
     size, n = omega.shape
     h = np.zeros((size, n, n), complex)
-    flat = h.reshape(size, n * n)  # a square matrix's (0, +1, -1) diagonals are strided slices
-    flat[:, ::n + 1] = omega
+    _diagonal(h, 0, 0, n)[:] = omega
     hops = np.exp(1j * table["theta"]) * table["eta"]
-    flat[:, 1::n + 1] = hops
-    flat[:, n::n + 1] = hops.conj()
+    _diagonal(h, 0, 1, n - 1)[:] = hops
+    _diagonal(h, 1, 0, n - 1)[:] = hops.conj()
     return h
 
 
@@ -235,7 +241,7 @@ def fixed_point_stack(table):
     _diagonal(m, 0, 0, n)[:] -= 1j * table["gamma"]
     c = np.linalg.solve(m, -g[..., None])[..., 0]
     companion = np.zeros((size, 3, 3))
-    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    _diagonal(companion, 1, 0, 2)[:] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
         k2 = kappa ** 2
         s = 2.0 * np.einsum("ij,ij->i", g, c.real)
@@ -301,7 +307,7 @@ def drift_stack(table, approx=CouplingApprox()):
     x[:, 0, 0] = -(table["kappa"] + 1j * table["delta"])
     x[:, 0, 1:] = x[:, 1:, 0] = g  # G_j is real
     mech = -1j * h
-    mech.reshape(size, n * n)[:, ::n + 1] -= table["gamma"]  # -i H - diag(gamma)
+    _diagonal(mech, 0, 0, n)[:] -= table["gamma"]  # -i H - diag(gamma)
     x[:, 1:, 1:] = mech
     if approx.optomechanical == FULL:
         y[:, 0, 1:] = y[:, 1:, 0] = g
@@ -317,13 +323,6 @@ def drift_stack(table, approx=CouplingApprox()):
     return a, q
 
 
-def _diagonal(stack, row, col, length):
-    """Writable view of `length` diagonal entries from (row, col) on, in each
-    matrix of a C-contiguous (size, m, m) stack (a block's diagonal)."""
-    size, m, _ = stack.shape
-    return stack.reshape(size, m * m)[:, row * m + col::m + 1][:, :length]
-
-
 def noise_stack(table):
     """Symmetric noise stack Q of a parameter table.  Each bath gives two equal
     entries, at (x, x^+) and (x^+, x), evaluated as 0.5 * (p + m) from its
@@ -333,11 +332,11 @@ def noise_stack(table):
     size, n = gamma.shape
     dim = n + 1
     q = np.zeros((size, 2 * dim, 2 * dim))
-    q[:, 0, dim] = q[:, dim, 0] = 0.5 * (2.0 * table["kappa"])
     two_gamma = 2.0 * gamma
-    bath = 0.5 * (two_gamma * (nbar + 1.0) + two_gamma * nbar)
-    _diagonal(q, 1, dim + 1, n)[:] = bath
-    _diagonal(q, dim + 1, 1, n)[:] = bath
+    rates = np.column_stack([0.5 * (2.0 * table["kappa"]),
+                             0.5 * (two_gamma * (nbar + 1.0) + two_gamma * nbar)])
+    _diagonal(q, 0, dim, dim)[:] = rates
+    _diagonal(q, dim, 0, dim)[:] = rates
     return q
 
 

@@ -3,7 +3,8 @@
 U(w) = Gamma (-i w I - A)^{-1} Gamma - I maps input noise operators to output
 fields; transmittances sum the signal and conjugate-channel contributions,
 and the relative scattering rate Lambda_vw = (T_vw - T_wv)/T_max quantifies
-nonreciprocity of the phonon transfer.
+nonreciprocity of the phonon transfer.  Gamma^2 = -2 Re diag A: Re A_jj is
+exactly -kappa or -gamma_j under every approximation, so U needs A alone.
 
 `scattering_matrix`, `transmittances` and `scan_point` take a scalar probe
 frequency or a 1-D array of them.  An array gives a stack along the leading
@@ -61,7 +62,7 @@ class ScatteringPoint:
 
 
 def scattering_matrix(drift, omega):
-    """U(w) in the [da, db_1..db_N, conjugates] ordering.
+    """U(w) in the [da, db_1..db_N, conjugates] ordering, from drift.a alone.
 
     omega is a scalar, giving one (2N+2, 2N+2) matrix, or a 1-D array, giving
     a (len(omega), 2N+2, 2N+2) stack from one batched solve.  Raises
@@ -74,8 +75,7 @@ def scattering_matrix(drift, omega):
         raise DomainError("probe frequencies must be finite")
     a = drift.a
     eye = np.eye(a.shape[0])
-    g = np.sqrt(2.0 * np.array([drift.spec.kappa, *drift.spec.gamma]))
-    g = np.concatenate([g, g])  # Gamma's diagonal, in the ordering of A
+    g = np.sqrt(-2.0 * a.diagonal().real)  # Gamma's diagonal, in the ordering of A
     lhs = -1j * np.multiply.outer(omega, eye) - a
     try:
         # an explicit stack of right-hand sides: numpy < 2 would read a 2-D b

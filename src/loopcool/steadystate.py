@@ -171,8 +171,8 @@ def cool_many(a, q):
     CoolingReport whose fields are arrays over the G drifts: n_f (G, N),
     n_cav, stable, spectral_abscissa, residual (G,), and solver, an object
     array of "eig", "schur" or None.  Unstable drifts get NaN occupations and
-    residual and no solver.  A stable drift whose occupations are not finite
-    (its V overflows) is a numerical failure, named by require_finite.
+    residual and no solver.  A stable drift whose occupations or residual are
+    not finite is a numerical failure, named by require_finite.
     """
     a = np.asarray(a).astype(complex, copy=False)
     size, n_mech = len(a), a.shape[-1] // 2 - 1
@@ -186,6 +186,7 @@ def cool_many(a, q):
         v, batch.residual[k], batch.solver[k] = _solve(a[k], q[k], lam[k], w[k])
         batch.n_f[k], batch.n_cav[k] = _occupations(v, n_mech)
         require_finite("steady-state occupations", n_f=batch.n_f[k], n_cav=batch.n_cav[k])
+        require_finite("steady-state residual", residual=batch.residual[k])
     return batch
 
 

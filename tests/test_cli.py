@@ -192,6 +192,52 @@ def test_set_param_paths():
             cli._resolve(spec, bad)
 
 
+#: (drive class, path prefix, name, k) of every declared number of a spec with each drive
+DECLARED = [(kind, prefix, name, k) for kind in (model.Linearized, model.Physical)
+            for prefix, fields in (("", model.SPEC_FIELDS), ("drive.", kind.FIELDS))
+            for name, k in fields.items()]
+
+
+def declared_spec(n, kind):
+    """A spec at n_mech = n with a drive of class `kind`, every number 0.3, each list
+    of the N - k entries its declaration gives."""
+    def value(k):
+        return 0.3 if k is None else (0.3,) * (n - k)
+    return model.SystemSpec(n_mech=n, drive=kind(**{name: value(k) for name, k in
+                                                    kind.FIELDS.items()}),
+                            **{name: value(k) for name, k in model.SPEC_FIELDS.items()})
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("kind, prefix, name, k", DECLARED,
+                         ids=["%s-%s%s" % (kind.KIND, prefix, name) for kind, prefix, name, _
+                              in DECLARED])
+def test_resolve_takes_a_paths_shape_from_its_declaration(kind, prefix, name, k, n):
+    spec, path = declared_spec(n, kind), prefix + name
+    if k is None:
+        assert cli._resolve(spec, path) == (name, None)
+        with pytest.raises(ConfigError, match="^%s is scalar; drop the index$"
+                           % re.escape(path + "[0]")):
+            cli._resolve(spec, path + "[0]")
+        return
+    for i in range(n - k):
+        assert cli._resolve(spec, "%s[%d]" % (path, i)) == (name, i)
+    with pytest.raises(ConfigError, match="^index out of range in %s$"
+                       % re.escape(repr("%s[%d]" % (path, n - k)))):
+        cli._resolve(spec, "%s[%d]" % (path, n - k))
+    with pytest.raises(ConfigError, match="^%s is a list; use %s\\[i\\]$"
+                       % (re.escape(path), re.escape(path))):
+        cli._resolve(spec, path)
+
+
+@pytest.mark.parametrize("kind", [model.Linearized, model.Physical], ids=lambda kind: kind.KIND)
+@pytest.mark.parametrize("path", ["n_mech", "drive", "n_mech[0]", "drive[0]"])
+def test_resolve_refuses_a_path_that_names_no_number(kind, path):
+    # with or without an index: no declaration names it, so it has no shape to check
+    with pytest.raises(ConfigError, match="^%s cannot be swept$" % re.escape(path)):
+        cli._resolve(declared_spec(2, kind), path)
+
+
 def test_parse_axis():
     path, grid = parse_axis("theta[0]=0:6.28:5")
     assert path == "theta[0]" and len(grid) == 5 and grid[0] == 0.0
@@ -1132,14 +1178,20 @@ REFUSALS = [
     Refusal("cool-occupations-not-finite", "cool --preset fig2", 1,
             "error: FloatingPointError: steady-state occupations not finite: n_f, n_cav",
             patches=("nan-occupations",)),
+    # the Schur fallback's V is finite, but A V overflows: a stable point's residual
+    Refusal("cool-residual-not-finite", "cool --config {cfg}", 1,
+            "error: FloatingPointError: steady-state residual not finite: residual",
+            dict(gamma="1e300, 1e-300", omega="1.7e308, 1.0")),
     Refusal("sweep-numerical-failure", "sweep --preset fig2 --axis kappa=0.1:0.3:4 --out {out}", 1,
             "error: NoConvergence: eigenvalue iteration failed", out="file",
             patches=("cool_many-fails",)),
     # spectrum
     Refusal("spectrum-unstable-keeps-file", "spectrum --config {cfg} --points 5 --out {out}", 3,
             "unstable: spectral abscissa 4.164e-02 >= -1e-10", UNSTABLE, out="file"),
+    # refused by the cooperativities, before any eigensolve
     Refusal("spectrum-chain", "spectrum --preset figS10 --out {out}", 2,
-            "config error: spectrum scan is defined for n_mech = 2"),
+            "config error: cooperativities are defined for two mechanical modes",
+            patches=("eig-fails",)),
     Refusal("spectrum-zero-coupling", "spectrum --config {cfg} --points 5 --out {out}", 2,
             "config error: pi_ratio undefined when C1*C2 = 0", CONFIGS["ZERO_COUPLING"]),
     # C1 C2 = 2.5e-309 is subnormal, so Pi = C3/(C1 C2) overflows
@@ -1153,6 +1205,11 @@ REFUSALS = [
     # C3 = (eta/gamma_1)(eta/gamma_2) = 2.5e597 overflows; the drift itself is stable
     Refusal("spectrum-cooperativity-overflow", "spectrum --config {cfg} --points 5 --out {out}", 1,
             "error: FloatingPointError: cooperativities not finite: C3", dict(gamma="1e-300")),
+    # the cooperativities come before the verdict: C3 overflows at an unstable point too
+    Refusal("spectrum-unstable-cooperativity-overflow",
+            "spectrum --config {cfg} --points 5 --out {out}", 1,
+            "error: FloatingPointError: cooperativities not finite: C3",
+            dict(UNSTABLE, gamma="1e-300")),
     Refusal("spectrum-span-overflow", "spectrum --preset fig3 --out {out} "
             "--omega-min -1.7e308 --omega-max 1.7e308", 2,
             "config error: frequency span is wider than the float range"),
@@ -1181,7 +1238,7 @@ REFUSALS = [
             dict(eta="0.0", theta="0.0", drive_lines=(
                 "type = linearized", "delta = 1.0", "g_lin = 0.0, 0.0"))),
     Refusal("limits-chain", "limits --preset figS10", 2,
-            "config error: cooling limits are defined for n_mech = 2"),
+            "config error: adiabatic elimination is defined for n_mech = 2"),
     Refusal("limits-zero-xi", "limits --config {cfg}", 2,
             "config error: full cooling limit undefined when xi1 or xi2 = 0",
             CONFIGS["ZERO_COUPLING"]),

@@ -6,7 +6,7 @@ import pytest
 
 from loopcool import get_preset
 from loopcool.errors import DomainError, ShapeMismatch, SingularMatrix
-from loopcool.model import CouplingApprox, Linearized, build_drift
+from loopcool.model import CouplingApprox, DriftModel, Linearized, Physical, build_drift
 from loopcool.presets import PRESETS
 from loopcool.spectra import (Cooperativities, lambda_analytic, lambda_numeric,
                               scan_point, scattering_matrix, t_max,
@@ -233,6 +233,21 @@ def test_row_scaling_gives_the_bits_of_the_gamma_product(approx):
                 coop = Cooperativities.from_spec(d.spec)
                 lam_ref = (t_ref - np.swapaxes(t_ref, 1, 2)) / t_max(coop)
                 assert np.array_equal(scan_point(d, omegas).lambda_rel, lam_ref), name
+
+
+@pytest.mark.parametrize("approx", APPROXES, ids=lambda a: a.optomechanical + "-" + a.mechanical)
+def test_resolvent_reads_the_drift_alone(approx):
+    # Gamma comes from Re diag A, exactly -kappa and -gamma_j; a physical drive's too
+    physical = Physical(delta_c=1.0, omega_amp=50.0, g_single=(1e-3, 1e-3))
+    specs = [get_preset(name) for name in sorted(PRESETS)]
+    for spec in specs + [specs[0].with_(drive=physical)]:
+        d = build_drift(spec, approx)
+        rates = np.array([d.spec.kappa, *d.spec.gamma])
+        assert np.array_equal(-d.a.diagonal().real, np.concatenate([rates, rates]))
+        alone = DriftModel(a=d.a, q=d.q)
+        for omegas in (1.0, OMEGAS):
+            assert scattering_matrix(alone, omegas).tobytes() == \
+                scattering_matrix(d, omegas).tobytes()
 
 
 @pytest.mark.parametrize("omega", [math.nan, math.inf, np.array([1.0, -math.inf])])

@@ -222,22 +222,24 @@ def test_well_conditioned_point_takes_eig_route():
 
 
 def _fresh_python(code):
-    """stdout of code run by a new interpreter on this source tree.  The test
-    settings' warning filters import scipy.linalg into this process, so only a
-    new one shows what loopcool itself imports."""
+    """stdout of code run by a new interpreter on this source tree.  The tests
+    import scipy and concurrent.futures into this process, so only a new one
+    shows what loopcool itself imports."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), check=True).stdout
 
 
-def test_cool_on_the_eig_route_never_imports_scipy():
+def test_serial_cool_on_the_eig_route_imports_neither_scipy_nor_threads():
+    # the Schur fallback alone imports scipy; only sweep --workers > 1 starts threads
     out = _fresh_python(
         "import sys\n"
         "from loopcool.cli import main\n"
         "main.main(args=['cool', '--preset', 'fig2'], standalone_mode=False)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    assert out.splitlines()[-1] == "[]"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print('concurrent.futures' in sys.modules)\n")
+    assert out.splitlines()[-2:] == ["[]", "False"]
 
 
 def test_rk4_oracle_import_leaves_scipy_linalg_out():
@@ -252,16 +254,6 @@ def test_numkit_is_numpys_own_functions():
     from loopcool import numkit
     assert (numkit.solve_linear, numkit.eigenvalues, numkit.kron) == (
         np.linalg.solve, np.linalg.eigvals, np.kron)
-
-
-def test_serial_cli_never_imports_concurrent_futures():
-    # only sweep --workers > 1 starts worker threads
-    out = _fresh_python(
-        "import sys\n"
-        "from loopcool.cli import main\n"
-        "main.main(args=['cool', '--preset', 'fig2'], standalone_mode=False)\n"
-        "print('concurrent.futures' in sys.modules)\n")
-    assert out.splitlines()[-1] == "False"
 
 
 def test_schur_route_imports_scipy_when_needed():
