@@ -231,15 +231,13 @@ def _fresh_python(code):
                           env=dict(os.environ, PYTHONPATH=path), check=True).stdout
 
 
-def test_serial_cool_on_the_eig_route_imports_neither_scipy_nor_threads():
-    # the Schur fallback alone imports scipy; only sweep --workers > 1 starts threads
+def test_cool_on_the_eig_route_never_imports_scipy():
     out = _fresh_python(
         "import sys\n"
         "from loopcool.cli import main\n"
         "main.main(args=['cool', '--preset', 'fig2'], standalone_mode=False)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "print('concurrent.futures' in sys.modules)\n")
-    assert out.splitlines()[-2:] == ["[]", "False"]
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_rk4_oracle_import_leaves_scipy_linalg_out():
@@ -254,6 +252,16 @@ def test_numkit_is_numpys_own_functions():
     from loopcool import numkit
     assert (numkit.solve_linear, numkit.eigenvalues, numkit.kron) == (
         np.linalg.solve, np.linalg.eigvals, np.kron)
+
+
+def test_serial_cli_never_imports_concurrent_futures():
+    # only sweep --workers > 1 starts worker threads
+    out = _fresh_python(
+        "import sys\n"
+        "from loopcool.cli import main\n"
+        "main.main(args=['cool', '--preset', 'fig2'], standalone_mode=False)\n"
+        "print('concurrent.futures' in sys.modules)\n")
+    assert out.splitlines()[-1] == "False"
 
 
 def test_schur_route_imports_scipy_when_needed():
