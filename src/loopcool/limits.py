@@ -7,6 +7,7 @@ provided: the lambda-resolved "full" form (valid for Gamma_1 ~ Gamma_2) and
 the simplified transfer-rate form built on the resonant approximations.
 Both refuse an effective model that is unstable by the engine's one margin,
 steadystate.STABILITY_MARGIN; `report` is what the commands print of them.
+Each takes any SystemSpec: model.to_linearized linearizes a Physical drive.
 """
 
 import cmath
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, require_finite
-from .model import mechanical_matrix
+from .model import mechanical_matrix, to_linearized
 from .steadystate import STABILITY_MARGIN
 
 #: (this mode, the other mode): the full limit's per-mode formula is one expression over both
@@ -78,6 +79,7 @@ def effective_model(spec):
     """Exact-Lorentzian effective two-mode quantities (plus resonant forms)."""
     if spec.n_mech != 2:
         raise DomainError("adiabatic elimination is defined for n_mech = 2")
+    spec = to_linearized(spec)
     g1, g2 = spec.drive.g_lin
     k = spec.kappa
     d = spec.drive.delta
@@ -130,7 +132,7 @@ def _apart(a, b):
 def validity_notes(eff, spec, full):
     """Sorted messages of the conditions that the limits fail: omega >> kappa >> G >> gamma,
     exact Gamma_opt ~ g^2/kappa (simplified) and, if full, Gamma_1 ~ Gamma_2 (full)."""
-    g_max = max(abs(g) for g in spec.drive.g_lin)
+    g_max = max(abs(g) for g in to_linearized(spec).drive.g_lin)
     notes = []
     if not (min(spec.omega_m) > spec.kappa > g_max > max(spec.gamma)):
         notes.append("outside the validity regime omega >> kappa >> G >> gamma")
@@ -179,6 +181,7 @@ def cooling_limit_full(eff, spec):
         raise DomainError("full cooling limit undefined when xi1 or xi2 = 0")
     _require_stable(eff)
     l1, l2 = eff.lambda1, eff.lambda2
+    spec = to_linearized(spec)
     k = spec.kappa
     d = spec.drive.delta
     g = spec.drive.g_lin
@@ -211,6 +214,7 @@ def report(spec, full):
     eigenvalue or limit (4 kappa^2 overflows above kappa ~ 7e153, |xi|^2 below
     kappa ~ 1e-160, a Lorentzian at kappa = 5e-324, n_opt where (omega_1 +
     omega_2 + 2 delta)^2 underflows) is a FloatingPointError."""
+    spec = to_linearized(spec)  # one fixed-point solve for every reader below
     eff = effective_model(spec)
     found = {"simplified": cooling_limit_simplified(eff, spec)}
     if full:

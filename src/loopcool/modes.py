@@ -5,7 +5,8 @@ exchange), N-mode normal modes with dark-mode counting, and the eigensystem
 of the analogous three-level Lambda configuration.  The normal modes and the
 Lambda eigenstates come from one eigensolve, _aligned_eigh, whose
 degenerate eigenspaces are aligned with the couplings (g, or the excited
-state |e>), so each such eigenspace has at most one bright state.
+state |e>), so each such eigenspace has at most one bright state.  The mode
+analyses take any SystemSpec: model.to_linearized linearizes a Physical drive.
 """
 
 import cmath
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, require_finite
-from .model import mechanical_matrix
+from .model import mechanical_matrix, to_linearized
 
 #: a mode counts as dark when |coupling| <= DARK_TOL * max coupling strength
 DARK_TOL = 1e-10
@@ -85,6 +86,7 @@ def bright_dark(spec):
         raise DomainError("bright/dark decomposition needs n_mech = 2")
     if spec.eta[0] != 0.0:
         raise DomainError("bright/dark decomposition assumes eta = 0")
+    spec = to_linearized(spec)
     g1, g2 = spec.drive.g_lin
     w1, w2 = spec.omega_m
     gsq = g1 * g1 + g2 * g2
@@ -108,7 +110,7 @@ def hybrid_transform(spec):
     th = spec.theta[0]
     if eta <= 0.0:
         raise DomainError("hybrid transform assumes eta > 0; use bright_dark at eta = 0")
-    g1, g2 = spec.drive.g_lin
+    g1, g2 = to_linearized(spec).drive.g_lin
     w1, w2 = spec.omega_m
     half, mean = 0.5 * (w2 - w1), 0.5 * w1 + 0.5 * w2  # in halves: no sum overflows
     half_split = math.hypot(half, eta)
@@ -149,13 +151,13 @@ def normal_modes(spec):
     chain has the no-exchange ceiling nbar (N-1)/N (predicted_uncooled); NaN
     where undefined.
     """
-    n = spec.n_mech
-    g = np.array(spec.drive.g_lin, complex)
+    n, g_lin = spec.n_mech, to_linearized(spec).drive.g_lin
+    g = np.array(g_lin, complex)
     vals, vecs, _ = _aligned_eigh(mechanical_matrix(spec), g)
     omega_k, coupling = vals[::-1], (vecs.conj() @ g)[::-1]
     dark = np.abs(coupling) <= DARK_TOL * np.abs(g).max()
     nbar = spec.nbar[0] if len(set(spec.nbar)) == len(set(spec.gamma)) == 1 else math.nan
-    uniform = (len(set(spec.omega_m)) == 1 and len(set(spec.drive.g_lin)) == 1
+    uniform = (len(set(spec.omega_m)) == 1 and len(set(g_lin)) == 1
                and (n < 2 or len(set(spec.eta)) == 1))
     return NormalModeAnalysis(
         omega_k=omega_k, coupling_k=coupling, dark_flags=dark,

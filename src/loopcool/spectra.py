@@ -5,6 +5,8 @@ fields; transmittances sum the signal and conjugate-channel contributions,
 and the relative scattering rate Lambda_vw = (T_vw - T_wv)/T_max quantifies
 nonreciprocity of the phonon transfer.  Gamma^2 = -2 Re diag A: Re A_jj is
 exactly -kappa or -gamma_j under every approximation, so U needs A alone.
+`Cooperativities.from_spec` takes any SystemSpec: model.to_linearized
+linearizes a Physical drive.
 
 `scattering_matrix`, `transmittances` and `scan_point` take a scalar probe
 frequency or a 1-D array of them.  An array gives a stack along the leading
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeMismatch, SingularMatrix, require_finite
+from .model import to_linearized
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,7 @@ class Cooperativities:
     def from_spec(cls, spec):
         if spec.n_mech != 2:
             raise DomainError("cooperativities are defined for two mechanical modes")
-        g = spec.drive.g_lin
+        g = to_linearized(spec).drive.g_lin
         # products of quotients: a product of rates such as gamma_1 gamma_2 underflows
         # to 0 at rates ~ 1e-300, and a float ** raises OverflowError
         c1, c2 = ((g[j] / spec.gamma[j]) * (g[j] / spec.kappa) for j in (0, 1))

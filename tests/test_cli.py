@@ -1453,3 +1453,32 @@ def test_no_module_renames_a_python_float_error():
                 caught += ["%s:%d %s" % (path.name, node.lineno, name) for name in
                            sorted(names & {"ZeroDivisionError", "OverflowError"})]
     assert caught == []
+
+
+def _is_to_linearized(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "to_linearized")
+
+
+def test_only_model_reads_a_drives_delta_or_couplings():
+    # model.to_linearized is the one owner of (delta, G_j): every other module reads a
+    # drive's delta or g_lin off to_linearized(...), or off a name that the enclosing
+    # function bound to it on an earlier line, so each analysis takes a Physical drive too
+    unowned = []
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        tree = ast.parse(path.read_text())
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and node.attr in ("delta", "g_lin")
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "drive"):
+                continue
+            base = node.value.value
+            bound = {target.id for f in functions if f.lineno <= node.lineno <= f.end_lineno
+                     for assign in ast.walk(f) if isinstance(assign, ast.Assign)
+                     and _is_to_linearized(assign.value) and assign.lineno < node.lineno
+                     for target in assign.targets if isinstance(target, ast.Name)}
+            if not (_is_to_linearized(base) or isinstance(base, ast.Name) and base.id in bound):
+                unowned.append("%s:%d %s" % (path.name, node.lineno, ast.unparse(node)))
+    assert unowned == []

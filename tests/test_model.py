@@ -1,14 +1,18 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from loopcool.errors import InvalidSpec
+from loopcool.limits import cooling_limit_full, effective_model, report, validity_notes
 from loopcool.model import (DRIVE_FIELDS, FULL, PHYSICAL_FIELDS, RWA, SPEC_FIELDS,
                             CouplingApprox, Linearized, Physical, SystemSpec, build_drift,
                             build_noise, drift_stack, linearize, mechanical_matrix, param_table,
                             to_linearized)
+from loopcool.modes import bright_dark, hybrid_transform, normal_modes
 from loopcool.presets import PRESETS
+from loopcool.spectra import Cooperativities
 
 APPROXES = [CouplingApprox(om, mech) for om in (FULL, RWA) for mech in (FULL, RWA)]
 
@@ -207,6 +211,40 @@ def test_to_linearized_real_couplings():
     lin = to_linearized(spec)
     assert isinstance(lin.drive, Linearized)
     assert all(g > 0 for g in lin.drive.g_lin)
+
+
+def _bits(value):
+    """value with each number as (its type, its bytes): equal only when equal to the last bit."""
+    if dataclasses.is_dataclass(value):
+        value = vars(value)
+    if isinstance(value, dict):
+        return {key: _bits(v) for key, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_bits(v) for v in value]
+    return value if isinstance(value, str) else (type(value), np.asarray(value).tobytes())
+
+
+#: each analysis that reads Delta or G_j, called as f(spec, linearized spec); an effective
+#: model is built from the linearized spec, so only the function's own reads differ
+LINEARIZED_READERS = {
+    "normal_modes": ("fig2", lambda spec, lin: normal_modes(spec)),
+    "hybrid_transform": ("fig2", lambda spec, lin: hybrid_transform(spec)),
+    "bright_dark": ("fig2_eta0", lambda spec, lin: bright_dark(spec)),
+    "effective_model": ("fig2", lambda spec, lin: effective_model(spec)),
+    "report": ("fig2", lambda spec, lin: report(spec, True)),
+    "cooling_limit_full": ("fig2", lambda spec, lin: cooling_limit_full(effective_model(lin), spec)),
+    "validity_notes": ("fig2", lambda spec, lin: validity_notes(effective_model(lin), spec, True)),
+    "Cooperativities.from_spec": ("fig2", lambda spec, lin: Cooperativities.from_spec(spec)),
+}
+
+
+@pytest.mark.parametrize("preset, call", LINEARIZED_READERS.values(), ids=LINEARIZED_READERS)
+def test_an_analysis_of_a_physical_drive_is_that_of_its_linearized_spec(preset, call):
+    spec = PRESETS[preset]().with_(drive=Physical(delta_c=1.0, omega_amp=100.0,
+                                                  g_single=(1e-3, 1e-3)))
+    lin = to_linearized(spec)
+    assert to_linearized(lin) is lin
+    assert _bits(call(spec, lin)) == _bits(call(lin, lin))
 
 
 # --- drift construction -------------------------------------------------
