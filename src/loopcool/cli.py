@@ -143,7 +143,7 @@ def cool(spec, approx):
     drift = build_drift(spec, approx)
     report = steadystate.cool_or_flag(drift)
     payload = {"spec": given, **vars(report), "provenance": _provenance(approx)}
-    if spec.n_mech == 2 and report.stable:
+    if report.stable:
         try:
             _, found, notes = limits.report(spec, full=False)
         except (DomainError, ArithmeticError) as exc:  # the steady state stands without its limit

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the one rule that names a
-numerical failure: require_finite."""
+numerical failure: require_finite, after code that may overflow or meet inf * 0
+has run under np.errstate(all="ignore"), the one floating-point mode."""
 
 import numpy as np
 

@@ -71,7 +71,7 @@ def _lorentzian(gg, k, x):
     e = math.frexp(max(k, abs(x)))[1]
     ks, xs = math.ldexp(k, -e), math.ldexp(x, -e)
     den = ks * ks + xs * xs
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         return np.ldexp([gg * ks / den, gg * xs / den], -e).tolist()
 
 

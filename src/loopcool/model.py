@@ -182,7 +182,7 @@ def set_param(table, name, index, values):
     (InvalidSpec).  A loop phase is reduced mod 2 pi (Python's float %); an
     infinite one becomes NaN, for the finite rule, with no RuntimeWarning."""
     if name == "theta":
-        with np.errstate(invalid="ignore"):
+        with np.errstate(all="ignore"):
             values = np.remainder(values, TWO_PI)
     column = table[name] if index is None else table[name][:, index]
     column[...] = values
@@ -242,7 +242,7 @@ def fixed_point_stack(table):
     c = np.linalg.solve(m, -g[..., None])[..., 0]
     companion = np.zeros((size, 3, 3))
     _diagonal(companion, 1, 0, 2)[:] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
+    with np.errstate(all="ignore"):  # refused below if not finite
         k2 = kappa ** 2
         s = 2.0 * np.einsum("ij,ij->i", g, c.real)
         companion[:, 0] = np.column_stack([delta_c, -k2,
@@ -252,7 +252,7 @@ def fixed_point_stack(table):
     real = roots.imag == 0.0  # LAPACK gives a real eigenvalue an exact 0 imag
     pick = np.argmax(np.where(real, np.abs(roots.real), -1.0), axis=-1)
     delta = roots.real[np.arange(size), pick]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         alpha = -1j * table["omega_amp"].conj() / (kappa + 1j * delta)
         amplitude = np.abs(alpha)[:, None]
         beta, g_lin = c * amplitude ** 2, g * amplitude
@@ -289,10 +289,10 @@ def drift_stack(table, approx=CouplingApprox()):
     A Physical drive's rows are linearized here, each at its own classical
     fixed point (fixed_point_stack), whose own refusal passes through as it
     is.  Each drift entry is one of the table's numbers, or a hop
-    eta e^{i theta}, times 0, +-1 or +-i, so only the noise matrix can
-    overflow (a finite but huge rate, such as kappa = 1e308, makes 2 kappa
-    infinite): the stacks are built with no RuntimeWarning and Q is checked
-    once, "noise matrix not finite: Q" (FloatingPointError).
+    eta e^{i theta}, times 0, +-1 or +-i, so only the noise matrix can fail
+    (kappa = 1e308 makes 2 kappa infinite, gamma = 1e308 at nbar = 0 makes
+    2 gamma nbar NaN): the stacks are built with no RuntimeWarning and Q is
+    checked once, "noise matrix not finite: Q" (FloatingPointError).
     """
     if "g_single" in table:
         st = fixed_point_stack(table)
@@ -317,7 +317,7 @@ def drift_stack(table, approx=CouplingApprox()):
         y[:, 1:, 1:] = -1j * (up + up.swapaxes(-1, -2))
     np.conjugate(y, out=a[:, dim:, :dim])
     np.conjugate(x, out=a[:, dim:, dim:])
-    with np.errstate(over="ignore"):  # refused below, with no RuntimeWarning
+    with np.errstate(all="ignore"):  # refused below, with no RuntimeWarning
         q = noise_stack(table)
     require_finite("noise matrix", Q=q)
     return a, q

@@ -7,6 +7,8 @@ Lambda eigenstates come from one eigensolve, _aligned_eigh, whose
 degenerate eigenspaces are aligned with the couplings (g, or the excited
 state |e>), so each such eigenspace has at most one bright state.  The mode
 analyses take any SystemSpec: model.to_linearized linearizes a Physical drive.
+The closed forms scale their couplings by a power of two (_scaled), so only a
+value too large for a float overflows, and require_finite names it.
 """
 
 import cmath
@@ -76,6 +78,14 @@ class LambdaEigen:
     dark_indices: list  # every dark state (p_e <= DARK_P_E), in index order
 
 
+def _scaled(x):
+    """(x scaled by the power of two 2^-e that brings max |x_j| into [0.5, 1), e):
+    exact where every step is a normal float, so a quotient of scaled entries
+    keeps its bits, and no square of one overflows or underflows to 0."""
+    e = math.frexp(max(map(abs, x)))[1]
+    return [math.ldexp(v, -e) for v in x], e
+
+
 def bright_dark(spec):
     """Bright/dark collective modes for two degenerate-coupling-channel resonators.
 
@@ -87,7 +97,7 @@ def bright_dark(spec):
     if spec.eta[0] != 0.0:
         raise DomainError("bright/dark decomposition assumes eta = 0")
     spec = to_linearized(spec)
-    g1, g2 = spec.drive.g_lin
+    (g1, g2), g_exp = _scaled(spec.drive.g_lin)
     w1, w2 = spec.omega_m
     gsq = g1 * g1 + g2 * g2
     if gsq == 0.0:
@@ -95,11 +105,15 @@ def bright_dark(spec):
     omega_plus = (g1 * g1 * w1 + g2 * g2 * w2) / gsq
     omega_minus = (g2 * g2 * w1 + g1 * g1 * w2) / gsq
     zeta = g1 * g2 * (w1 - w2) / gsq
-    g_plus = math.sqrt(gsq)
-    return BrightDarkModes(
+    root = math.sqrt(gsq)
+    with np.errstate(all="ignore"):  # a g_plus beyond the float range is inf: named below
+        g_plus = float(np.ldexp(root, g_exp))
+    found = BrightDarkModes(
         omega_plus=omega_plus, omega_minus=omega_minus, zeta=zeta,
-        g_plus=g_plus, weights=(g1 / g_plus, g2 / g_plus),
+        g_plus=g_plus, weights=(g1 / root, g2 / root),
         dark_mode_exists=bool(normal_modes(spec).dark_flags.any()))
+    require_finite("bright/dark quantities", **vars(found))
+    return found
 
 
 def hybrid_transform(spec):
@@ -110,7 +124,7 @@ def hybrid_transform(spec):
     th = spec.theta[0]
     if eta <= 0.0:
         raise DomainError("hybrid transform assumes eta > 0; use bright_dark at eta = 0")
-    g1, g2 = to_linearized(spec).drive.g_lin
+    (g1, g2), g_exp = _scaled(to_linearized(spec).drive.g_lin)
     w1, w2 = spec.omega_m
     half, mean = 0.5 * (w2 - w1), 0.5 * w1 + 0.5 * w2  # in halves: no sum overflows
     half_split = math.hypot(half, eta)
@@ -118,9 +132,8 @@ def hybrid_transform(spec):
     # (f, -h) is the unit vector along (w1 - wt_minus, eta), which for w2 >= w1
     # is eta (eta, half + half_split) / (half + half_split): no difference of
     # nearly equal numbers, no division by one and no eta^2 to underflow.  Scaled
-    # by 2^-e, exactly, neither component nor their hypot overflows or underflows
-    e = math.frexp(half_split)[1]
-    half, eta_s, half_split = (math.ldexp(v, -e) for v in (half, eta, half_split))
+    # by _scaled, neither component nor their hypot overflows or underflows
+    (half, eta_s, half_split), _ = _scaled((half, eta, half_split))
     if w2 >= w1:
         x, y = eta_s, half + half_split
     else:
@@ -131,6 +144,8 @@ def hybrid_transform(spec):
     g_minus = cmath.exp(1j * th) * h * g1 + f * g2
     total = math.sqrt(g1 * g1 + g2 * g2)
     darkness = min(abs(g_plus), abs(g_minus)) / total if total > 0 else 0.0
+    with np.errstate(all="ignore"):  # a coupling beyond the float range is inf: named below
+        g_plus, g_minus = (complex(*np.ldexp([z.real, z.imag], g_exp)) for z in (g_plus, g_minus))
     found = HybridModes(
         omega_tilde_plus=wt_plus, omega_tilde_minus=wt_minus, f=f, h=h,
         g_tilde_plus=g_plus, g_tilde_minus=g_minus, darkness=darkness)
@@ -153,9 +168,12 @@ def normal_modes(spec):
     """
     n, g_lin = spec.n_mech, to_linearized(spec).drive.g_lin
     g = np.array(g_lin, complex)
-    vals, vecs, _ = _aligned_eigh(mechanical_matrix(spec), g)
-    omega_k, coupling = vals[::-1], (vecs.conj() @ g)[::-1]
-    dark = np.abs(coupling) <= DARK_TOL * np.abs(g).max()
+    with np.errstate(all="ignore"):  # a coupling beyond the float range: named below
+        vals, vecs, _ = _aligned_eigh(mechanical_matrix(spec), g)
+        omega_k, coupling = vals[::-1], (vecs.conj() @ g)[::-1]
+        strength = np.abs(coupling)
+    require_finite("normal-mode couplings", coupling_k=strength)
+    dark = strength <= DARK_TOL * np.abs(g).max()
     nbar = spec.nbar[0] if len(set(spec.nbar)) == len(set(spec.gamma)) == 1 else math.nan
     uniform = (len(set(spec.omega_m)) == 1 and len(set(g_lin)) == 1
                and (n < 2 or len(set(spec.eta)) == 1))

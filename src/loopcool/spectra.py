@@ -11,7 +11,8 @@ linearizes a Physical drive.
 `scattering_matrix`, `transmittances` and `scan_point` take a scalar probe
 frequency or a 1-D array of them.  An array gives a stack along the leading
 axis, solved by one batched LAPACK call; a scalar is the same computation for
-one frequency.  The resolvent is meant to be taken behind the stability
+one frequency.  `scan_point` takes its caller's Cooperativities, for Lambda's
+normalizer t_max.  The resolvent is meant to be taken behind the stability
 verdict: for a stable drift every eigenvalue of -i w I - A has modulus at
 least |Re lambda| > 0, so it is nonsingular at every real w.
 """
@@ -137,15 +138,13 @@ def lambda_numeric(drift, omega, coop):
     return scan_point(drift, omega, coop).lambda_rel
 
 
-def scan_point(drift, omega, coop=None):
+def scan_point(drift, omega, coop):
     """U, T and Lambda at a scalar omega, or stacked over a 1-D array of them.
 
-    Same contract as `scattering_matrix`; coop defaults to the spec's.  A T or
-    Lambda that is not finite (Lambda's normalizer t_max underflows, or U
+    Same contract as `scattering_matrix`; coop gives Lambda's normalizer
+    t_max.  A T or Lambda that is not finite (t_max underflows, or U
     overflows) raises FloatingPointError.
     """
-    if coop is None:
-        coop = Cooperativities.from_spec(drift.spec)
     with np.errstate(all="ignore"):  # an overflow gives inf or NaN: caught below
         u = scattering_matrix(drift, omega)
         t = transmittances(u, drift.spec.n_mech)

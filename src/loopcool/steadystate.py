@@ -24,8 +24,8 @@ again by the Schur-based `scipy.linalg.solve_sylvester`; its report says
 solver = "schur" instead of "eig".  Only that fallback imports scipy.
 `cool_many` is the batched entry point: it returns one CoolingReport of arrays
 over the stack, with no per-drift object.  `cool`, `cool_or_flag`,
-`stability_check` and `lyapunov_solve` are batches of one, so every command
-gives the same verdict for the same drift.
+`stability_check` and `lyapunov_solve` are batches of one (`cool_or_flag` reads
+row 0 of the report), so every command gives the same verdict for the same drift.
 """
 
 import math
@@ -201,10 +201,8 @@ def cool(drift):
 def cool_or_flag(drift):
     """Like cool(), but an unstable drift yields a NaN-occupations record.
 
-    Used where a single unstable point must not abort the run.
+    Row 0 of cool_many's report: a per-mode column's ndarray row, else a Python scalar.
     """
     batch = cool_many(drift.a[None], drift.q[None])
-    return CoolingReport(n_f=batch.n_f[0], n_cav=float(batch.n_cav[0]),
-                         stable=bool(batch.stable[0]),
-                         spectral_abscissa=float(batch.spectral_abscissa[0]),
-                         residual=float(batch.residual[0]), solver=batch.solver[0])
+    return CoolingReport(**{name: column[0] if column.ndim > 1 else column[:1].item()
+                            for name, column in vars(batch).items()})

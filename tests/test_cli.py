@@ -939,6 +939,19 @@ def test_cool_embeds_the_limits_report(runner, tmp_path):
     assert regime in limited["warnings"]
 
 
+@pytest.mark.parametrize("source", ["figS10", "figS11", "n1"])
+def test_cool_says_why_a_chain_has_no_limits(runner, tmp_path, source):
+    # limits.effective_model alone decides which n_mech it takes; cool passes its text on
+    args = (["--config", write_config(tmp_path / "n1.ini", **N1_CONFIG)] if source == "n1"
+            else ["--preset", source])
+    res = runner.invoke(main, ["cool", *args])
+    assert res.exit_code == 0, res.output
+    payload = strict_json(res.stdout)
+    assert payload["stable"]
+    assert payload["limits"] == {
+        "unavailable": "adiabatic elimination is defined for n_mech = 2"}
+
+
 # at delta = -(omega_1 + omega_2)/2 the adiabatic n_opt divides by zero
 OPPOSITE_DETUNING = dict(drive_lines=(
     "type = linearized", "delta = -1.0", "g_lin = 0.01, 0.01"))
@@ -1330,16 +1343,38 @@ def test_sweep_non_finite_axis_is_config_error(runner, tmp_path, monkeypatch, ro
 
 #: the fuzz's values: the float range's ends, a signed zero, non-finite values, no number
 FUZZ_POOL = ("0", "-0.0", "5e-324", "1e-300", "1e300", "1.7e308", "nan", "inf", "-inf", "two")
-#: fig2's config fields as text, in file order; a fuzz config edits one or two of them
-FUZZ_FIELDS = {"omega_m": "1.0, 1.0", "kappa": "0.2", "gamma": "1e-5, 1e-5", "nbar": "1e3, 1e3",
-               "eta": "0.05", "theta": "1.5707963267948966", "delta": "1.0", "g_lin": "0.1, 0.1"}
+#: the [system] fields of a config file, in file order
+SYSTEM_FIELDS = ("omega_m", "kappa", "gamma", "nbar", "eta", "theta")
+
+
+def fuzz_fields(n_mech=2, physical=False):
+    """fig2's config fields as text, in file order, for a uniform chain of n_mech
+    resonators whose first hop carries fig2's phase, with fig2's linearized drive
+    or a physical one (three classical fixed points at N = 2); a fuzz config edits
+    one or two of them."""
+    def each(value, k=0):
+        return ", ".join([value] * (n_mech - k))
+
+    drive = (dict(delta_c="1.0", omega_amp="200.0", g_single=each("1e-3")) if physical
+             else dict(delta="1.0", g_lin=each("0.1")))
+    return dict(omega_m=each("1.0"), kappa="0.2", gamma=each("1e-5"), nbar=each("1e3"),
+                eta=each("0.05", 1),
+                theta=", ".join((["1.5707963267948966"] + ["0"] * n_mech)[:n_mech - 1]), **drive)
+
+
+FUZZ_FIELDS = fuzz_fields()
+#: the spec shapes that fig2's fuzz does not reach: one resonator, a chain, physical drives
+FUZZ_SHAPES = {"n1": fuzz_fields(1), "n3": fuzz_fields(3), "physical": fuzz_fields(2, True),
+               "n3-physical": fuzz_fields(3, True)}
 FUZZ_COMMANDS = ("cool", "stability", "modes", "limits", "spectrum", "sweep", "lambda")
 FUZZ_RUNS = 40  # per command
+FUZZ_SHAPE_RUNS = 5  # per command and shape of FUZZ_SHAPES
 #: each command's arguments after its spec source
 FUZZ_TAIL = {"spectrum": " --points 5 --out {out}", "sweep": " --axis {axis} --out {out}"}
 FUZZ_APPROX = ("", " --om-rwa", " --mech-full")
 FUZZ_SPECTRUM = "spectrum --config {cfg} --points 5 --out {out}"
-#: the inputs the fuzz was built to reach, then what it found: (argv, config edits)
+#: the inputs the fuzz was built to reach, then what it found: (argv, config edits),
+#: and the fuzz_fields that the edits apply to where they are not fig2's
 FUZZ_FIXED = [
     ("modes --config {cfg}", dict(eta="1e308")),  # 2 eta overflowed in the hybrid transform
     (FUZZ_SPECTRUM, dict(gamma="1e-300, 1e-300")),  # gamma_1 gamma_2 underflowed in C3
@@ -1358,6 +1393,14 @@ FUZZ_FIXED = [
      dict(kappa="1e300", g_lin="1e300, 5e-324")),  # NaN occupations at a stable point
     ("limits --config {cfg}", dict(eta="0", gamma="3e-3, 3e-3",
                                    delta="-0.33115287381420005")),  # Gamma_1 + Gamma_2 = 0
+    # 2 gamma nbar = inf * 0 = NaN in the noise matrix: one line, with no RuntimeWarning
+    ("cool --config {cfg}", dict(gamma="1e308, 1e-5", nbar="0, 1e3")),
+    ("sweep --config {cfg} --workers 2 --axis kappa=0.1:0.3:3 --out {out}",
+     dict(gamma="1e308, 1e-5", nbar="0, 1e3")),
+    ("modes --config {cfg}", dict(eta="0", g_lin="1e200, 1e200")),  # g^2 overflowed: null g_plus
+    ("modes --config {cfg}", dict(g_lin="1e155, 1e155")),  # g^2 overflowed: darkness read 0
+    ("modes --config {cfg}", dict(g_lin="0.1, 1.7e308, 1.7e308", eta="0.1, 0.1"),
+     FUZZ_SHAPES["n3"]),  # a normal-mode coupling overflowed in a matmul
 ]
 
 
@@ -1365,41 +1408,43 @@ def fuzz_value(rng, nominal):
     return rng.choice(FUZZ_POOL) if rng.random() < 0.7 else nominal
 
 
-def fuzz_config_text(fields):
-    """fig2's config text with the given FUZZ_FIELDS entries replaced."""
-    fields = {**FUZZ_FIELDS, **fields}
-    return ("[system]\nn_mech = 2\n" + "".join("%s = %s\n" % (name, fields[name]) for name in
-                                              ("omega_m", "kappa", "gamma", "nbar", "eta", "theta"))
-            + "\n[drive]\ntype = linearized\ndelta = %s\ng_lin = %s\n"
-            % (fields["delta"], fields["g_lin"]))
+def fuzz_config_text(edits, base=FUZZ_FIELDS):
+    """The config text of base, fuzz_fields' fields, with the given entries replaced."""
+    fields = {**base, **edits}
+    return ("[system]\nn_mech = %d\n" % len(base["omega_m"].split(", "))
+            + "".join("%s = %s\n" % (name, fields[name]) for name in SYSTEM_FIELDS)
+            + "\n[drive]\ntype = %s\n" % ("physical" if "delta_c" in base else "linearized")
+            + "".join("%s = %s\n" % (name, fields[name]) for name in base
+                      if name not in SYSTEM_FIELDS))
 
 
-def fuzz_case(rng, command):
+def fuzz_case(rng, command, base=FUZZ_FIELDS):
     """(argv, config edits or None) of one fuzz run: for a spec command, one or two
-    of fig2's fields drawn entry by entry from FUZZ_POOL, one time in five at a
+    of base's fields drawn entry by entry from FUZZ_POOL, one time in five at a
     wrong list length; for lambda, --eta and --theta from the pool."""
     if command == "lambda":
         return "lambda --eta %s --theta %s" % (fuzz_value(rng, "0.5"), fuzz_value(rng, "0.3")), None
     edits = {}
-    for name in rng.sample(sorted(FUZZ_FIELDS), rng.randint(1, 2)):
-        entries = FUZZ_FIELDS[name].split(", ")
+    for name in rng.sample(sorted(base), rng.randint(1, 2)):
+        entries = base[name].split(", ")
         length = len(entries) + rng.choice((0, 0, 0, 0, 1, -1))
         edits[name] = ", ".join(fuzz_value(rng, entries[0]) for _ in range(length))
-    axis = rng.choice(("kappa=%s:0.3:3", "drive.delta=0.9:%s:3", "eta[0]=%s:0.1:3",
+    detuning = "delta_c" if "delta_c" in base else "delta"
+    axis = rng.choice(("kappa=%s:0.3:3", "drive.%s=0.9:%%s:3" % detuning, "eta[0]=%s:0.1:3",
                        "theta[0]=0:%s:3")) % fuzz_value(rng, "0.2")
     approx = rng.choice(FUZZ_APPROX) if command in ("cool", "stability", "spectrum", "sweep") else ""
     return (command + " --config {cfg}" + approx + FUZZ_TAIL.get(command, "")).replace(
         "{axis}", shlex.quote(axis)), edits
 
 
-def check_contract(runner, tmp_path, argv, edits):
+def check_contract(runner, tmp_path, argv, edits, base=FUZZ_FIELDS):
     """The CLI contract, whatever the input: a known exit code and no escaped exception;
     a refusal is one stderr line (or click's usage error) and no stdout, and no
     numerical failure is a bare ZeroDivisionError or OverflowError; a report is
     strict JSON, and a CSV holds no NaN or inf."""
     cfg, out = tmp_path / "c.ini", tmp_path / "out.csv"
     if edits is not None:
-        cfg.write_text(fuzz_config_text(edits))
+        cfg.write_text(fuzz_config_text(edits, base))
     if out.exists():
         out.unlink()
     res = runner.invoke(main, [a.format(cfg=cfg, out=out) for a in shlex.split(argv)])
@@ -1425,21 +1470,34 @@ def check_contract(runner, tmp_path, argv, edits):
         assert not lines[0].startswith(("error: ZeroDivisionError", "error: OverflowError")), case
 
 
+def fuzz_runs(runner, tmp_path, command, seed, runs, base=FUZZ_FIELDS):
+    rng = random.Random(seed)
+    for run in range(runs):
+        argv, edits = fuzz_case(rng, command, base)
+        if command == "sweep" and run % 2:  # 3-point axes in chunks of 2 and 1 on two threads
+            argv += " --workers 2"
+        check_contract(runner, tmp_path, argv, edits, base)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", FUZZ_COMMANDS)
 def test_contract_fuzz(runner, tmp_path, command):
-    rng = random.Random("loopcool-fuzz-" + command)
-    for run in range(FUZZ_RUNS):
-        argv, edits = fuzz_case(rng, command)
-        if command == "sweep" and run % 2:  # 3-point axes in chunks of 2 and 1 on two threads
-            argv += " --workers 2"
-        check_contract(runner, tmp_path, argv, edits)
+    fuzz_runs(runner, tmp_path, command, "loopcool-fuzz-" + command, FUZZ_RUNS)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("argv, edits", FUZZ_FIXED, ids=[argv.split()[0] for argv, _ in FUZZ_FIXED])
-def test_contract_fixed_rows(runner, tmp_path, argv, edits):
-    check_contract(runner, tmp_path, argv, edits)
+@pytest.mark.parametrize("shape", sorted(FUZZ_SHAPES))
+@pytest.mark.parametrize("command", [c for c in FUZZ_COMMANDS if c != "lambda"])
+def test_contract_fuzz_beyond_fig2(runner, tmp_path, command, shape):
+    fuzz_runs(runner, tmp_path, command, "loopcool-fuzz-%s-%s" % (shape, command),
+              FUZZ_SHAPE_RUNS, FUZZ_SHAPES[shape])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("row", FUZZ_FIXED, ids=[
+    row[0].split()[0] + ("-workers2" if "--workers 2" in row[0] else "") for row in FUZZ_FIXED])
+def test_contract_fixed_rows(runner, tmp_path, row):
+    check_contract(runner, tmp_path, *row)
 
 
 def test_no_module_renames_a_python_float_error():
@@ -1453,6 +1511,19 @@ def test_no_module_renames_a_python_float_error():
                 caught += ["%s:%d %s" % (path.name, node.lineno, name) for name in
                            sorted(names & {"ZeroDivisionError", "OverflowError"})]
     assert caught == []
+
+
+def test_every_float_mode_is_all_ignore():
+    # one floating-point mode: every np.errstate under src silences all four classes,
+    # and require_finite (or a spec rule) names what comes out; no code sets a global mode
+    modes = []
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and re.search(r"(^|\.)(errstate|seterr)$",
+                                                         ast.unparse(node.func)):
+                modes.append("%s:%d %s" % (path.name, node.lineno, ast.unparse(node)))
+    assert modes
+    assert [m for m in modes if not m.endswith(" np.errstate(all='ignore')")] == []
 
 
 def _is_to_linearized(node):

@@ -149,6 +149,41 @@ def test_hybrid_names_what_is_not_finite():
         normal_modes(get_preset("figS10").with_(eta=(1.7e308, 1.7e308)))
 
 
+@pytest.mark.parametrize("g", [1e155, 1e200, 1e308])
+def test_closed_forms_scale_their_couplings(g):
+    # G^2 overflows above G ~ 1.3e154, but no closed-form quantity does: each is
+    # computed from couplings scaled by a power of two, and scaled back
+    ref, big = (bright_dark(get_preset("fig2_eta0").with_(drive=Linearized(1.0, (x, x))))
+                for x in (0.1, g))
+    assert (big.omega_plus, big.omega_minus, big.zeta) == (1.0, 1.0, 0.0)
+    assert big.weights == pytest.approx(ref.weights, rel=1e-15)
+    assert big.g_plus == pytest.approx(ref.g_plus / 0.1 * g, rel=1e-15)
+    ref, big = (hybrid_transform(get_preset("fig2").with_(drive=Linearized(1.0, (x, x))))
+                for x in (0.1, g))
+    assert big.darkness == pytest.approx(ref.darkness, rel=1e-15)
+    assert big.g_tilde_plus == pytest.approx(ref.g_tilde_plus / 0.1 * g, rel=1e-15)
+
+
+def test_closed_forms_keep_the_bits_of_the_plain_formulas():
+    rng = np.random.default_rng(35)
+    for g1, g2, w1, w2 in 10.0 ** rng.uniform(-50, 50, (200, 4)) * [1, 1, 1e-47, 1e-47]:
+        bd = bright_dark(get_preset("fig2_eta0").with_(omega_m=(w1, w2),
+                                                       drive=Linearized(1.0, (g1, g2))))
+        gsq = g1 * g1 + g2 * g2
+        assert (bd.omega_plus, bd.omega_minus, bd.zeta, bd.g_plus) == (
+            (g1 * g1 * w1 + g2 * g2 * w2) / gsq, (g2 * g2 * w1 + g1 * g1 * w2) / gsq,
+            g1 * g2 * (w1 - w2) / gsq, math.sqrt(gsq))
+        hm = hybrid_transform(get_preset("fig2").with_(drive=Linearized(1.0, (g1, g2))))
+        assert hm.darkness == min(map(abs, (hm.g_tilde_plus, hm.g_tilde_minus))) / math.sqrt(gsq)
+
+
+def test_normal_modes_name_a_coupling_beyond_the_float_range():
+    # the bright coupling of G = (0.1, 1.7e308, 1.7e308), about 2.05e308, overflows
+    spec = get_preset("figS10").with_(drive=Linearized(1.0, (0.1, 1.7e308, 1.7e308)))
+    with pytest.raises(FloatingPointError, match="^normal-mode couplings not finite: coupling_k$"):
+        normal_modes(spec)
+
+
 def test_hybrid_rejects_eta_zero():
     with pytest.raises(DomainError):
         hybrid_transform(get_preset("fig2_eta0"))

@@ -106,8 +106,9 @@ def test_closed_forms_at_the_ends_of_the_float_range():
 def test_scan_point_names_what_is_not_finite():
     # T_max underflows to 0 with no coupling at all: Lambda = (T_vw - T_wv)/T_max is NaN
     spec = fig3_spec().with_(eta=(0.0,), drive=Linearized(delta=1.0, g_lin=(0.0, 0.0)))
+    d = build_drift(spec)
     with pytest.raises(FloatingPointError, match="^scattering quantities not finite: Lambda$"):
-        scan_point(build_drift(spec), np.array([0.9, 1.1]))
+        scan_point(d, np.array([0.9, 1.1]), Cooperativities.from_spec(d.spec))
 
 
 def test_lambda_analytic_odd_in_theta():
@@ -162,7 +163,7 @@ def test_lambda_bounded_on_resonance():
 
 def test_scan_point_consistency():
     d = build_drift(fig3_spec())
-    pt = scan_point(d, 1.0)
+    pt = scan_point(d, 1.0, Cooperativities.from_spec(d.spec))
     assert pt.omega == 1.0
     assert np.allclose(pt.t, transmittances(pt.u, 2))
 
@@ -194,8 +195,9 @@ def reference_scan(drift, omegas, coop):
 @pytest.mark.parametrize("approx", APPROXES, ids=lambda a: a.optomechanical + "-" + a.mechanical)
 def test_scan_array_is_the_stack_of_scalar_scans(approx):
     d = build_drift(get_preset("fig3"), approx)
-    pt = scan_point(d, OMEGAS)
-    singles = [scan_point(d, float(w)) for w in OMEGAS]
+    coop = Cooperativities.from_spec(d.spec)
+    pt = scan_point(d, OMEGAS, coop)
+    singles = [scan_point(d, float(w), coop) for w in OMEGAS]
     assert pt.u.shape == (len(OMEGAS), 6, 6)
     assert np.array_equal(pt.u, np.stack([s.u for s in singles]))
     assert np.array_equal(pt.t, np.stack([s.t for s in singles]))
@@ -205,9 +207,9 @@ def test_scan_array_is_the_stack_of_scalar_scans(approx):
 @pytest.mark.parametrize("approx", APPROXES, ids=lambda a: a.optomechanical + "-" + a.mechanical)
 def test_scan_array_matches_per_frequency_reference(approx):
     d = build_drift(get_preset("fig3"), approx)
-    pt = scan_point(d, OMEGAS)
-    for got, ref in zip((pt.u, pt.t, pt.lambda_rel),
-                        reference_scan(d, OMEGAS, Cooperativities.from_spec(d.spec))):
+    coop = Cooperativities.from_spec(d.spec)
+    pt = scan_point(d, OMEGAS, coop)
+    for got, ref in zip((pt.u, pt.t, pt.lambda_rel), reference_scan(d, OMEGAS, coop)):
         err = np.abs(got - ref).max(axis=(1, 2))
         assert np.all(err <= 1e-12 * np.abs(ref).max(axis=(1, 2)))
 
@@ -232,7 +234,7 @@ def test_row_scaling_gives_the_bits_of_the_gamma_product(approx):
             if n == 2:
                 coop = Cooperativities.from_spec(d.spec)
                 lam_ref = (t_ref - np.swapaxes(t_ref, 1, 2)) / t_max(coop)
-                assert np.array_equal(scan_point(d, omegas).lambda_rel, lam_ref), name
+                assert np.array_equal(scan_point(d, omegas, coop).lambda_rel, lam_ref), name
 
 
 @pytest.mark.parametrize("approx", APPROXES, ids=lambda a: a.optomechanical + "-" + a.mechanical)
@@ -252,8 +254,9 @@ def test_resolvent_reads_the_drift_alone(approx):
 
 @pytest.mark.parametrize("omega", [math.nan, math.inf, np.array([1.0, -math.inf])])
 def test_non_finite_probe_frequency_is_domain_error(omega):
+    d = build_drift(fig3_spec())
     with pytest.raises(DomainError, match="must be finite"):
-        scan_point(build_drift(fig3_spec()), omega)
+        scan_point(d, omega, Cooperativities.from_spec(d.spec))
 
 
 def test_singular_resolvent_raises():
@@ -267,5 +270,5 @@ def test_singular_resolvent_raises():
     with pytest.raises(SingularMatrix):
         scattering_matrix(d, 1.0)
     with pytest.raises(SingularMatrix):
-        scan_point(d, np.array([0.9, 1.0, 1.1]))
+        scan_point(d, np.array([0.9, 1.0, 1.1]), Cooperativities.from_spec(d.spec))
     assert np.isfinite(scattering_matrix(d, 1.1)).all()

@@ -125,6 +125,19 @@ def test_cool_or_flag_nan_record():
     assert rep.spectral_abscissa > 0
 
 
+@pytest.mark.parametrize("eta, stable", [(0.05, True), (0.5, False)])
+def test_cool_or_flag_is_row_0_of_cool_many(eta, stable):
+    d = build_drift(get_preset("figS13").with_(eta=(eta,)), CouplingApprox(FULL, FULL))
+    one, batch = cool_or_flag(d), cool_many(d.a[None], d.q[None])
+    assert one.stable is stable and vars(one).keys() == vars(batch).keys()
+    kinds = {"n_f": np.ndarray, "stable": bool, "solver": str if stable else type(None)}
+    for name, value in vars(one).items():
+        row = getattr(batch, name)[0]
+        assert type(value) is kinds.get(name, float), name
+        assert value == row if name == "solver" else \
+            np.asarray(value).tobytes() == np.asarray(row).tobytes(), name
+
+
 def test_phonon_numbers_shape_check():
     with pytest.raises(ShapeMismatch):
         phonon_numbers(np.eye(4), 2)
