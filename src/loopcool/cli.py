@@ -397,9 +397,18 @@ def lambda_cmd(eta, theta):
 @main.command("limits")
 @_spec_options
 def limits_cmd(spec):
-    """Adiabatic-elimination effective model and analytic cooling limits."""
+    """Adiabatic-elimination effective model and analytic cooling limits.
+    \f
+    After report's own refusals, a point that the engine calls unstable exits
+    EXIT_UNSTABLE, as in cool and spectrum.  Its drift takes the approximation that
+    the effective model assumes, CouplingApprox()'s (optomechanical FULL, mechanical
+    RWA), so limits takes no approximation flag.
+    """
     given, spec = _given_and_linearized(spec)
     effective, found, notes = limits.report(spec, full=True)
+    stable, abscissa = steadystate.stability_check(build_drift(spec))
+    if not stable:
+        raise steadystate.unstable(abscissa)
     _emit_json({
         "spec": given,
         "effective": effective,

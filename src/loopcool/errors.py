@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the one rule that names a
-numerical failure: require_finite, after code that may overflow or meet inf * 0
-has run under np.errstate(all="ignore"), the one floating-point mode."""
+"""Exception types shared across the package; require_finite, the one rule that names a
+numerical failure after code has run under np.errstate(all="ignore"), the one
+floating-point mode; and the closed forms' one power-of-two scaling, scaled/unscaled."""
+
+import math
 
 import numpy as np
 
@@ -55,3 +57,17 @@ def require_finite(what, **values):
     bad = [name for name, value in values.items() if not np.isfinite(value).all()]
     if bad:
         raise FloatingPointError("%s not finite: %s" % (what, ", ".join(bad)))
+
+
+def scaled(values):
+    """(values scaled by the power of two 2^-e that brings max |v| into [0.5, 1), e):
+    exact where every step is a normal float, so a quotient of scaled values keeps
+    its bits, and no square of one overflows or underflows to 0."""
+    e = math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, -e) for v in values], e
+
+
+def unscaled(values, e):
+    """values scaled back by 2^e, exactly; one beyond the float range is inf, unwarned."""
+    with np.errstate(all="ignore"):
+        return np.ldexp(values, e)

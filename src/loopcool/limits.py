@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, require_finite, scaled, unscaled
 from .model import mechanical_matrix, to_linearized
 from .steadystate import STABILITY_MARGIN
 
@@ -63,16 +63,12 @@ def _transfer_rates(spec, gamma_opt, xi1, xi2):
 
 
 def _lorentzian(gg, k, x):
-    """(gg k, gg x) / (k k + x x), with k and x first scaled by the power of two
-    that brings the larger into [0.5, 1) and the quotients scaled back: the plain
-    quotients bit for bit where every step is a normal float, and no sum that
-    underflows to 0 or overflows.  The scaling back is np.ldexp's, exact as
-    math.ldexp's, so a quotient too large for a float is inf, with no warning."""
-    e = math.frexp(max(k, abs(x)))[1]
-    ks, xs = math.ldexp(k, -e), math.ldexp(x, -e)
+    """(gg k, gg x) / (k k + x x) on k and x scaled by errors.scaled, then unscaled: the
+    plain quotients bit for bit where every step is a normal float, no sum that
+    underflows to 0 or overflows, and a quotient too large for a float is inf."""
+    (ks, xs), e = scaled((k, x))
     den = ks * ks + xs * xs
-    with np.errstate(all="ignore"):
-        return np.ldexp([gg * ks / den, gg * xs / den], -e).tolist()
+    return unscaled([gg * ks / den, gg * xs / den], -e).tolist()
 
 
 def effective_model(spec):
@@ -129,9 +125,10 @@ def _apart(a, b):
     return abs(a - b) > 0.2 * max(abs(a), abs(b))
 
 
-def validity_notes(eff, spec, full):
-    """Sorted messages of the conditions that the limits fail: omega >> kappa >> G >> gamma,
-    exact Gamma_opt ~ g^2/kappa (simplified) and, if full, Gamma_1 ~ Gamma_2 (full)."""
+def validity_notes(eff, spec, found):
+    """Sorted messages of the conditions that report's limits `found` fail: omega >> kappa >>
+    G >> gamma, exact Gamma_opt ~ g^2/kappa (simplified), Gamma_1 ~ Gamma_2 (full), and
+    one note per formula whose occupation is below zero."""
     g_max = max(abs(g) for g in to_linearized(spec).drive.g_lin)
     notes = []
     if not (min(spec.omega_m) > spec.kappa > g_max > max(spec.gamma)):
@@ -139,9 +136,11 @@ def validity_notes(eff, spec, full):
     if any(map(_apart, eff.gamma_opt, eff.gamma_opt_res)):
         notes.append("exact optical decays differ from the resonant g^2/kappa by more than "
                      "20%; the simplified formula is unreliable")
-    if full and _apart(*eff.gamma_eff):
+    if "full" in found and _apart(*eff.gamma_eff):
         notes.append("effective decays Gamma_1, Gamma_2 differ by more than 20%; "
                      "the reduced formula is unreliable")
+    notes += ["the %s formula gives an occupation below zero; it is unreliable" % name
+              for name, limit in found.items() if min(limit) < 0.0]
     return sorted(notes)
 
 
@@ -223,4 +222,4 @@ def report(spec, full):
         "xi1", "xi2", "gamma_eff", "omega_eff", "chi1", "chi2", "chi_plus", "chi_minus", "n_opt")}
     require_finite("cooling-limit quantities", **effective, **found,
                    **{"lambda": (eff.lambda1, eff.lambda2)})
-    return effective, found, validity_notes(eff, spec, full)
+    return effective, found, validity_notes(eff, spec, found)

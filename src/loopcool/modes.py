@@ -7,8 +7,8 @@ Lambda eigenstates come from one eigensolve, _aligned_eigh, whose
 degenerate eigenspaces are aligned with the couplings (g, or the excited
 state |e>), so each such eigenspace has at most one bright state.  The mode
 analyses take any SystemSpec: model.to_linearized linearizes a Physical drive.
-The closed forms scale their couplings by a power of two (_scaled), so only a
-value too large for a float overflows, and require_finite names it.
+The closed forms scale their couplings by a power of two (errors.scaled), so only
+a value too large for a float overflows, and require_finite names it.
 """
 
 import cmath
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, require_finite, scaled, unscaled
 from .model import mechanical_matrix, to_linearized
 
 #: a mode counts as dark when |coupling| <= DARK_TOL * max coupling strength
@@ -78,14 +78,6 @@ class LambdaEigen:
     dark_indices: list  # every dark state (p_e <= DARK_P_E), in index order
 
 
-def _scaled(x):
-    """(x scaled by the power of two 2^-e that brings max |x_j| into [0.5, 1), e):
-    exact where every step is a normal float, so a quotient of scaled entries
-    keeps its bits, and no square of one overflows or underflows to 0."""
-    e = math.frexp(max(map(abs, x)))[1]
-    return [math.ldexp(v, -e) for v in x], e
-
-
 def bright_dark(spec):
     """Bright/dark collective modes for two degenerate-coupling-channel resonators.
 
@@ -97,7 +89,7 @@ def bright_dark(spec):
     if spec.eta[0] != 0.0:
         raise DomainError("bright/dark decomposition assumes eta = 0")
     spec = to_linearized(spec)
-    (g1, g2), g_exp = _scaled(spec.drive.g_lin)
+    (g1, g2), g_exp = scaled(spec.drive.g_lin)
     w1, w2 = spec.omega_m
     gsq = g1 * g1 + g2 * g2
     if gsq == 0.0:
@@ -106,11 +98,9 @@ def bright_dark(spec):
     omega_minus = (g2 * g2 * w1 + g1 * g1 * w2) / gsq
     zeta = g1 * g2 * (w1 - w2) / gsq
     root = math.sqrt(gsq)
-    with np.errstate(all="ignore"):  # a g_plus beyond the float range is inf: named below
-        g_plus = float(np.ldexp(root, g_exp))
-    found = BrightDarkModes(
+    found = BrightDarkModes(  # a g_plus beyond the float range is inf: named below
         omega_plus=omega_plus, omega_minus=omega_minus, zeta=zeta,
-        g_plus=g_plus, weights=(g1 / root, g2 / root),
+        g_plus=float(unscaled(root, g_exp)), weights=(g1 / root, g2 / root),
         dark_mode_exists=bool(normal_modes(spec).dark_flags.any()))
     require_finite("bright/dark quantities", **vars(found))
     return found
@@ -124,7 +114,7 @@ def hybrid_transform(spec):
     th = spec.theta[0]
     if eta <= 0.0:
         raise DomainError("hybrid transform assumes eta > 0; use bright_dark at eta = 0")
-    (g1, g2), g_exp = _scaled(to_linearized(spec).drive.g_lin)
+    (g1, g2), g_exp = scaled(to_linearized(spec).drive.g_lin)
     w1, w2 = spec.omega_m
     half, mean = 0.5 * (w2 - w1), 0.5 * w1 + 0.5 * w2  # in halves: no sum overflows
     half_split = math.hypot(half, eta)
@@ -132,8 +122,8 @@ def hybrid_transform(spec):
     # (f, -h) is the unit vector along (w1 - wt_minus, eta), which for w2 >= w1
     # is eta (eta, half + half_split) / (half + half_split): no difference of
     # nearly equal numbers, no division by one and no eta^2 to underflow.  Scaled
-    # by _scaled, neither component nor their hypot overflows or underflows
-    (half, eta_s, half_split), _ = _scaled((half, eta, half_split))
+    # by errors.scaled, neither component nor their hypot overflows or underflows
+    (half, eta_s, half_split), _ = scaled((half, eta, half_split))
     if w2 >= w1:
         x, y = eta_s, half + half_split
     else:
@@ -144,9 +134,8 @@ def hybrid_transform(spec):
     g_minus = cmath.exp(1j * th) * h * g1 + f * g2
     total = math.sqrt(g1 * g1 + g2 * g2)
     darkness = min(abs(g_plus), abs(g_minus)) / total if total > 0 else 0.0
-    with np.errstate(all="ignore"):  # a coupling beyond the float range is inf: named below
-        g_plus, g_minus = (complex(*np.ldexp([z.real, z.imag], g_exp)) for z in (g_plus, g_minus))
-    found = HybridModes(
+    g_plus, g_minus = (complex(*unscaled([z.real, z.imag], g_exp)) for z in (g_plus, g_minus))
+    found = HybridModes(  # a coupling beyond the float range is inf: named below
         omega_tilde_plus=wt_plus, omega_tilde_minus=wt_minus, f=f, h=h,
         g_tilde_plus=g_plus, g_tilde_minus=g_minus, darkness=darkness)
     require_finite("hybrid-mode quantities", **vars(found))

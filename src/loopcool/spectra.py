@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatch, SingularMatrix, require_finite
+from .errors import DomainError, ShapeMismatch, SingularMatrix, require_finite, scaled
 from .model import to_linearized
 
 
@@ -103,13 +103,12 @@ def transmittances(u, n_mech):
 
 def t_max(coop):
     """Analytic resonant maximum of the mechanical transmittance,
-    4 (sqrt(C1 C2) + sqrt(C3))^2 / (C1 + C2 + C3 + 1)^2.  Each term is first
-    scaled by the power of two 2^-e that brings C1 + C2 + C3 + 1 into [0.5, 1):
+    4 (sqrt(C1 C2) + sqrt(C3))^2 / (C1 + C2 + C3 + 1)^2.  Each term is first scaled
+    by errors.scaled, which brings the largest, C1 + C2 + C3 + 1, into [0.5, 1):
     exact where every step is a normal float, and no product or square overflows."""
     den = coop.c1 + coop.c2 + coop.c3 + 1.0
-    e = math.frexp(den)[1]
-    c1, c2, den = (math.ldexp(c, -e) for c in (coop.c1, coop.c2, den))
-    num = math.sqrt(c1 * c2) + math.ldexp(math.sqrt(coop.c3), -e)
+    (c1, c2, root3, den), _ = scaled((coop.c1, coop.c2, math.sqrt(coop.c3), den))
+    num = math.sqrt(c1 * c2) + root3
     return 4.0 * (num * num) / (den * den)
 
 

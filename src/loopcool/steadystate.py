@@ -83,10 +83,10 @@ def _norm(m):
     return np.linalg.norm(m, np.inf, axis=(-2, -1))
 
 
-def _residual(a, v, q):
-    """(R, max |R_ij|) for R = A V + V A^T + Q: one drift (n, n), or per drift of a stack."""
-    r = a @ v + v @ np.swapaxes(a, -1, -2) + q
-    return r, np.abs(r).max(axis=(-2, -1))
+def _abs_residual(a, v, q):
+    """|R| entrywise for R = A V + V A^T + Q: one drift (n, n), or per drift of a stack.
+    Its max entry is the reported residual, its max row sum ||R|| (infinity norm)."""
+    return np.abs(a @ v + v @ np.swapaxes(a, -1, -2) + q)
 
 
 def _solve(a, q, lam, w):
@@ -99,13 +99,14 @@ def _solve(a, q, lam, w):
             w_inv = np.full_like(w, np.nan)
         f = w_inv @ -q @ np.swapaxes(w_inv, -1, -2)
         v = w @ (f / (lam[:, :, None] + lam[:, None, :])) @ np.swapaxes(w, -1, -2)
-        r, residual = _residual(a, v, q)
-        backward = _norm(r) / (2.0 * _norm(a) * _norm(v) + _norm(q))
+        abs_r = _abs_residual(a, v, q)
+        residual = abs_r.max(axis=(-2, -1))
+        backward = abs_r.sum(axis=-1).max(axis=-1) / (2.0 * _norm(a) * _norm(v) + _norm(q))
         solver = ["eig"] * len(a)
         for k in np.flatnonzero(~(backward <= BACKWARD_ERROR_TOL)):
             import scipy.linalg  # here alone, off the cold start of a run with no Schur solve
             v[k] = scipy.linalg.solve_sylvester(a[k], a[k].T, -q[k])
-            residual[k] = _residual(a[k], v[k], q[k])[1]
+            residual[k] = _abs_residual(a[k], v[k], q[k]).max()
             solver[k] = "schur"
     return v, residual, solver
 
@@ -123,18 +124,21 @@ def lyapunov_solve(drift, require_stable=True):
     calls the drift unstable.  With require_stable=False the equation is
     solved regardless of the spectral abscissa; the result is then not a
     physical steady state (used only for diagnostics of approximation
-    breakdown).
+    breakdown).  In either mode a residual that is not finite is named by
+    require_finite, as cool_many names it.
     """
     a, q = drift.a[None], drift.q[None]
     lam, w, abscissa, stable = _verdict(a)
     if require_stable and not stable[0]:
         raise unstable(float(abscissa[0]))
-    return _solve(a, q, lam, w)[0][0]
+    v, residual, _ = _solve(a, q, lam, w)
+    require_finite("steady-state residual", residual=residual)
+    return v[0]
 
 
 def lyapunov_residual(drift, v):
     """Largest entry magnitude of A V + V A^T + Q."""
-    return float(_residual(drift.a, v, drift.q)[1])
+    return float(_abs_residual(drift.a, v, drift.q).max())
 
 
 def _occupations(v, n_mech):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from loopcool import cli, model, spectra, steadystate
+from loopcool import cli, limits, model, spectra, steadystate
 from loopcool.cli import main, parse_axis
 from loopcool.config import parse_spec, spec_to_dict
 from loopcool.errors import ConfigError, InvalidSpec, NoConvergence
@@ -566,7 +566,8 @@ def test_sweep_rejects_workers_below_one(runner, tmp_path, workers):
 @pytest.mark.parametrize("flag", ["--om-rwa", "--om-full", "--mech-rwa", "--mech-full"])
 @pytest.mark.parametrize("command", ["modes", "limits"])
 def test_commands_that_build_no_drift_take_no_approximation_flag(runner, command, flag):
-    # the flags pick the drift's counter-rotating terms, and these two build none
+    # the flags pick the drift's counter-rotating terms: modes builds no drift, and limits
+    # builds only the one its effective model assumes (optomechanical FULL, mechanical RWA)
     res = runner.invoke(main, [command, "--preset", "fig2", flag])
     assert res.exit_code == 2
     assert "No such option '%s'" % flag in res.stderr
@@ -726,6 +727,57 @@ def test_limits_command(runner):
     s1, s2 = payload["simplified"]
     f1, f2 = payload["full"]
     assert abs(f1 - s1) / s1 < 0.05 and abs(f2 - s2) / s2 < 0.05
+
+
+def fig2_variant(rng):
+    """write_config arguments of a random fig2 variant: kappa log-uniform in [0.01, 1],
+    G_j/kappa in [0.01, 2], eta in [1e-3, 1], theta in [0, 2 pi), Delta in [0.5, 1.5]."""
+    kappa = 10.0 ** rng.uniform(-2.0, 0.0)
+    g = [kappa * rng.uniform(0.01, 2.0) for _ in range(2)]
+    return dict(kappa=repr(kappa), eta=repr(rng.uniform(1e-3, 1.0)),
+                theta=repr(rng.uniform(0.0, TWO_PI)), drive_lines=(
+                    "type = linearized", "delta = %r" % rng.uniform(0.5, 1.5),
+                    "g_lin = %r, %r" % tuple(g)))
+
+
+def test_limits_answers_only_where_the_engine_is_stable(runner, tmp_path):
+    # limits refuses what its effective model cannot describe, and then a point that
+    # stability calls unstable: it answers no point that the engine calls unstable
+    rng, codes = random.Random("loopcool-limits-verdict"), []
+    for _ in range(200):
+        cfg = write_config(tmp_path / "v.ini", **fig2_variant(rng))
+        stable = strict_json(runner.invoke(main, ["stability", "--config", cfg]).stdout)["stable"]
+        res = runner.invoke(main, ["limits", "--config", cfg])
+        if res.exit_code == cli.EXIT_UNSTABLE:
+            assert not stable
+            assert_one_line(res, cli.EXIT_UNSTABLE, "unstable: spectral abscissa")
+        else:
+            assert res.exit_code in (0, cli.EXIT_CONFIG), res.output
+            assert stable or res.exit_code == cli.EXIT_CONFIG  # report's own refusal comes first
+        codes.append(res.exit_code)
+    assert 0 in codes and cli.EXIT_UNSTABLE in codes
+
+
+#: fig2 variant whose analytic limits read n_1 = -0.399 (simplified): below the vacuum's 0
+NEGATIVE_LIMIT = dict(
+    kappa="0.16336885491652756", gamma="2.230533139213749e-06, 1.5594079981877995e-06",
+    eta="0.01813642801067556", theta="0",
+    edits=[("nbar = 1e3, 1e3", "nbar = 197.81827508762862, 107.49323767266435")],
+    drive_lines=("type = linearized", "delta = 0.9980497853198873",
+                 "g_lin = 0.01598907795593951, 0.044803163633385386"))
+BELOW_ZERO = "the simplified formula gives an occupation below zero; it is unreliable"
+
+
+@pytest.mark.parametrize("command", ["cool", "limits"])
+def test_a_negative_limit_carries_its_note(runner, tmp_path, command):
+    res = runner.invoke(main, [command, "--config", write_config(tmp_path / "neg.ini",
+                                                                 **NEGATIVE_LIMIT)])
+    assert res.exit_code == 0, res.output
+    payload = strict_json(res.stdout)
+    found = payload.get("limits", payload)
+    assert found["simplified"][0] == pytest.approx(-0.399, abs=1e-3)
+    # the full formula, where limits runs it, stays above zero and carries no such note
+    assert [note for note in found["warnings"] if "below zero" in note] == [BELOW_ZERO]
 
 
 # --- JSON: one strict encoder ---------------------------------------------
@@ -1001,15 +1053,23 @@ def test_cool_reports_overflowing_limits_unavailable(runner, tmp_path, monkeypat
 def test_limits_far_detuned(runner, tmp_path):
     # at delta = 1e200 the square of omega_1 + omega_2 + 2 delta overflows to inf, so
     # n_opt = 4 kappa^2 / inf = 0: the full limit is the thermal nbar, and the simplified
-    # one, built on the resonant g^2/kappa, carries its note
+    # one, built on the resonant g^2/kappa, carries its note.  On a drift of norm 1e200
+    # the engine's verdict is eig's rounding noise (ROADMAP item 4), and the command
+    # gives that verdict, whichever it is, as stability does
     cfg = write_config(tmp_path / "far.ini", edits=[("delta = 1.0", "delta = 1e200")])
+    effective, found, notes = limits.report(parse_spec(cfg), full=True)
+    assert effective["n_opt"] == 0.0
+    assert found["full"] == pytest.approx((1e3, 1e3), rel=1e-12)
+    assert notes == ["exact optical decays differ from the resonant g^2/kappa by "
+                     "more than 20%; the simplified formula is unreliable"]
     res = runner.invoke(main, ["limits", "--config", cfg])
-    assert res.exit_code == 0, res.output
-    payload = strict_json(res.stdout)
-    assert payload["effective"]["n_opt"] == 0.0
-    assert payload["full"] == pytest.approx([1e3, 1e3], rel=1e-12)
-    assert payload["warnings"] == ["exact optical decays differ from the resonant g^2/kappa by "
-                                   "more than 20%; the simplified formula is unreliable"]
+    if strict_json(runner.invoke(main, ["stability", "--config", cfg]).stdout)["stable"]:
+        assert res.exit_code == 0, res.output
+        payload = strict_json(res.stdout)
+        assert payload["full"] == list(found["full"]) and payload["warnings"] == notes
+    else:
+        assert_one_line(res, cli.EXIT_UNSTABLE, "unstable: spectral abscissa")
+        assert res.stdout == ""
 
 
 # --- refusals: one line on stderr and one exit code per package error ------
@@ -1276,6 +1336,11 @@ REFUSALS = [
     # both limit formulas would report negative occupations
     Refusal("limits-unstable-effective-model", "limits --config {cfg}", 2,
             "config error: " + UNSTABLE_LIMITS, dict(edits=[("delta = 1.0", "delta = -0.5")])),
+    # the effective model is stable, but the engine calls the drift unstable, as cool does
+    Refusal("limits-engine-unstable", "limits --config {cfg}", 3,
+            "unstable: spectral abscissa 4.460e-01 >= -1e-10", dict(
+                kappa="0.95", eta="0.65", theta="2.7", drive_lines=(
+                    "type = linearized", "delta = 1.04", "g_lin = 0.57, 0.6"))),
     Refusal("limits-unstable-physical", "limits --config {cfg}", 2,
             "config error: cooling limits undefined for an unstable effective model: "
             "min Re lambda = -3.03", CONFIGS["P600"]),
@@ -1524,6 +1589,18 @@ def test_every_float_mode_is_all_ignore():
                 modes.append("%s:%d %s" % (path.name, node.lineno, ast.unparse(node)))
     assert modes
     assert [m for m in modes if not m.endswith(" np.errstate(all='ignore')")] == []
+
+
+def test_only_errors_scales_by_a_power_of_two():
+    # errors.scaled and errors.unscaled own the closed forms' exact power-of-two
+    # scaling: no other module calls frexp or ldexp, math's or numpy's
+    calls = []
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and re.search(r"(^|\.)(frexp|ldexp)$",
+                                                         ast.unparse(node.func)):
+                calls.append("%s:%d %s" % (path.name, node.lineno, ast.unparse(node.func)))
+    assert calls and all(call.startswith("errors.py:") for call in calls), calls
 
 
 def _is_to_linearized(node):

@@ -20,6 +20,14 @@ MISMATCH = ("effective decays Gamma_1, Gamma_2 differ by more than 20%; "
             "the reduced formula is unreliable")
 
 
+def notes_of(eff, spec, full=True):
+    """validity_notes on the limits that report finds from eff: simplified and, if full, full."""
+    found = {"simplified": cooling_limit_simplified(eff, spec)}
+    if full:
+        found["full"] = cooling_limit_full(eff, spec)
+    return validity_notes(eff, spec, found)
+
+
 def fig2_at(delta):
     spec = get_preset("fig2")
     return spec.with_(drive=Linearized(delta=delta, g_lin=spec.drive.g_lin))
@@ -147,7 +155,7 @@ def test_full_matches_the_steady_state_of_the_cooled_mode():
     spec = get_preset("fig2").with_(nbar=(20.0, 5.0), gamma=(1e-5, 3e-5), eta=(0.002,),
                                     drive=Linearized(delta=1.0, g_lin=(0.02, 0.02)))
     eff = effective_model(spec)
-    assert validity_notes(eff, spec, full=True) == []
+    assert notes_of(eff, spec) == []
     exact = cool(build_drift(spec)).n_f
     assert cooling_limit_full(eff, spec)[0] == pytest.approx(exact[0], rel=0.01)
 
@@ -159,7 +167,7 @@ def test_both_limits_agree_on_unequal_baths():
     spec = get_preset("fig2").with_(nbar=(100.0, 10.0), eta=(0.002,),
                                     drive=Linearized(delta=1.0, g_lin=(0.02, 0.02)))
     eff = effective_model(spec)
-    assert validity_notes(eff, spec, full=True) == []
+    assert notes_of(eff, spec) == []
     assert cooling_limit_simplified(eff, spec) == pytest.approx(
         cooling_limit_full(eff, spec), rel=1e-3)
 
@@ -175,21 +183,21 @@ def test_limit_plateau_without_exchange():
 def test_gamma_mismatch_warning():
     spec = get_preset("fig4").with_(drive=Linearized(delta=1.0, g_lin=(0.05, 0.01)))
     eff = effective_model(spec)
-    assert MISMATCH in validity_notes(eff, spec, full=True)
-    assert MISMATCH not in validity_notes(eff, spec, full=False)  # a note of the full formula
+    assert MISMATCH in notes_of(eff, spec)
+    assert MISMATCH not in notes_of(eff, spec, full=False)  # a note of the full formula
 
 
 def test_regime_warning():
     spec = get_preset("fig4").with_(kappa=2.0)
     eff = effective_model(spec)
     for full in (False, True):
-        assert REGIME in validity_notes(eff, spec, full)
+        assert REGIME in notes_of(eff, spec, full)
 
 
 def test_presets_carry_no_note():
     for spec in map(get_preset, PRESETS):
         if spec.n_mech == 2:
-            assert validity_notes(effective_model(spec), spec, full=True) == []
+            assert notes_of(effective_model(spec), spec) == []
 
 
 @pytest.mark.parametrize("decays, noted", [
@@ -202,7 +210,7 @@ def test_presets_carry_no_note():
 def test_mismatch_note_compares_magnitudes(decays, noted):
     spec = get_preset("fig2")
     eff = dataclasses.replace(effective_model(spec), gamma_eff=decays)
-    notes = validity_notes(eff, spec, full=True)
+    notes = notes_of(eff, spec)
     assert (MISMATCH in notes) == noted
     assert not any("%%" in note for note in notes)
 
@@ -213,15 +221,28 @@ def test_resonant_note_off_resonance(delta, noted):
     # delta = 2, where the steady state is 6.06
     spec = fig2_at(delta)
     eff = effective_model(spec)
-    assert validity_notes(eff, spec, full=False) == ([RESONANT] if noted else [])
+    assert notes_of(eff, spec, full=False) == ([RESONANT] if noted else [])
     exact = cool(build_drift(spec)).n_f
     simplified = cooling_limit_simplified(eff, spec)
     assert (abs(simplified[0] - exact[0]) > 0.2 * exact[0]) == noted
 
 
+@pytest.mark.parametrize("found, below", [
+    ({"simplified": (0.1, 0.2), "full": (0.1, 0.2)}, []),
+    ({"simplified": (-0.399, 0.0466), "full": (0.0895, 0.0858)}, ["simplified"]),
+    ({"simplified": (0.1, -0.0)}, []),  # a negative zero is no occupation below zero
+    ({"simplified": (0.1, -1e-300), "full": (-2.0, 0.1)}, ["full", "simplified"]),
+])
+def test_a_negative_limit_is_noted_once_per_formula(found, below):
+    spec = get_preset("fig2")
+    notes = validity_notes(effective_model(spec), spec, found)
+    assert notes == ["the %s formula gives an occupation below zero; it is unreliable" % name
+                     for name in below]
+
+
 def test_notes_are_sorted():
     spec = get_preset("fig2").with_(kappa=2.0, drive=Linearized(delta=2.0, g_lin=(0.1, 0.02)))
-    notes = validity_notes(effective_model(spec), spec, full=True)
+    notes = notes_of(effective_model(spec), spec)
     assert notes == [MISMATCH, RESONANT, REGIME] == sorted(notes)
 
 

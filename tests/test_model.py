@@ -233,7 +233,8 @@ LINEARIZED_READERS = {
     "effective_model": ("fig2", lambda spec, lin: effective_model(spec)),
     "report": ("fig2", lambda spec, lin: report(spec, True)),
     "cooling_limit_full": ("fig2", lambda spec, lin: cooling_limit_full(effective_model(lin), spec)),
-    "validity_notes": ("fig2", lambda spec, lin: validity_notes(effective_model(lin), spec, True)),
+    "validity_notes": ("fig2", lambda spec, lin: validity_notes(effective_model(lin), spec,
+                                                                report(lin, True)[1])),
     "Cooperativities.from_spec": ("fig2", lambda spec, lin: Cooperativities.from_spec(spec)),
 }
 

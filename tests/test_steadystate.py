@@ -64,6 +64,18 @@ def test_lyapunov_require_stable_false():
     assert v[0, 0] == pytest.approx(-1.0)
 
 
+@pytest.mark.parametrize("require_stable", [True, False])
+def test_lyapunov_solve_names_a_residual_that_is_not_finite(require_stable):
+    # a stable drift whose Schur fallback V is finite, but A V overflows: the message
+    # that cool_many (and so cool) gives for the same drift
+    d = build_drift(get_preset("fig2").with_(gamma=(1e300, 1e-300), omega_m=(1.7e308, 1.0)))
+    assert stability_check(d)[0]
+    with pytest.raises(FloatingPointError, match="^steady-state residual not finite: residual$"):
+        cool_many(d.a[None], d.q[None])
+    with pytest.raises(FloatingPointError, match="^steady-state residual not finite: residual$"):
+        lyapunov_solve(d, require_stable=require_stable)
+
+
 def test_thermalization_without_drive():
     # G = 0: each resonator just thermalizes to its own bath
     spec = get_preset("fig2").with_(drive=get_preset("fig2").drive.__class__(
