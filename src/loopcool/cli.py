@@ -55,16 +55,6 @@ def _json(payload):
     return json.dumps(_plain(payload), indent=2, sort_keys=True, allow_nan=False)
 
 
-def _emit_json(payload):
-    click.echo(_json(payload))
-
-
-def _load_spec(config, preset):
-    if (config is None) == (preset is None):
-        raise ConfigError("provide exactly one of --config or --preset")
-    return parse_spec(config) if config is not None else get_preset(preset)
-
-
 def _given_and_linearized(spec):
     """(report, spec to compute with), by at most one linearize call: spec_to_dict's
     report plus a Physical drive's `linearized_drive`, and the Linearized spec."""
@@ -106,7 +96,9 @@ def _spec_options(fn):
     @_reports_errors
     @functools.wraps(fn)
     def command(config, preset, **kwargs):
-        return fn(_load_spec(config, preset), **kwargs)
+        if (config is None) == (preset is None):
+            raise ConfigError("provide exactly one of --config or --preset")
+        return fn(parse_spec(config) if config is not None else get_preset(preset), **kwargs)
 
     command = click.option("--config", type=click.Path(), default=None,
                            help="INI config file (see README for the grammar).")(command)
@@ -145,12 +137,13 @@ def cool(spec, approx):
     payload = {"spec": given, **vars(report), "provenance": _provenance(approx)}
     if report.stable:
         try:
+            limits.require_approx(approx)  # another approximation's drift has no limits
             _, found, notes = limits.report(spec, full=False)
         except (DomainError, ArithmeticError) as exc:  # the steady state stands without its limit
             payload["limits"] = {"unavailable": str(exc)}
         else:
             payload["limits"] = {**found, "warnings": notes}
-    _emit_json(payload)
+    click.echo(_json(payload))
     if not report.stable:
         sys.exit(EXIT_UNSTABLE)
 
@@ -162,8 +155,8 @@ def stability(spec, approx):
     """Stability verdict (spectral abscissa of the drift matrix)."""
     drift = build_drift(spec, approx)
     stable, abscissa = steadystate.stability_check(drift)
-    _emit_json({"stable": stable, "spectral_abscissa": abscissa,
-                "provenance": _provenance(approx)})
+    click.echo(_json({"stable": stable, "spectral_abscissa": abscissa,
+                      "provenance": _provenance(approx)}))
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +333,7 @@ def spectrum(spec, approx, omega_min, omega_max, points, out):
     omega = _grid(omega_min, omega_max, points, "frequency")
     drift = build_drift(spec, approx)
     coop = spectra.Cooperativities.from_spec(drift.spec)  # refuses a chain before any eigensolve
-    stable, abscissa = steadystate.stability_check(drift)
-    if not stable:
-        raise steadystate.unstable(abscissa)
+    steadystate.require_stable(drift)
     lam_res = spectra.lambda_analytic(coop, spec.theta[0])
     tcols = ["T_%s%s" % vw for vw in itertools.product(["a", "b1", "b2"], repeat=2)]
     pt = spectra.scan_point(drift, omega, coop)
@@ -375,7 +366,7 @@ def modes_cmd(spec):
         "predicted_uncooled": nm.predicted_uncooled,
         "dark_ceiling": nm.dark_ceiling,
     }
-    _emit_json(payload)
+    click.echo(_json(payload))
 
 
 @main.command("lambda")
@@ -389,9 +380,9 @@ def lambda_cmd(eta, theta):
         raise ConfigError("--eta and --theta must be finite")
     sys_ = modes.LambdaSystem(omega1=1.0, omega2=1.0, omega_b=eta, theta=theta)
     eig = modes.lambda_eigensystem(sys_)
-    _emit_json({"eta": eta, "theta": theta, "lambdas": eig.lambdas, "p_e": eig.p_e,
-                "dark_index": eig.dark_index, "dark_indices": eig.dark_indices,
-                "provenance": _provenance()})
+    click.echo(_json({"eta": eta, "theta": theta, "lambdas": eig.lambdas, "p_e": eig.p_e,
+                      "dark_index": eig.dark_index, "dark_indices": eig.dark_indices,
+                      "provenance": _provenance()}))
 
 
 @main.command("limits")
@@ -400,22 +391,19 @@ def limits_cmd(spec):
     """Adiabatic-elimination effective model and analytic cooling limits.
     \f
     After report's own refusals, a point that the engine calls unstable exits
-    EXIT_UNSTABLE, as in cool and spectrum.  Its drift takes the approximation that
-    the effective model assumes, CouplingApprox()'s (optomechanical FULL, mechanical
-    RWA), so limits takes no approximation flag.
+    EXIT_UNSTABLE, as in cool and spectrum.  Its drift takes limits.APPROX, the one
+    approximation the effective model assumes, so limits takes no approximation flag.
     """
     given, spec = _given_and_linearized(spec)
     effective, found, notes = limits.report(spec, full=True)
-    stable, abscissa = steadystate.stability_check(build_drift(spec))
-    if not stable:
-        raise steadystate.unstable(abscissa)
-    _emit_json({
+    steadystate.require_stable(build_drift(spec, limits.APPROX))
+    click.echo(_json({
         "spec": given,
         "effective": effective,
         **found,
         "warnings": notes,
         "provenance": _provenance(),
-    })
+    }))
 
 
 if __name__ == "__main__":

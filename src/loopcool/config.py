@@ -8,7 +8,7 @@ physical (delta_c, omega_amp, g_single).  Lists are comma-separated.
 import configparser
 
 from .errors import ConfigError, InvalidSpec
-from .model import SPEC_FIELDS, Linearized, Physical, SystemSpec
+from .model import COMPLEX_FIELD, SPEC_FIELDS, Linearized, Physical, SystemSpec
 
 
 def _floats(raw, where):
@@ -40,10 +40,10 @@ def _get(section, key, where):
 
 def _numbers(section, fields, where):
     """The numbers that a declaration (SPEC_FIELDS, a drive's FIELDS) names, read
-    from a config section: a list by _floats, a drive amplitude by _complex, any
+    from a config section: a list by _floats, COMPLEX_FIELD by _complex, any
     other scalar by _float.  A list that n_mech = 1 leaves empty (N - 1 entries)
     may be omitted."""
-    return {name: (_floats if k is not None else _complex if name == "omega_amp" else _float)(
+    return {name: (_floats if k is not None else _complex if name == COMPLEX_FIELD else _float)(
                 section.get(name, "") if k == 1 else _get(section, name, where),
                 "%s %s" % (where, name))
             for name, k in fields.items()}

@@ -7,6 +7,7 @@ provided: the lambda-resolved "full" form (valid for Gamma_1 ~ Gamma_2) and
 the simplified transfer-rate form built on the resonant approximations.
 Both refuse an effective model that is unstable by the engine's one margin,
 steadystate.STABILITY_MARGIN; `report` is what the commands print of them.
+They describe a drift under APPROX alone (`require_approx`).
 Each takes any SystemSpec: model.to_linearized linearizes a Physical drive.
 """
 
@@ -17,8 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, require_finite, scaled, unscaled
-from .model import mechanical_matrix, to_linearized
+from .model import FULL, RWA, CouplingApprox, mechanical_matrix, to_linearized
 from .steadystate import STABILITY_MARGIN
+
+#: the approximation the effective model assumes, so the one of the drift its limits describe
+APPROX = CouplingApprox(optomechanical=FULL, mechanical=RWA)
 
 #: (this mode, the other mode): the full limit's per-mode formula is one expression over both
 PAIRS = ((0, 1), (1, 0))
@@ -203,6 +207,13 @@ def cooling_limit_full(eff, spec):
                            + abs(xi[l]) / (4.0 * abs(xi[o]))
                            * (g[o] * g[o] * cross + 2.0 * spec.gamma[o] * spec.nbar[o] * heat))
                      for l, o in PAIRS)
+
+
+def require_approx(approx):
+    """DomainError unless approx equals APPROX, the approximation the limits assume."""
+    if approx != APPROX:
+        raise DomainError("the cooling limits assume optomechanical %s and mechanical %s"
+                          % (APPROX.optomechanical, APPROX.mechanical))
 
 
 def report(spec, full):

@@ -58,6 +58,8 @@ class CouplingApprox:
 SPEC_FIELDS = {"omega_m": 0, "kappa": None, "gamma": 0, "nbar": 0, "eta": 1, "theta": 1}
 DRIVE_FIELDS = {"delta": None, "g_lin": 0}
 PHYSICAL_FIELDS = {"delta_c": None, "omega_amp": None, "g_single": 0}
+#: the one complex number among them, a Physical drive's amplitude; every other is a float
+COMPLEX_FIELD = "omega_amp"
 
 
 @dataclass(frozen=True)
@@ -147,12 +149,12 @@ def param_table(spec, size=1):
 
     Each array has a leading batch axis: shape (size,) for a scalar field,
     (size, len) for a tuple field.  The fields are SPEC_FIELDS and the drive's
-    FIELDS, all float but the complex omega_amp.  Each field's one row is
+    FIELDS, all float but the complex COMPLEX_FIELD.  Each field's one row is
     converted once and, for size > 1, repeated along the batch axis by
     ndarray.repeat, so no Python list of size copies is built.  Every array is
     a fresh copy, so set_param may write a field without touching spec.
     """
-    table = {name: np.array([getattr(owner, name)], complex if name == "omega_amp" else float)
+    table = {name: np.array([getattr(owner, name)], complex if name == COMPLEX_FIELD else float)
              for owner, names in ((spec, SPEC_FIELDS), (spec.drive, spec.drive.FIELDS))
              for name in names}
     if size != 1:  # size 1 is every SystemSpec check and build_drift: no repeat call there

@@ -26,6 +26,7 @@ solver = "schur" instead of "eig".  Only that fallback imports scipy.
 over the stack, with no per-drift object.  `cool`, `cool_or_flag`,
 `stability_check` and `lyapunov_solve` are batches of one (`cool_or_flag` reads
 row 0 of the report), so every command gives the same verdict for the same drift.
+Only this module turns a verdict into an Unstable refusal (see `require_stable`).
 """
 
 import math
@@ -115,6 +116,13 @@ def stability_check(drift):
     """(stable, abscissa): stable iff max Re eig(A) < STABILITY_MARGIN."""
     _, _, abscissa, stable = _verdict(drift.a[None])
     return bool(stable[0]), float(abscissa[0])
+
+
+def require_stable(drift):
+    """Raise unstable(abscissa) exactly where stability_check calls the drift unstable."""
+    stable, abscissa = stability_check(drift)
+    if not stable:
+        raise unstable(abscissa)
 
 
 def lyapunov_solve(drift, require_stable=True):

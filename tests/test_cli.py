@@ -758,6 +758,21 @@ def test_limits_answers_only_where_the_engine_is_stable(runner, tmp_path):
     assert 0 in codes and cli.EXIT_UNSTABLE in codes
 
 
+def test_limits_builds_its_drift_under_limits_approx(runner, monkeypatch):
+    # limits.APPROX owns the approximation of the drift whose verdict limits takes
+    built, owner = [], model.CouplingApprox(model.RWA, model.FULL)
+
+    def build_drift(spec, *approx):
+        built.append(approx)
+        return model.build_drift(spec, *approx)
+
+    monkeypatch.setattr(limits, "APPROX", owner)
+    monkeypatch.setattr(cli, "build_drift", build_drift)
+    res = runner.invoke(main, ["limits", "--preset", "fig2"])
+    assert res.exit_code == 0, res.output
+    assert len(built) == 1 and len(built[0]) == 1 and built[0][0] is owner
+
+
 #: fig2 variant whose analytic limits read n_1 = -0.399 (simplified): below the vacuum's 0
 NEGATIVE_LIMIT = dict(
     kappa="0.16336885491652756", gamma="2.230533139213749e-06, 1.5594079981877995e-06",
@@ -1002,6 +1017,22 @@ def test_cool_says_why_a_chain_has_no_limits(runner, tmp_path, source):
     assert payload["stable"]
     assert payload["limits"] == {
         "unavailable": "adiabatic elimination is defined for n_mech = 2"}
+
+
+@pytest.mark.parametrize("flags, limited", [(["--om-full", "--mech-rwa"], True),
+                                             (["--om-rwa"], False), (["--mech-full"], False)])
+def test_cool_prints_the_limits_of_its_own_approximation_only(runner, flags, limited):
+    # the limits describe the drift under limits.APPROX (optomechanical FULL, mechanical
+    # RWA): under another approximation cool's steady state stands without them
+    res = runner.invoke(main, ["cool", "--preset", "fig2", *flags])
+    assert res.exit_code == 0, res.output
+    payload = strict_json(res.stdout)
+    assert payload["stable"]
+    if limited:
+        assert payload["limits"]["simplified"] == pytest.approx([0.21206, 0.63180], rel=1e-4)
+    else:
+        assert payload["limits"] == {
+            "unavailable": "the cooling limits assume optomechanical full and mechanical rwa"}
 
 
 # at delta = -(omega_1 + omega_2)/2 the adiabatic n_opt divides by zero
@@ -1589,6 +1620,31 @@ def test_every_float_mode_is_all_ignore():
                 modes.append("%s:%d %s" % (path.name, node.lineno, ast.unparse(node)))
     assert modes
     assert [m for m in modes if not m.endswith(" np.errstate(all='ignore')")] == []
+
+
+def test_only_steadystate_refuses_an_unstable_drift():
+    # steadystate turns a verdict into an Unstable refusal (require_stable, or a solve
+    # that needs a steady state): no other module calls unstable(...) or Unstable(...)
+    calls = []
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and re.search(r"(^|\.)(unstable|Unstable)$",
+                                                         ast.unparse(node.func)):
+                calls.append("%s:%d %s" % (path.name, node.lineno, ast.unparse(node.func)))
+    assert calls and all(call.startswith("steadystate.py:") for call in calls), calls
+
+
+def test_only_model_names_the_complex_field():
+    # model.COMPLEX_FIELD declares the one complex drive number: no other module
+    # compares a name with "omega_amp" to pick a number's type
+    compares = []
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if path.name != "model.py" and isinstance(node, ast.Compare) and any(
+                    isinstance(side, ast.Constant) and side.value == "omega_amp"
+                    for side in (node.left, *node.comparators)):
+                compares.append("%s:%d %s" % (path.name, node.lineno, ast.unparse(node)))
+    assert compares == []
 
 
 def test_only_errors_scales_by_a_power_of_two():

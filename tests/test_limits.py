@@ -7,9 +7,9 @@ import pytest
 
 from loopcool import get_preset
 from loopcool.errors import DomainError
-from loopcool.limits import (cooling_limit_full, cooling_limit_simplified, effective_model,
-                             validity_notes)
-from loopcool.model import Linearized, SystemSpec, build_drift
+from loopcool.limits import (APPROX, cooling_limit_full, cooling_limit_simplified,
+                             effective_model, require_approx, validity_notes)
+from loopcool.model import FULL, RWA, CouplingApprox, Linearized, SystemSpec, build_drift
 from loopcool.presets import PRESETS
 from loopcool.steadystate import cool, cool_or_flag
 
@@ -133,7 +133,7 @@ def test_simplified_phase_reversal_swaps_modes():
 
 def test_simplified_matches_exact_covariance():
     spec = get_preset("fig4")
-    exact = cool(build_drift(spec)).n_f
+    exact = cool(build_drift(spec, APPROX)).n_f
     n1, n2 = cooling_limit_simplified(effective_model(spec), spec)
     assert abs(n1 - exact[0]) / exact[0] <= 0.10
     assert abs(n2 - exact[1]) / exact[1] <= 0.10
@@ -156,7 +156,7 @@ def test_full_matches_the_steady_state_of_the_cooled_mode():
                                     drive=Linearized(delta=1.0, g_lin=(0.02, 0.02)))
     eff = effective_model(spec)
     assert notes_of(eff, spec) == []
-    exact = cool(build_drift(spec)).n_f
+    exact = cool(build_drift(spec, APPROX)).n_f
     assert cooling_limit_full(eff, spec)[0] == pytest.approx(exact[0], rel=0.01)
 
 
@@ -222,7 +222,7 @@ def test_resonant_note_off_resonance(delta, noted):
     spec = fig2_at(delta)
     eff = effective_model(spec)
     assert notes_of(eff, spec, full=False) == ([RESONANT] if noted else [])
-    exact = cool(build_drift(spec)).n_f
+    exact = cool(build_drift(spec, APPROX)).n_f
     simplified = cooling_limit_simplified(eff, spec)
     assert (abs(simplified[0] - exact[0]) > 0.2 * exact[0]) == noted
 
@@ -266,7 +266,7 @@ DELTAS = [1.0, 0.3, 0.0, -0.2, -0.5, -2.0]
 def test_effective_stability_matches_the_full_verdict(spec):
     # both formulas refuse exactly the points that the engine calls unstable: the
     # limits of an unstable model would be negative occupations
-    stable = cool_or_flag(build_drift(spec)).stable
+    stable = cool_or_flag(build_drift(spec, APPROX)).stable
     eff = effective_model(spec)
     for formula in (cooling_limit_simplified, cooling_limit_full):
         if stable:
@@ -320,3 +320,17 @@ def test_full_limit_refuses_one_zero_xi():
     for zeroed in (dict(xi1=0j), dict(xi2=0j)):
         with pytest.raises(DomainError, match="xi1 or xi2 = 0"):
             cooling_limit_full(dataclasses.replace(eff, **zeroed), spec)
+
+
+def test_the_limits_assume_one_approximation():
+    # the adiabatically eliminated model keeps the cavity's counter-rotating terms (its
+    # Lorentzians at delta + omega) and drops the phonon exchange's
+    assert APPROX == CouplingApprox(optomechanical=FULL, mechanical=RWA)
+    for approx in (CouplingApprox(om, mech) for om in (FULL, RWA) for mech in (FULL, RWA)):
+        if approx == APPROX:
+            assert require_approx(approx) is None
+        else:
+            with pytest.raises(DomainError) as err:
+                require_approx(approx)
+            assert str(err.value) == ("the cooling limits assume optomechanical full and "
+                                      "mechanical rwa")

@@ -15,7 +15,7 @@ from loopcool.model import (FULL, RWA, CouplingApprox, DriftModel, Linearized, S
                             build_drift)
 from loopcool.presets import PRESETS, _chain
 from loopcool.steadystate import (cool, cool_many, cool_or_flag, lyapunov_residual,
-                                  lyapunov_solve, phonon_numbers,
+                                  lyapunov_solve, phonon_numbers, require_stable,
                                   stability_check)
 
 
@@ -56,6 +56,19 @@ def test_lyapunov_rejects_near_singular():
     with pytest.raises(Unstable) as err:
         lyapunov_solve(d)
     assert err.value.abscissa == stability_check(d)[1] == -1e-14  # the benchmark's tracer reads it
+
+
+@pytest.mark.parametrize("last", [-3.0, -1e-10, -1e-14, 0.5])
+def test_require_stable_refuses_exactly_what_stability_check_calls_unstable(last):
+    d = manual_drift(np.diag([-1.0, last]), np.eye(2))
+    stable, abscissa = stability_check(d)
+    if stable:
+        assert require_stable(d) is None
+    else:
+        with pytest.raises(Unstable) as err:
+            require_stable(d)
+        assert err.value.abscissa == abscissa
+        assert str(err.value) == str(steadystate.unstable(abscissa))
 
 
 def test_lyapunov_require_stable_false():
@@ -428,3 +441,28 @@ def test_flipping_one_resonator_sign_is_a_gauge(om, mech):
         if ref.stable:
             assert np.all(np.abs(got.n_f - ref.n_f) <= 1e-10 * (np.abs(ref.n_f) + 0.5))
             assert abs(got.n_cav - ref.n_cav) <= 1e-10 * (abs(ref.n_cav) + 0.5)
+
+
+@pytest.mark.parametrize("om", [RWA, FULL])
+def test_reversing_a_chain_and_its_loop_phases_relabels_it(om):
+    # b_j -> b_{N+1-j} turns the hop eta_j e^{i theta_j} b_j^+ b_{j+1} into its conjugate,
+    # so the reversed chain with theta -> -theta is the same physics: the same verdict,
+    # n_f reversed and n_cav unchanged.  Under mechanical RWA only: the FULL form's
+    # counter-rotating term carries the loop phase on one orientation (ROADMAP item 8)
+    approx = CouplingApprox(om, RWA)
+    rng = np.random.default_rng(8)
+    verdicts = []
+    for _ in range(150):
+        spec = _random_chain(rng)
+        reversed_ = spec.with_(
+            omega_m=spec.omega_m[::-1], gamma=spec.gamma[::-1], nbar=spec.nbar[::-1],
+            eta=spec.eta[::-1], theta=tuple(-t for t in spec.theta[::-1]),
+            drive=Linearized(delta=spec.drive.delta, g_lin=spec.drive.g_lin[::-1]))
+        ref, got = (cool_or_flag(build_drift(s, approx)) for s in (spec, reversed_))
+        assert got.stable == ref.stable
+        verdicts.append(ref.stable)
+        if ref.stable:
+            assert np.all(np.abs(got.n_f[::-1] - ref.n_f) <= 1e-10 * (np.abs(ref.n_f) + 0.5))
+            assert abs(got.n_cav - ref.n_cav) <= 1e-10 * (abs(ref.n_cav) + 0.5)
+    # optomechanical RWA is stable at every draw; FULL is unstable at about half of them
+    assert set(verdicts) == ({True} if om == RWA else {True, False})
